@@ -1,16 +1,11 @@
 """Exact arithmetic for Genocchi and poly-Bernoulli numbers, enumeration
 of (m-barred) Callan sequences and Dumont permutations, and the
-structural bijections connecting them."""
+structural bijections connecting them.
+
+The package re-exports the names the README's library section documents;
+everything else is reached through its module (``callan.combinat`` ...)."""
 
 from .errors import ConsistencyError, DomainError
-from .series import (
-    TruncatedSeries,
-    exp_series,
-    exp_neg_series,
-    expm1_series,
-    one_minus_exp_neg,
-    polylog_series,
-)
 from .numbers import (
     genocchi,
     genocchi_list,
@@ -20,64 +15,30 @@ from .numbers import (
     c_table,
 )
 from .combinat import (
-    BLUE,
-    RED,
-    Bar,
-    CallanPair,
-    CallanSequence,
     MBarredSequence,
-    BarredCallanSequence,
-    DumontPermutation,
     validate_mbarred,
-    validate_dumont,
     enumerate_callan,
     enumerate_mbarred,
-    count_mbarred,
     enumerate_dumont,
-    brute_force_mbarred,
-    classify,
-    CELL_RSTAR_NONEMPTY,
-    CELL_STAR_ONLY,
-    CELL_BARRED_MAX,
-    in_barred_max_subset,
-    in_barred_min_subset,
-    swap_colors,
-    mbarred_to_barred,
-    barred_to_mbarred,
-    mbarred_to_dumont,
-    dumont_to_mbarred,
+    count_mbarred,
     to_json_dict,
     from_json_dict,
     canonical_json,
 )
 from .bijections import (
-    PsiIntermediate,
     phi,
-    phi_case,
     phi_inverse,
-    phi_inverse_case,
-    relabel_max_min,
     psi,
+    psi_inverse,
     psi_b,
     psi_r,
-    psi_inverse,
-    psi_b_inverse,
-    psi_r_inverse,
+    relabel_max_min,
 )
 from .harness import (
-    SumTerm,
-    VerificationReport,
-    verify_pb_zero,
-    verify_thm_identity,
-    verify_thm_identity2,
-    verify_prop_rec,
-    verify_partition,
-    verify_telescope,
     certify_phi,
     certify_psi,
     certify_relabel,
     run_claim,
-    run_all,
 )
 
 __version__ = "0.1.0"

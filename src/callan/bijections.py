@@ -24,7 +24,6 @@ carries the barred-max-singleton subset onto the barred-min-singleton one
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from .combinat import (
@@ -34,8 +33,9 @@ from .combinat import (
     CallanPair,
     Element,
     MBarredSequence,
-    _element_from_json,
-    _element_to_json,
+    _canonical_wire,
+    _from_wire,
+    _to_wire,
     in_barred_max_subset,
     in_barred_min_subset,
     validate_mbarred,
@@ -346,10 +346,16 @@ def psi_r(inter: PsiIntermediate) -> MBarredSequence:
     """Second psi stage: the minimal red element m+1 of the intermediate
     becomes a red bar labelled m+1 standing before its old pair; block
     contents rotate so the extra block ends up star-only exactly when m+1
-    lived in an ordinary block whose leftovers replace it."""
+    lived in an ordinary block whose leftovers replace it.
+
+    Every rule the move can break is validated on the output; an output
+    that fails one means the input was no psi_b image.  Blue blocks pass
+    through untouched, so their partition is left to psi_b's own input
+    check: the psi_r worked examples carry blue blocks that are no
+    partition."""
     new_label = inter.m + 1
     elems = list(inter.elements)
-    extra = elems[-1]
+    extra = elems[-1] if elems else None
     if not isinstance(extra, CallanPair) or not extra.is_extra:
         raise DomainError("psi_r: intermediate must end with the extra pair")
     if new_label in extra.red:
@@ -372,17 +378,17 @@ def psi_r(inter: PsiIntermediate) -> MBarredSequence:
         elems = _with_extra(elems, pair.red - {new_label})
         elems[i] = CallanPair(pair.blue, extra.red)
         elems.insert(i, Bar(RED, new_label))
-    return MBarredSequence(inter.m + 1, inter.k - 1, inter.n - 1, tuple(elems))
+    out = MBarredSequence(inter.m + 1, inter.k - 1, inter.n - 1, tuple(elems))
+    ok, why = validate_mbarred(out, blue_partition=False)
+    if not ok:
+        raise DomainError(f"psi_r: input is not a psi_b image ({why})")
+    return out
 
 
 def psi(seq: MBarredSequence) -> MBarredSequence:
     """Retire the minimal blue and minimal red elements to labelled bars:
     a bijection onto all (m+1)-barred sequences one size smaller."""
-    out = psi_r(psi_b(seq))
-    ok, why = validate_mbarred(out)
-    if not ok:
-        raise ConsistencyError(f"psi produced an invalid sequence: {why}")
-    return out
+    return psi_r(psi_b(seq))
 
 
 def psi_r_inverse(seq: MBarredSequence) -> PsiIntermediate:
@@ -466,25 +472,12 @@ def psi_inverse(seq: MBarredSequence) -> MBarredSequence:
 
 
 def intermediate_to_json_dict(inter: PsiIntermediate) -> dict:
-    return {
-        "m": inter.m,
-        "k": inter.k,
-        "n": inter.n,
-        "intermediate": True,
-        "elements": [_element_to_json(e) for e in inter.elements],
-    }
+    return _to_wire(inter, intermediate=True)
 
 
 def intermediate_from_json_dict(data: dict) -> PsiIntermediate:
-    if not data.get("intermediate"):
-        raise ValueError("not a psi-b intermediate object")
-    try:
-        m, k, n = int(data["m"]), int(data["k"]), int(data["n"])
-        elements = tuple(_element_from_json(e) for e in data["elements"])
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed intermediate object: {exc}") from exc
-    return PsiIntermediate(m, k, n, elements)
+    return PsiIntermediate(*_from_wire(data, intermediate=True))
 
 
 def canonical_intermediate_json(inter: PsiIntermediate) -> str:
-    return json.dumps(intermediate_to_json_dict(inter), separators=(",", ":"))
+    return _canonical_wire(inter, intermediate=True)

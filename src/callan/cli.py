@@ -21,8 +21,8 @@ import sys
 
 from . import combinat, harness, numbers
 from .bijections import (
-    canonical_intermediate_json,
     intermediate_from_json_dict,
+    intermediate_to_json_dict,
     phi,
     phi_case,
     phi_inverse,
@@ -100,14 +100,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
                     "k": cs.k,
                     "n": cs.n,
                     "shift": cs.shift,
-                    "pairs": [
-                        {
-                            "blue": sorted(p.blue),
-                            "red": sorted(p.red),
-                            "extra": p.is_extra,
-                        }
-                        for p in cs.pairs
-                    ],
+                    "pairs": [combinat._element_to_json(p)["pair"] for p in cs.pairs],
                 }
                 print(json.dumps(obj, separators=(",", ":")))
             else:
@@ -152,7 +145,7 @@ def _cmd_map(args: argparse.Namespace) -> int:
         print(f"map: {exc}", file=sys.stderr)
         return 1
     if args.which == "psi-b":
-        result = json.loads(canonical_intermediate_json(image))
+        result = intermediate_to_json_dict(image)
     else:
         result = combinat.to_json_dict(image)
     print(json.dumps({"case": case, "result": result}, separators=(",", ":")))

@@ -36,8 +36,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, permutations
-from typing import Iterator, Sequence, Union
+from typing import Iterator, Union
 
 from .errors import DomainError
 
@@ -60,7 +59,6 @@ __all__ = [
     "enumerate_dumont",
     "count_mbarred",
     "bar_arrangements",
-    "brute_force_mbarred",
     "classify",
     "has_barred_blue_singleton",
     "in_barred_max_subset",
@@ -205,10 +203,15 @@ def _may_follow(prev: Bar, nxt: Element) -> bool:
     return isinstance(nxt, CallanPair) or nxt.label > prev.label
 
 
-def validate_mbarred(seq: MBarredSequence) -> tuple[bool, str]:
+def validate_mbarred(
+    seq: MBarredSequence, *, blue_partition: bool = True
+) -> tuple[bool, str]:
     """Check every defining rule; returns (ok, reason) where reason names
     the first violated rule.  The "last bar of a run is red" fact is a
-    consequence of bar adjacency and needs no separate check."""
+    consequence of bar adjacency and needs no separate check.
+
+    blue_partition=False skips only the rule that the blue blocks partition
+    the blue base set, for a map that passes blue blocks through untouched."""
     if seq.m < 0 or seq.k < 0 or seq.n < 0:
         return False, "sizes: m, k, n must be nonnegative"
     if not seq.elements:
@@ -237,6 +240,8 @@ def validate_mbarred(seq: MBarredSequence) -> tuple[bool, str]:
         if not p.is_extra and (not p.blue or not p.red):
             return False, f"empty-ordinary-block: {p}"
     for color, base in ((BLUE, seq.blue_base()), (RED, seq.red_base())):
+        if color == BLUE and not blue_partition:
+            continue
         blocks = [getattr(p, color) for p in pairs]
         seen: set[int] = set()
         for blk in blocks:
@@ -419,33 +424,6 @@ def enumerate_dumont(length: int) -> Iterator[DumontPermutation]:
     return rec()
 
 
-def brute_force_mbarred(k: int, n: int, m: int) -> set[MBarredSequence]:
-    """Oracle-grade generate-and-filter enumeration: try every interleaving
-    of every bar order with every Callan sequence and keep what validates.
-    Exponential; intended for cross-checks at tiny sizes only."""
-    out: set[MBarredSequence] = set()
-    pool = [Bar(BLUE, i) for i in range(1, m + 1)] + [Bar(RED, i) for i in range(m + 1)]
-    for cs in enumerate_callan(k, n, shift=m):
-        npairs = len(cs.pairs)
-        total = npairs + len(pool)
-        for slots in combinations(range(total - 1), len(pool)):
-            # the last slot is excluded outright: a trailing bar never validates
-            slot_set = set(slots)
-            for bar_order in permutations(pool):
-                elements: list[Element] = []
-                bar_iter = iter(bar_order)
-                pair_iter = iter(cs.pairs)
-                for pos in range(total):
-                    if pos in slot_set:
-                        elements.append(next(bar_iter))
-                    else:
-                        elements.append(next(pair_iter))
-                cand = MBarredSequence(m, k, n, tuple(elements))
-                if validate_mbarred(cand)[0]:
-                    out.add(cand)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # classification
 # ---------------------------------------------------------------------------
@@ -579,6 +557,15 @@ def dumont_to_mbarred(perm: DumontPermutation) -> MBarredSequence:
 # ---------------------------------------------------------------------------
 # JSON wire format
 # ---------------------------------------------------------------------------
+#
+# One codec serves MBarredSequence and the psi-b intermediate of
+# bijections: both are (m, k, n, elements), and an intermediate carries the
+# marker "intermediate": true between n and elements.  The key order is part
+# of the format, because the canonical form is compared byte for byte.
+
+_SEQUENCE_KEYS = frozenset({"m", "k", "n", "elements"})
+_INTERMEDIATE_KEYS = _SEQUENCE_KEYS | {"intermediate"}
+_INT = frozenset({int})
 
 
 def _element_to_json(e: Element) -> dict:
@@ -593,44 +580,82 @@ def _element_to_json(e: Element) -> dict:
     }
 
 
-def _element_from_json(d: dict) -> Element:
-    if not isinstance(d, dict) or len(d) != 1:
-        raise ValueError(f"malformed element: {d!r}")
-    if "bar" in d:
-        bar = d["bar"]
-        if bar.get("color") not in (BLUE, RED) or not isinstance(bar.get("label"), int):
-            raise ValueError(f"malformed bar: {d!r}")
-        return Bar(bar["color"], bar["label"])
-    if "pair" in d:
-        pair = d["pair"]
-        blue, red = pair.get("blue"), pair.get("red")
-        if not isinstance(blue, list) or not isinstance(red, list):
-            raise ValueError(f"malformed pair: {d!r}")
-        return CallanPair(frozenset(blue), frozenset(red), bool(pair.get("extra")))
-    raise ValueError(f"element must be a bar or a pair: {d!r}")
+def _element_from_json(d) -> Element:
+    # A dict of the documented size whose documented keys all hold
+    # acceptable values has no other key: .get gives None for a missing
+    # key, and no check accepts None.
+    if isinstance(d, dict) and len(d) == 1:
+        bar, pair = d.get("bar"), d.get("pair")
+        if isinstance(bar, dict) and len(bar) == 2:
+            color, label = bar.get("color"), bar.get("label")
+            if color in (BLUE, RED) and type(label) is int:  # not bool
+                return Bar(color, label)
+        elif isinstance(pair, dict) and len(pair) == 3:
+            blue, red, extra = pair.get("blue"), pair.get("red"), pair.get("extra")
+            if (
+                type(extra) is bool
+                and isinstance(blue, list)
+                and isinstance(red, list)
+                and _INT.issuperset(map(type, blue + red))  # not bool
+            ):
+                blue_block, red_block = frozenset(blue), frozenset(red)
+                if len(blue_block) == len(blue) and len(red_block) == len(red):
+                    return CallanPair(blue_block, red_block, extra)
+    raise ValueError(
+        f"malformed element {d!r}: expected "
+        '{"bar": {"color": "blue" or "red", "label": integer}} or '
+        '{"pair": {"blue": [integers], "red": [integers], "extra": true or false}}'
+        " with no integer repeated within a block"
+    )
+
+
+def _to_wire(obj, intermediate: bool) -> dict:
+    out = {"m": obj.m, "k": obj.k, "n": obj.n}
+    if intermediate:
+        out["intermediate"] = True
+    out["elements"] = [_element_to_json(e) for e in obj.elements]
+    return out
+
+
+def _from_wire(data, intermediate: bool) -> tuple[int, int, int, tuple[Element, ...]]:
+    """Parse the wire form strictly into (m, k, n, elements).  These are
+    shape checks only: the maps validate the combinatorial rules on what
+    they accept or emit."""
+    what = "intermediate object" if intermediate else "sequence object"
+    if not isinstance(data, dict):
+        raise ValueError(f"{what} must be a JSON object, not {type(data).__name__}")
+    if (data.get("intermediate") is True) != intermediate:
+        raise ValueError(
+            "not a psi-b intermediate object"
+            if intermediate
+            else "this object is a psi-b intermediate, not a barred sequence"
+        )
+    keys = _INTERMEDIATE_KEYS if intermediate else _SEQUENCE_KEYS
+    if data.keys() != keys:
+        found = sorted(data, key=str)
+        raise ValueError(f"{what} has keys {found}, expected {sorted(keys)}")
+    for key in ("m", "k", "n"):
+        if type(data[key]) is not int:  # bool is a subclass of int
+            raise ValueError(f"{key} must be an integer, not {data[key]!r}")
+    elements = data["elements"]
+    if not isinstance(elements, list):
+        raise ValueError(f"elements must be an array, not {elements!r}")
+    return data["m"], data["k"], data["n"], tuple(map(_element_from_json, elements))
+
+
+def _canonical_wire(obj, intermediate: bool) -> str:
+    """Bit-exact canonical serialization: fixed key order, no whitespace,
+    blocks ascending."""
+    return json.dumps(_to_wire(obj, intermediate), separators=(",", ":"))
 
 
 def to_json_dict(seq: MBarredSequence) -> dict:
-    return {
-        "m": seq.m,
-        "k": seq.k,
-        "n": seq.n,
-        "elements": [_element_to_json(e) for e in seq.elements],
-    }
+    return _to_wire(seq, intermediate=False)
 
 
 def from_json_dict(data: dict) -> MBarredSequence:
-    if data.get("intermediate"):
-        raise ValueError("this object is a psi-b intermediate, not a barred sequence")
-    try:
-        m, k, n = int(data["m"]), int(data["k"]), int(data["n"])
-        elements = tuple(_element_from_json(e) for e in data["elements"])
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed sequence object: {exc}") from exc
-    return MBarredSequence(m, k, n, elements)
+    return MBarredSequence(*_from_wire(data, intermediate=False))
 
 
 def canonical_json(seq: MBarredSequence) -> str:
-    """Bit-exact canonical serialization: fixed key order, no whitespace,
-    blocks ascending."""
-    return json.dumps(to_json_dict(seq), separators=(",", ":"))
+    return _canonical_wire(seq, intermediate=False)

@@ -38,25 +38,26 @@ def _require_integer(value: Fraction, what: str) -> int:
     return int(value)
 
 
+def _genocchi_egf(order: int) -> TruncatedSeries:
+    """2t / (e^t + 1) truncated at `order`, from one series division."""
+    if order < 0:
+        raise ValueError("genocchi index must be nonnegative")
+    numerator = (
+        TruncatedSeries.monomial(2, 1, order) if order >= 1 else TruncatedSeries.zero(0)
+    )
+    denominator = exp_series(order) + TruncatedSeries.constant(1, order)
+    return numerator.divide(denominator)
+
+
 @lru_cache(maxsize=None)
 def genocchi(n: int) -> int:
     """The n-th Genocchi number, from the EGF 2t / (e^t + 1)."""
-    if n < 0:
-        raise ValueError("genocchi index must be nonnegative")
-    numerator = TruncatedSeries.monomial(2, 1, n) if n >= 1 else TruncatedSeries.zero(0)
-    denominator = exp_series(n) + TruncatedSeries.constant(1, n)
-    quotient = numerator.divide(denominator)
-    return _require_integer(quotient.egf_coefficient(n), f"genocchi({n})")
+    return _require_integer(_genocchi_egf(n).egf_coefficient(n), f"genocchi({n})")
 
 
 def genocchi_list(max_n: int) -> list[int]:
     """Genocchi numbers 0..max_n, computed in one series division."""
-    if max_n < 0:
-        raise ValueError("genocchi index must be nonnegative")
-    order = max(max_n, 1)
-    numerator = TruncatedSeries.monomial(2, 1, order)
-    denominator = exp_series(order) + TruncatedSeries.constant(1, order)
-    quotient = numerator.divide(denominator)
+    quotient = _genocchi_egf(max_n)
     return [
         _require_integer(quotient.egf_coefficient(i), f"genocchi({i})")
         for i in range(max_n + 1)

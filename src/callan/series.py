@@ -15,11 +15,9 @@ from typing import Iterable, Iterator, Union
 __all__ = [
     "TruncatedSeries",
     "exp_series",
-    "exp_neg_series",
     "expm1_series",
     "one_minus_exp_neg",
     "polylog_series",
-    "egf_coefficient",
 ]
 
 Scalar = Union[int, Fraction]
@@ -195,11 +193,6 @@ def exp_series(order: int) -> TruncatedSeries:
     return TruncatedSeries(Fraction(1, factorial(i)) for i in range(order + 1))
 
 
-def exp_neg_series(order: int) -> TruncatedSeries:
-    """e^{-t} truncated at `order`."""
-    return TruncatedSeries(Fraction((-1) ** i, factorial(i)) for i in range(order + 1))
-
-
 def expm1_series(order: int) -> TruncatedSeries:
     """e^t - 1 truncated at `order` (valuation 1)."""
     coeffs = [Fraction(0)] + [Fraction(1, factorial(i)) for i in range(1, order + 1)]
@@ -227,8 +220,3 @@ def polylog_series(k: int, order: int) -> TruncatedSeries:
         else:
             coeffs.append(Fraction(m ** (-k)))
     return TruncatedSeries(coeffs)
-
-
-def egf_coefficient(series: TruncatedSeries, n: int) -> Fraction:
-    """Module-level convenience alias for series.egf_coefficient(n)."""
-    return series.egf_coefficient(n)

@@ -1,5 +1,6 @@
 import json
 import pathlib
+import random
 
 import pytest
 
@@ -161,3 +162,115 @@ def test_verify_unknown_claim_rejected(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--claim", "bogus"])
     assert exc.value.code == 2
+
+
+# |r0 ({1},{1}) ({*},{*}): in the domain of relabel, which maps it to itself.
+WELLFORMED = {
+    "m": 0, "k": 1, "n": 1,
+    "elements": [
+        {"bar": {"color": "red", "label": 0}},
+        {"pair": {"blue": [1], "red": [1], "extra": False}},
+        {"pair": {"blue": [], "red": [], "extra": True}},
+    ],
+}
+
+
+def _set(*path_and_value):
+    """A mutation of WELLFORMED: set the value at a key path."""
+    *path, value = path_and_value
+
+    def mutate(doc):
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        return doc
+    return mutate
+
+
+# Each mutation makes WELLFORMED malformed; `map` must refuse it with exit 1
+# and a one-line reason, never with a traceback and never with exit 0.
+MALFORMED = {
+    "top-level-array": lambda doc: [],
+    "top-level-string": lambda doc: "seq",
+    "bar-not-object": _set("elements", 0, {"bar": 5}),
+    "bar-label-bool": _set("elements", 0, "bar", "label", False),
+    "bar-label-float": _set("elements", 0, "bar", "label", 0.0),
+    "bar-unknown-key": _set("elements", 0, "bar", "note", 1),
+    "bar-color-unknown": _set("elements", 0, "bar", "color", "green"),
+    "bar-key-renamed": _set("elements", 0, "bar", {"color": "red", "lbl": 0}),
+    "pair-not-object": _set("elements", 1, {"pair": []}),
+    "pair-member-bool": _set("elements", 1, "pair", "blue", [True]),
+    "pair-member-string": _set("elements", 1, "pair", "red", ["1"]),
+    "pair-block-not-array": _set("elements", 1, "pair", "red", 1),
+    "pair-duplicate-member": _set("elements", 1, "pair", "red", [1, 1]),
+    "pair-extra-int": _set("elements", 2, "pair", "extra", 1),
+    "pair-extra-string": _set("elements", 1, "pair", "extra", ""),
+    "pair-extra-missing": _set("elements", 1, "pair", {"blue": [1], "red": [1]}),
+    "pair-key-renamed": _set("elements", 1, "pair", {"blue": [1], "red": [1], "x": 0}),
+    "pair-unknown-key": _set("elements", 1, "pair", "star", True),
+    "element-two-keys": _set("elements", 1, "bar", {"color": "red", "label": 0}),
+    "size-float": _set("k", 1.7),
+    "size-string": _set("k", "1"),
+    "size-bool": _set("n", True),
+    "elements-not-array": _set("elements", {}),
+    "missing-key": lambda doc: {key: doc[key] for key in ("m", "k", "elements")},
+    "unknown-key": _set("note", "x"),
+    "intermediate-false": _set("intermediate", False),
+}
+
+
+def _map(tmp_path, capsys, which, doc):
+    src = tmp_path / "in.json"
+    src.write_text(json.dumps(doc))
+    return run(capsys, "map", "--which", which, "--input", str(src))
+
+
+def test_map_accepts_wellformed(tmp_path, capsys):
+    code, out, _ = _map(tmp_path, capsys, "relabel", WELLFORMED)
+    assert code == 0 and json.loads(out)["result"] == WELLFORMED
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_map_rejects_malformed_input(tmp_path, capsys, name):
+    doc = MALFORMED[name](json.loads(json.dumps(WELLFORMED)))
+    code, out, err = _map(tmp_path, capsys, "relabel", doc)
+    assert (code, out) == (1, "")
+    assert err.startswith("map: ") and len(err.splitlines()) == 1
+
+
+def test_map_psi_r_rejects_empty_intermediate(tmp_path, capsys):
+    doc = {"m": 0, "k": 1, "n": 1, "intermediate": True, "elements": []}
+    code, _, err = _map(tmp_path, capsys, "psi-r", doc)
+    assert code == 1 and "extra pair" in err
+
+
+def test_map_psi_r_swapped_intermediates_exit_one_or_validate(tmp_path, capsys):
+    """Swapping two elements of a real psi_b image breaks the psi_b image
+    property in most cases: psi-r must then exit 1 rather than print an
+    invalid sequence."""
+    from callan.bijections import intermediate_to_json_dict, psi_b
+    from callan.combinat import (
+        enumerate_mbarred, from_json_dict, in_barred_min_subset, validate_mbarred,
+    )
+
+    images = [
+        intermediate_to_json_dict(psi_b(s))
+        for cell in ((2, 2, 1), (3, 2, 0), (2, 3, 1))
+        for s in enumerate_mbarred(*cell)
+        if in_barred_min_subset(s)
+    ]
+    rng = random.Random(20201020)
+    outcomes = {0: 0, 1: 0}
+    for _ in range(300):
+        doc = rng.choice(images)
+        elements = list(doc["elements"])
+        i, j = rng.sample(range(len(elements)), 2)
+        elements[i], elements[j] = elements[j], elements[i]
+        code, out, err = _map(tmp_path, capsys, "psi-r", dict(doc, elements=elements))
+        assert code in outcomes, err
+        outcomes[code] += 1
+        if code == 0:
+            image = from_json_dict(json.loads(out)["result"])
+            assert validate_mbarred(image) == (True, "ok"), out
+    assert outcomes[0] and outcomes[1]

@@ -1,5 +1,6 @@
 import json
 import pathlib
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,7 +18,6 @@ from callan.combinat import (
     enumerate_mbarred,
     count_mbarred,
     enumerate_dumont,
-    brute_force_mbarred,
     classify,
     CELL_RSTAR_NONEMPTY,
     CELL_STAR_ONLY,
@@ -36,6 +36,33 @@ from callan.combinat import (
 from callan.errors import DomainError
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
+
+
+def brute_force_mbarred(k, n, m):
+    """Oracle-grade generate-and-filter enumeration: try every interleaving
+    of every bar order with every Callan sequence and keep what validates.
+    Exponential; intended for cross-checks at tiny sizes only."""
+    out = set()
+    pool = [Bar(BLUE, i) for i in range(1, m + 1)] + [Bar(RED, i) for i in range(m + 1)]
+    for cs in enumerate_callan(k, n, shift=m):
+        npairs = len(cs.pairs)
+        total = npairs + len(pool)
+        for slots in combinations(range(total - 1), len(pool)):
+            # the last slot is excluded outright: a trailing bar never validates
+            slot_set = set(slots)
+            for bar_order in permutations(pool):
+                elements = []
+                bar_iter = iter(bar_order)
+                pair_iter = iter(cs.pairs)
+                for pos in range(total):
+                    if pos in slot_set:
+                        elements.append(next(bar_iter))
+                    else:
+                        elements.append(next(pair_iter))
+                cand = MBarredSequence(m, k, n, tuple(elements))
+                if validate_mbarred(cand)[0]:
+                    out.add(cand)
+    return out
 
 # All fourteen sequences with two blue and two red elements.
 CALLAN_2_2 = {

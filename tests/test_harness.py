@@ -1,5 +1,8 @@
 import pytest
 
+from callan import harness
+from callan.bijections import phi, phi_inverse, psi_inverse
+from callan.combinat import enumerate_mbarred
 from callan.harness import (
     SumTerm,
     certify_phi,
@@ -7,7 +10,6 @@ from callan.harness import (
     certify_relabel,
     report_sort_key,
     report_to_json_dict,
-    run_all,
     run_claim,
     verify_partition,
     verify_pb_zero,
@@ -144,7 +146,7 @@ def test_run_claim_sweeps_pass():
 
 
 def test_run_all_sorted_and_green():
-    reports = run_all(max_weight=4)
+    reports = run_claim("all", max_weight=4)
     assert all(r.passed for r in reports)
     assert reports == sorted(reports, key=report_sort_key)
     claims = {r.claim_id for r in reports}
@@ -161,3 +163,64 @@ def test_report_json_shape():
     assert data["status"] == "pass"
     assert data["counterexamples"] == []
     assert isinstance(data["elapsed"], float)
+
+
+# Mutation tests for the single-pass certificate in _certify_map: each
+# deliberately broken map must still fail the certification, with the
+# counterexample kind that names the broken property.
+
+
+def _kinds(report):
+    return {kind for ce in report.counterexamples for kind in ce}
+
+
+def test_certificate_catches_collision(monkeypatch):
+    # phi sends every sequence to the image of the first one; the cell is
+    # small enough for every counterexample to fit under the cap
+    first = next(s for s in enumerate_mbarred(1, 2, 0) if s.extra.red)
+    monkeypatch.setattr(harness, "phi", lambda s: phi(first))
+    r = certify_phi(1, 2, 0)
+    assert not r.passed
+    assert {"collision", "roundtrip", "not-hit"} <= _kinds(r)
+
+
+def test_certificate_catches_outside_codomain(monkeypatch):
+    # identity maps: round trips hold, but no image lies in the codomain
+    monkeypatch.setattr(harness, "phi", lambda s: s)
+    monkeypatch.setattr(harness, "phi_inverse", lambda t: t)
+    r = certify_phi(2, 2, 0)
+    assert not r.passed and r.lhs == r.rhs
+    assert _kinds(r) == {"outside-codomain", "not-hit"}
+
+
+def test_certificate_catches_wrong_inverse(monkeypatch):
+    # psi itself is a bijection; only its inverse is broken
+    fixed = psi_inverse(next(iter(enumerate_mbarred(1, 1, 1))))
+    monkeypatch.setattr(harness, "psi_inverse", lambda t: fixed)
+    r = certify_psi(2, 2, 0)
+    assert not r.passed and r.lhs == r.rhs
+    assert _kinds(r) == {"roundtrip"}
+
+
+def test_certificate_catches_missed_codomain_element(monkeypatch):
+    # one domain element is sent outside the codomain, so one codomain
+    # element is never hit although the sizes agree
+    victim = next(s for s in enumerate_mbarred(2, 2, 0) if s.extra.red)
+    monkeypatch.setattr(harness, "phi", lambda s: s if s == victim else phi(s))
+    monkeypatch.setattr(
+        harness, "phi_inverse", lambda t: t if t == victim else phi_inverse(t)
+    )
+    r = certify_phi(2, 2, 0)
+    assert not r.passed and r.lhs == r.rhs
+    assert _kinds(r) == {"outside-codomain", "not-hit"}
+    assert sum("not-hit" in ce for ce in r.counterexamples) == 1
+
+
+def test_certificate_catches_raising_maps(monkeypatch):
+    def refuse(seq):
+        raise ValueError("refused")
+
+    monkeypatch.setattr(harness, "psi_inverse", refuse)
+    assert _kinds(certify_psi(2, 2, 0)) == {"backward-error"}
+    monkeypatch.setattr(harness, "psi", refuse)
+    assert _kinds(certify_psi(2, 2, 0)) == {"forward-error", "not-hit"}

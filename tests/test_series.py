@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 from callan.series import (
     TruncatedSeries,
     exp_series,
-    exp_neg_series,
     expm1_series,
     one_minus_exp_neg,
     polylog_series,
@@ -29,7 +28,8 @@ def test_exp_coefficients():
 
 def test_exp_times_exp_neg_is_one():
     n = 12
-    prod = exp_series(n) * exp_neg_series(n)
+    exp_neg = TruncatedSeries.constant(1, n) - one_minus_exp_neg(n)
+    prod = exp_series(n) * exp_neg
     assert prod == TruncatedSeries.constant(F(1), n)
 
 
