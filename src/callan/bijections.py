@@ -24,6 +24,7 @@ carries the barred-max-singleton subset onto the barred-min-singleton one
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 
 from .combinat import (
@@ -33,7 +34,6 @@ from .combinat import (
     CallanPair,
     Element,
     MBarredSequence,
-    _canonical_wire,
     _from_wire,
     _to_wire,
     in_barred_max_subset,
@@ -348,11 +348,9 @@ def psi_r(inter: PsiIntermediate) -> MBarredSequence:
     contents rotate so the extra block ends up star-only exactly when m+1
     lived in an ordinary block whose leftovers replace it.
 
-    Every rule the move can break is validated on the output; an output
-    that fails one means the input was no psi_b image.  Blue blocks pass
-    through untouched, so their partition is left to psi_b's own input
-    check: the psi_r worked examples carry blue blocks that are no
-    partition."""
+    The output is not validated: the psi_r worked examples carry blue
+    blocks that are no partition, so an intermediate that is no psi_b image
+    can give an invalid sequence.  psi validates what it returns."""
     new_label = inter.m + 1
     elems = list(inter.elements)
     extra = elems[-1] if elems else None
@@ -378,17 +376,17 @@ def psi_r(inter: PsiIntermediate) -> MBarredSequence:
         elems = _with_extra(elems, pair.red - {new_label})
         elems[i] = CallanPair(pair.blue, extra.red)
         elems.insert(i, Bar(RED, new_label))
-    out = MBarredSequence(inter.m + 1, inter.k - 1, inter.n - 1, tuple(elems))
-    ok, why = validate_mbarred(out, blue_partition=False)
-    if not ok:
-        raise DomainError(f"psi_r: input is not a psi_b image ({why})")
-    return out
+    return MBarredSequence(inter.m + 1, inter.k - 1, inter.n - 1, tuple(elems))
 
 
 def psi(seq: MBarredSequence) -> MBarredSequence:
     """Retire the minimal blue and minimal red elements to labelled bars:
     a bijection onto all (m+1)-barred sequences one size smaller."""
-    return psi_r(psi_b(seq))
+    out = psi_r(psi_b(seq))
+    ok, why = validate_mbarred(out)
+    if not ok:
+        raise ConsistencyError(f"psi produced an invalid sequence: {why}")
+    return out
 
 
 def psi_r_inverse(seq: MBarredSequence) -> PsiIntermediate:
@@ -480,4 +478,4 @@ def intermediate_from_json_dict(data: dict) -> PsiIntermediate:
 
 
 def canonical_intermediate_json(inter: PsiIntermediate) -> str:
-    return _canonical_wire(inter, intermediate=True)
+    return json.dumps(intermediate_to_json_dict(inter), separators=(",", ":"))

@@ -203,15 +203,10 @@ def _may_follow(prev: Bar, nxt: Element) -> bool:
     return isinstance(nxt, CallanPair) or nxt.label > prev.label
 
 
-def validate_mbarred(
-    seq: MBarredSequence, *, blue_partition: bool = True
-) -> tuple[bool, str]:
+def validate_mbarred(seq: MBarredSequence) -> tuple[bool, str]:
     """Check every defining rule; returns (ok, reason) where reason names
     the first violated rule.  The "last bar of a run is red" fact is a
-    consequence of bar adjacency and needs no separate check.
-
-    blue_partition=False skips only the rule that the blue blocks partition
-    the blue base set, for a map that passes blue blocks through untouched."""
+    consequence of bar adjacency and needs no separate check."""
     if seq.m < 0 or seq.k < 0 or seq.n < 0:
         return False, "sizes: m, k, n must be nonnegative"
     if not seq.elements:
@@ -240,8 +235,6 @@ def validate_mbarred(
         if not p.is_extra and (not p.blue or not p.red):
             return False, f"empty-ordinary-block: {p}"
     for color, base in ((BLUE, seq.blue_base()), (RED, seq.red_base())):
-        if color == BLUE and not blue_partition:
-            continue
         blocks = [getattr(p, color) for p in pairs]
         seen: set[int] = set()
         for blk in blocks:
@@ -643,12 +636,6 @@ def _from_wire(data, intermediate: bool) -> tuple[int, int, int, tuple[Element, 
     return data["m"], data["k"], data["n"], tuple(map(_element_from_json, elements))
 
 
-def _canonical_wire(obj, intermediate: bool) -> str:
-    """Bit-exact canonical serialization: fixed key order, no whitespace,
-    blocks ascending."""
-    return json.dumps(_to_wire(obj, intermediate), separators=(",", ":"))
-
-
 def to_json_dict(seq: MBarredSequence) -> dict:
     return _to_wire(seq, intermediate=False)
 
@@ -658,4 +645,6 @@ def from_json_dict(data: dict) -> MBarredSequence:
 
 
 def canonical_json(seq: MBarredSequence) -> str:
-    return _canonical_wire(seq, intermediate=False)
+    """Bit-exact canonical serialization: fixed key order, no whitespace,
+    blocks ascending."""
+    return json.dumps(to_json_dict(seq), separators=(",", ":"))
