@@ -35,14 +35,19 @@ from .combinat import (
     Element,
     MBarredSequence,
     _from_wire,
+    _require_mbarred,
     _to_wire,
     in_barred_max_subset,
     in_barred_min_subset,
-    validate_mbarred,
 )
 from .errors import ConsistencyError, DomainError
 
 __all__ = [
+    "phi_domain",
+    "phi_image",
+    "psi_domain",
+    "psi_image",
+    "relabel_domain",
     "PsiIntermediate",
     "phi_case",
     "phi",
@@ -76,10 +81,48 @@ class PsiIntermediate:
         return "".join(str(e) for e in self.elements)
 
 
-def _require_valid(seq: MBarredSequence, who: str) -> None:
-    ok, why = validate_mbarred(seq)
-    if not ok:
-        raise DomainError(f"{who}: input is not a valid barred sequence ({why})")
+# ---------------------------------------------------------------------------
+# the sets the maps run between: each predicate takes a valid sequence and
+# returns why it lies outside its set, or None.  The maps check what they
+# accept and emit against them, and the harness certifies over exactly them.
+# ---------------------------------------------------------------------------
+
+
+def phi_domain(seq: MBarredSequence) -> str | None:
+    """phi's domain: the extra red block is nonempty."""
+    return None if seq.extra.red else "the extra red block is empty"
+
+
+def phi_image(seq: MBarredSequence) -> str | None:
+    """phi's image: at least one blue element, a star-only extra red block,
+    and a maximal blue element that is no barred ordinary singleton."""
+    if seq.k < 1:
+        return "no blue elements present"
+    if seq.extra.red:
+        return "the extra red block is not star-only"
+    if in_barred_max_subset(seq):
+        return "the maximal blue element is a barred ordinary singleton"
+    return None
+
+
+def psi_domain(seq: MBarredSequence) -> str | None:
+    """psi's domain: the barred-min-singleton subset."""
+    if in_barred_min_subset(seq):
+        return None
+    return "the minimal blue element is no barred singleton of a star-only sequence"
+
+
+def psi_image(seq: MBarredSequence) -> str | None:
+    """psi's image: every sequence with at least one blue bar (m >= 1)."""
+    return None if seq.m >= 1 else "no red bar with a positive label"
+
+
+def relabel_domain(seq: MBarredSequence) -> str | None:
+    """relabel_max_min's domain, which is also its image: the union of the
+    barred-max-singleton and the barred-min-singleton subsets."""
+    if in_barred_max_subset(seq) or in_barred_min_subset(seq):
+        return None
+    return "no extreme blue element is a barred singleton of a star-only sequence"
 
 
 def _pair_indices(elements: list[Element]) -> list[int]:
@@ -111,17 +154,13 @@ def phi_case(seq: MBarredSequence) -> str:
     """Which of the four phi moves applies: A1/A2 when the maximal red
     element sits in the extra block (alone with the star / accompanied),
     B1/B2 when it sits in an ordinary block (as a singleton / with others)."""
-    _require_valid(seq, "phi")
+    _require_mbarred(seq, "phi: input outside phi's domain", phi_domain)
     extra = seq.extra
-    if not extra.red:
-        raise DomainError("phi: the extra red block must be nonempty")
     mu = seq.m + seq.n
     if mu in extra.red:
         return "A1" if extra.red == {mu} else "A2"
-    for p in seq.pairs():
-        if not p.is_extra and mu in p.red:
-            return "B1" if p.red == {mu} else "B2"
-    raise ConsistencyError(f"maximal red element {mu} missing from every block")
+    owner = next(p for p in seq.pairs() if mu in p.red)  # an ordinary pair
+    return "B1" if owner.red == {mu} else "B2"
 
 
 def phi(seq: MBarredSequence) -> MBarredSequence:
@@ -183,27 +222,14 @@ def phi(seq: MBarredSequence) -> MBarredSequence:
             out_elems = moved + elems[:g] + stay
 
     out = MBarredSequence(seq.m, seq.k + 1, seq.n - 1, tuple(out_elems))
-    ok, why = validate_mbarred(out)
-    if not ok:
-        raise ConsistencyError(f"phi produced an invalid sequence: {why}")
-    if out.extra.red or in_barred_max_subset(out):
-        raise ConsistencyError("phi landed outside its codomain")
-    return out
+    return _require_mbarred(out, "phi: bad image", phi_image, ConsistencyError)
 
 
 def phi_inverse_case(seq: MBarredSequence) -> str:
     """Recover the phi move from an image element: the new maximal blue
     element sits in the first pair iff the move was A1/A2 and forms an
     ordinary singleton iff the move was A2/B2."""
-    _require_valid(seq, "phi_inverse")
-    if seq.k < 1:
-        raise DomainError("phi_inverse: no blue elements present")
-    if seq.extra.red:
-        raise DomainError("phi_inverse: extra red block must be star-only")
-    if in_barred_max_subset(seq):
-        raise DomainError(
-            "phi_inverse: the barred-max-singleton subset is outside phi's image"
-        )
+    _require_mbarred(seq, "phi_inverse: input outside phi's image", phi_image)
     top = seq.m + seq.k
     elems = list(seq.elements)
     pidx = _pair_indices(elems)
@@ -232,8 +258,7 @@ def phi_inverse(seq: MBarredSequence) -> MBarredSequence:
         elems[q_i] = CallanPair(q.blue - {top}, q.red, q.is_extra)
         out_elems = _with_extra(elems, frozenset({mu}))
     elif case == "A2":
-        if q_i != 0:
-            raise ConsistencyError("A2 image must start with the new singleton pair")
+        # q is elements[0]: phi_image excludes a bar before q
         elems = _with_extra(elems, q.red | {mu})
         out_elems = elems[1:]
     elif case == "B1":
@@ -258,12 +283,7 @@ def phi_inverse(seq: MBarredSequence) -> MBarredSequence:
         out_elems = rest[:q_pos] + lead + [restored] + rest[q_pos + 1 :]
 
     out = MBarredSequence(seq.m, seq.k - 1, seq.n + 1, tuple(out_elems))
-    ok, why = validate_mbarred(out)
-    if not ok:
-        raise ConsistencyError(f"phi_inverse produced an invalid sequence: {why}")
-    if not out.extra.red:
-        raise ConsistencyError("phi_inverse landed outside phi's domain")
-    return out
+    return _require_mbarred(out, "phi_inverse: bad image", phi_domain, ConsistencyError)
 
 
 # ---------------------------------------------------------------------------
@@ -275,15 +295,7 @@ def relabel_max_min(seq: MBarredSequence) -> MBarredSequence:
     """Exchange the maximal and minimal blue element labels everywhere.
     Maps the barred-max-singleton subset onto the barred-min-singleton one
     and back; an involution (the identity when k = 1)."""
-    _require_valid(seq, "relabel_max_min")
-    if seq.k < 1:
-        raise DomainError("relabel_max_min: no blue elements present")
-    if seq.extra.red:
-        raise DomainError("relabel_max_min: extra red block must be star-only")
-    if not (in_barred_max_subset(seq) or in_barred_min_subset(seq)):
-        raise DomainError(
-            "relabel_max_min: neither extreme blue element is a barred singleton"
-        )
+    _require_mbarred(seq, "relabel_max_min: input outside its domain", relabel_domain)
     hi, lo = seq.m + seq.k, seq.m + 1
     if hi == lo:
         return seq
@@ -298,10 +310,9 @@ def relabel_max_min(seq: MBarredSequence) -> MBarredSequence:
         for e in seq.elements
     )
     out = MBarredSequence(seq.m, seq.k, seq.n, elements)
-    ok, why = validate_mbarred(out)
-    if not ok:
-        raise ConsistencyError(f"relabel_max_min broke the sequence: {why}")
-    return out
+    return _require_mbarred(
+        out, "relabel_max_min: bad image", relabel_domain, ConsistencyError
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -313,22 +324,13 @@ def psi_b(seq: MBarredSequence) -> PsiIntermediate:
     """First psi stage: the pair ({m+1}, R) dissolves.  Its left bar run w1
     (nonempty by the domain condition) and right bar run w2 swap around a
     new blue bar labelled m+1, and R moves into the extra red block."""
-    _require_valid(seq, "psi_b")
-    if seq.extra.red:
-        raise DomainError("psi_b: extra red block must be star-only")
+    _require_mbarred(seq, "psi_b: input outside psi's domain", psi_domain)
     target = frozenset({seq.m + 1})
     p_idx = next(
-        (
-            i
-            for i, e in enumerate(seq.elements)
-            if isinstance(e, CallanPair) and not e.is_extra and e.blue == target
-        ),
-        None,
+        i
+        for i, e in enumerate(seq.elements)
+        if isinstance(e, CallanPair) and not e.is_extra and e.blue == target
     )
-    if p_idx is None:
-        raise DomainError("psi_b: minimal blue element is not an ordinary singleton")
-    if p_idx == 0 or not isinstance(seq.elements[p_idx - 1], Bar):
-        raise DomainError("psi_b: no bar immediately precedes the minimal-blue pair")
     elems = list(seq.elements)
     g1 = _group_start(elems, p_idx)
     end2 = p_idx + 1
@@ -350,7 +352,8 @@ def psi_r(inter: PsiIntermediate) -> MBarredSequence:
 
     The output is not validated: the psi_r worked examples carry blue
     blocks that are no partition, so an intermediate that is no psi_b image
-    can give an invalid sequence.  psi validates what it returns."""
+    can give an invalid sequence.  psi and `callan map --which psi-r`
+    validate what it returns."""
     new_label = inter.m + 1
     elems = list(inter.elements)
     extra = elems[-1] if elems else None
@@ -383,41 +386,29 @@ def psi(seq: MBarredSequence) -> MBarredSequence:
     """Retire the minimal blue and minimal red elements to labelled bars:
     a bijection onto all (m+1)-barred sequences one size smaller."""
     out = psi_r(psi_b(seq))
-    ok, why = validate_mbarred(out)
-    if not ok:
-        raise ConsistencyError(f"psi produced an invalid sequence: {why}")
-    return out
+    return _require_mbarred(out, "psi: bad image", psi_image, ConsistencyError)
 
 
 def psi_r_inverse(seq: MBarredSequence) -> PsiIntermediate:
     """Undo psi_r: the red bar with maximal label m_t dissolves back into a
     red block element (it always stands immediately before a pair)."""
-    _require_valid(seq, "psi_inverse")
+    _require_mbarred(seq, "psi_inverse: input outside psi's image", psi_image)
     label = seq.m
-    if label < 1:
-        raise DomainError("psi_inverse: needs a red bar with positive label")
     elems = list(seq.elements)
+    # validation guarantees the bar, and no bar may follow it
     bi = next(
-        (
-            i
-            for i, e in enumerate(elems)
-            if isinstance(e, Bar) and e.color == RED and e.label == label
-        ),
-        None,
+        i
+        for i, e in enumerate(elems)
+        if isinstance(e, Bar) and e.color == RED and e.label == label
     )
-    if bi is None:
-        raise DomainError(f"psi_inverse: no red bar labelled {label}")
     after = elems[bi + 1]
-    if not isinstance(after, CallanPair):
-        raise ConsistencyError("the maximal-label red bar must precede a pair")
     extra = elems[-1]
     if after.is_extra:
         elems = _with_extra(elems, extra.red | {label})
-        del elems[bi]
     else:
         elems[bi + 1] = CallanPair(after.blue, extra.red | {label})
         elems = _with_extra(elems, after.red)
-        del elems[bi]
+    del elems[bi]
     return PsiIntermediate(seq.m - 1, seq.k + 1, seq.n + 1, tuple(elems))
 
 
@@ -451,11 +442,8 @@ def psi_b_inverse(inter: PsiIntermediate) -> MBarredSequence:
     restored = CallanPair(frozenset({label}), extra.red)
     out = elems[:g2] + w1 + [restored] + w2 + elems[end1:]
     out = _with_extra(out, frozenset())
-    result = MBarredSequence(inter.m, inter.k, inter.n, tuple(out))
-    ok, why = validate_mbarred(result)
-    if not ok:
-        raise ConsistencyError(f"psi_inverse produced an invalid sequence: {why}")
-    return result
+    seq = MBarredSequence(inter.m, inter.k, inter.n, tuple(out))
+    return _require_mbarred(seq, "psi_inverse: bad image", psi_domain, ConsistencyError)
 
 
 def psi_inverse(seq: MBarredSequence) -> MBarredSequence:

@@ -29,10 +29,11 @@ from .bijections import (
     phi_inverse_case,
     psi,
     psi_b,
+    psi_image,
     psi_r,
     relabel_max_min,
 )
-from .errors import DomainError
+from .errors import ConsistencyError, DomainError
 
 __all__ = ["main"]
 
@@ -141,6 +142,11 @@ def _cmd_map(args: argparse.Namespace) -> int:
             obj = combinat.from_json_dict(data)
         case = case_fn(obj) if case_fn is not None else None
         image = fn(obj)
+        if args.which == "psi-r":  # psi_r maps psi_b images into psi's image
+            combinat._require_mbarred(image, "psi_r: not a psi-b image", psi_image)
+    except ConsistencyError as exc:
+        print(f"map: internal error: {exc}", file=sys.stderr)
+        return 3
     except (DomainError, ValueError) as exc:
         print(f"map: {exc}", file=sys.stderr)
         return 1

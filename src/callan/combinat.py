@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Union
 
-from .errors import DomainError
+from .errors import ConsistencyError, DomainError
 
 __all__ = [
     "BLUE",
@@ -246,6 +246,23 @@ def validate_mbarred(seq: MBarredSequence) -> tuple[bool, str]:
                 f"{color}-partition: union {sorted(seen)} != base {sorted(base)}"
             )
     return True, "ok"
+
+
+def _require_mbarred(
+    seq: MBarredSequence, what: str, outside=None, error=DomainError
+) -> MBarredSequence:
+    """Return seq if it is a valid m-barred sequence in the set that
+    `outside` describes (a predicate that returns why a valid sequence lies
+    outside the set, or None); else raise `error` with "what (reason)".
+    Callers raise DomainError for what they accept and ConsistencyError for
+    what they emit."""
+    ok, why = validate_mbarred(seq)
+    if ok and outside is not None:
+        why = outside(seq)
+        ok = why is None
+    if not ok:
+        raise error(f"{what} ({why})")
+    return seq
 
 
 def validate_dumont(perm: DumontPermutation) -> tuple[bool, str]:
@@ -479,9 +496,7 @@ def mbarred_to_barred(seq: MBarredSequence) -> BarredCallanSequence:
     """For m = 0: re-read the single red bar labelled 0 as an unlabelled bar."""
     if seq.m != 0:
         raise DomainError("only 0-barred sequences have a single-bar display form")
-    ok, why = validate_mbarred(seq)
-    if not ok:
-        raise DomainError(why)
+    _require_mbarred(seq, "mbarred_to_barred: invalid input")
     position = 0
     for e in seq.elements:
         if isinstance(e, Bar):
@@ -504,10 +519,7 @@ def barred_to_mbarred(barred: BarredCallanSequence) -> MBarredSequence:
             elements.append(Bar(RED, 0))
         elements.append(p)
     seq = MBarredSequence(0, barred.sequence.k, barred.sequence.n, tuple(elements))
-    ok, why = validate_mbarred(seq)
-    if not ok:
-        raise DomainError(why)
-    return seq
+    return _require_mbarred(seq, "barred_to_mbarred: invalid input")
 
 
 def mbarred_to_dumont(seq: MBarredSequence) -> DumontPermutation:
@@ -515,13 +527,8 @@ def mbarred_to_dumont(seq: MBarredSequence) -> DumontPermutation:
     pair, then read blue |i as 2i and red |i as 2i+1."""
     if seq.k != 0 or seq.n != 0:
         raise DomainError("the Dumont encoding applies to sequences without pair content")
-    ok, why = validate_mbarred(seq)
-    if not ok:
-        raise DomainError(why)
+    _require_mbarred(seq, "mbarred_to_dumont: invalid input")
     body = seq.elements[:-2]
-    tail = seq.elements[-2]
-    if not (isinstance(tail, Bar) and tail.color == RED and tail.label == seq.m):
-        raise DomainError("expected the red bar with maximal label before the extra pair")
     values = tuple(
         2 * e.label if e.color == BLUE else 2 * e.label + 1
         for e in body  # type: ignore[union-attr]
@@ -541,10 +548,7 @@ def dumont_to_mbarred(perm: DumontPermutation) -> MBarredSequence:
     elements.append(Bar(RED, m))
     elements.append(CallanPair(frozenset(), frozenset(), is_extra=True))
     seq = MBarredSequence(m, 0, 0, tuple(elements))
-    ok, why = validate_mbarred(seq)
-    if not ok:
-        raise DomainError(why)
-    return seq
+    return _require_mbarred(seq, "dumont_to_mbarred: bad image", error=ConsistencyError)
 
 
 # ---------------------------------------------------------------------------

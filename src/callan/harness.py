@@ -15,6 +15,7 @@ ones) so the command-line ``verify`` subcommand can drive everything.
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable
@@ -22,8 +23,12 @@ from typing import Iterable
 from . import numbers
 from .bijections import (
     phi,
+    phi_domain,
+    phi_image,
     phi_inverse,
     psi,
+    psi_domain,
+    psi_image,
     psi_inverse,
     relabel_max_min,
 )
@@ -157,21 +162,15 @@ def verify_thm_identity(n: int) -> VerificationReport:
 
 def verify_thm_identity2(n: int, m: int, mode: str = "enumeration") -> VerificationReport:
     """Alternating sum of the m-barred counts C(n-j, j; m) equals
-    (-1)^(m+1) times the Genocchi number of index n+2m+2.  Series mode is
-    available only at m = 0, where the counts have a generating function."""
+    (-1)^(m+1) times the Genocchi number of index n+2m+2, the counts taken
+    by enumeration.  `mode` names that route and takes no other value; at
+    m = 0 the series route is verify_thm_identity."""
     started = time.perf_counter()
     if n < 0 or m < 0:
         raise ValueError("n and m must be nonnegative")
-    if mode not in ("series", "enumeration"):
+    if mode != "enumeration":
         raise ValueError(f"unknown mode {mode!r}")
-    if mode == "series":
-        if m >= 1:
-            raise ValueError("series mode is unsupported for m >= 1")
-        total, terms = _alternating_sum(n, lambda j: numbers.c_number(n - j, j), "series")
-    else:
-        total, terms = _alternating_sum(
-            n, lambda j: count_mbarred(j, n - j, m), "enumeration"
-        )
+    total, terms = _alternating_sum(n, lambda j: count_mbarred(j, n - j, m), "enumeration")
     sign = -1 if (m + 1) % 2 else 1
     rhs = sign * numbers.genocchi(n + 2 * m + 2)
     return _finish("thm-identity2", {"n": n, "m": m}, total, rhs, [], started, terms)
@@ -292,9 +291,11 @@ def _certify_map(
     domain = list(domain)
     codomain_set = set(codomain)
     bad = []
+    noted = Counter()
 
     def note(kind, payload):
-        if len(bad) < _COUNTEREXAMPLE_CAP * 4:
+        if noted[kind] < _COUNTEREXAMPLE_CAP:
+            noted[kind] += 1
             bad.append({kind: payload})
 
     images = {}
@@ -321,36 +322,36 @@ def _certify_map(
     return _finish(claim_id, parameters, len(domain), len(codomain_set), bad, started)
 
 
-def certify_phi(k: int, n: int, m: int) -> VerificationReport:
-    """phi: sequences with a nonempty extra red block at (k, n, m) onto
-    star-only sequences at (k+1, n-1, m) minus the barred-max singletons."""
+def _certify_cells(claim_id, k, n, m, image_sizes, forward, backward, domain, image):
+    """Certify forward from the sequences at (k, n, m) that lie in `domain`
+    onto those at image_sizes that lie in `image`: the predicates the maps
+    check themselves.  For phi and psi, an image cell with a negative size
+    comes with an empty domain, and the report is vacuous."""
     started = time.perf_counter()
     params = {"k": k, "n": n, "m": m}
-    if n == 0:
-        # No red elements means every extra red block is empty: the domain
-        # is empty, and so is the codomain (it would need n = -1).
-        return _finish("phi", params, 0, 0, [], started)
-    domain = (s for s in enumerate_mbarred(k, n, m) if s.extra.red)
-    codomain = (
-        t
-        for t in enumerate_mbarred(k + 1, n - 1, m)
-        if not t.extra.red and not in_barred_max_subset(t)
+    if min(image_sizes) < 0:
+        return _finish(claim_id, params, 0, 0, [], started)
+    sources = (s for s in enumerate_mbarred(k, n, m) if domain(s) is None)
+    targets = (t for t in enumerate_mbarred(*image_sizes) if image(t) is None)
+    return _certify_map(claim_id, params, sources, targets, forward, backward, started)
+
+
+def certify_phi(k: int, n: int, m: int) -> VerificationReport:
+    """phi: sequences with a nonempty extra red block at (k, n, m) onto
+    star-only sequences at (k+1, n-1, m) minus the barred-max singletons.
+    Without red elements (n = 0) the domain is empty."""
+    return _certify_cells(
+        "phi", k, n, m, (k + 1, n - 1, m), phi, phi_inverse, phi_domain, phi_image
     )
-    return _certify_map("phi", params, domain, codomain, phi, phi_inverse, started)
 
 
 def certify_psi(k: int, n: int, m: int) -> VerificationReport:
     """psi: barred-min singleton sequences at (k, n, m) onto all
-    sequences at (k-1, n-1, m+1)."""
-    started = time.perf_counter()
-    params = {"k": k, "n": n, "m": m}
-    if k == 0 or n == 0:
-        # The domain needs an ordinary pair, hence at least one blue and
-        # one red element; the codomain would need a negative size.
-        return _finish("psi", params, 0, 0, [], started)
-    domain = (s for s in enumerate_mbarred(k, n, m) if in_barred_min_subset(s))
-    codomain = enumerate_mbarred(k - 1, n - 1, m + 1)
-    return _certify_map("psi", params, domain, codomain, psi, psi_inverse, started)
+    sequences at (k-1, n-1, m+1).  The domain needs an ordinary pair, so
+    it is empty unless k, n >= 1."""
+    return _certify_cells(
+        "psi", k, n, m, (k - 1, n - 1, m + 1), psi, psi_inverse, psi_domain, psi_image
+    )
 
 
 def certify_relabel(k: int, n: int, m: int) -> VerificationReport:

@@ -5,6 +5,11 @@ import pytest
 
 from callan.bijections import (
     PsiIntermediate,
+    phi_domain,
+    phi_image,
+    psi_domain,
+    psi_image,
+    relabel_domain,
     phi,
     phi_case,
     phi_inverse,
@@ -22,10 +27,13 @@ from callan.bijections import (
 )
 from callan.combinat import (
     BLUE,
+    CELL_RSTAR_NONEMPTY,
+    CELL_STAR_ONLY,
     RED,
     Bar,
     CallanPair,
     MBarredSequence,
+    classify,
     enumerate_mbarred,
     in_barred_max_subset,
     in_barred_min_subset,
@@ -140,6 +148,18 @@ def test_phi_case_distribution():
     # extra block, so three red elements is the smallest showcase
     cases = {phi_case(s) for s in _phi_domain(1, 3, 0)}
     assert cases == {"A1", "A2", "B1", "B2"}
+
+
+def test_domain_and_image_predicates_match_the_cells():
+    for k, n, m in [(0, 2, 0), (1, 0, 1), (2, 1, 0), (2, 2, 0), (1, 1, 1), (2, 1, 1)]:
+        for s in enumerate_mbarred(k, n, m):
+            cell = classify(s)
+            extreme = in_barred_max_subset(s) or in_barred_min_subset(s)
+            assert (phi_domain(s) is None) == (cell == CELL_RSTAR_NONEMPTY)
+            assert (phi_image(s) is None) == (k >= 1 and cell == CELL_STAR_ONLY)
+            assert (psi_domain(s) is None) == in_barred_min_subset(s)
+            assert (psi_image(s) is None) == (m >= 1)
+            assert (relabel_domain(s) is None) == extreme
 
 
 def test_phi_rejects_star_only_input():

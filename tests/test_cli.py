@@ -244,11 +244,9 @@ def test_map_psi_r_rejects_empty_intermediate(tmp_path, capsys):
     assert code == 1 and "extra pair" in err
 
 
-# Known gap, recorded as it stands: psi-r does not validate its output,
-# because the psi_r worked examples in golden/ carry blue blocks that are no
-# partition.  An intermediate whose blue members are wrong is therefore
-# mapped with exit 0 to an invalid sequence.  Once psi_r validates its
-# output, these cases must exit 1 instead.
+# psi-r validates its image: an intermediate whose blue members are wrong
+# is no psi_b image, and map refuses it with exit 1 instead of printing an
+# invalid sequence.
 PSI_R_BAD_BLUE = {
     "blue-member-unknown": _set("elements", 0, "pair", "blue", [999]),
     "blue-member-reused": _set("elements", 0, "pair", "blue", [5]),
@@ -256,11 +254,22 @@ PSI_R_BAD_BLUE = {
 
 
 @pytest.mark.parametrize("name", sorted(PSI_R_BAD_BLUE))
-def test_map_psi_r_passes_bad_blue_members_through(tmp_path, capsys, name):
-    from callan.combinat import from_json_dict, validate_mbarred
-
+def test_map_psi_r_rejects_bad_blue_members(tmp_path, capsys, name):
     doc = PSI_R_BAD_BLUE[name](json.loads((GOLDEN / "psi_b.json").read_text())["output"])
     code, out, err = _map(tmp_path, capsys, "psi-r", doc)
-    assert code == 0, err
-    ok, why = validate_mbarred(from_json_dict(json.loads(out)["result"]))
-    assert not ok and why.startswith("blue-partition"), why
+    assert (code, out) == (1, "")
+    assert err.startswith("map: psi_r: not a psi-b image (blue-partition")
+    assert len(err.splitlines()) == 1
+
+
+def test_map_internal_error_exits_three(tmp_path, capsys, monkeypatch):
+    from callan import cli
+    from callan.errors import ConsistencyError
+
+    def broken(seq):
+        raise ConsistencyError("relabel broke an invariant")
+
+    monkeypatch.setitem(cli._MAPS, "relabel", (broken, None))
+    code, out, err = _map(tmp_path, capsys, "relabel", WELLFORMED)
+    assert (code, out) == (3, "")
+    assert err == "map: internal error: relabel broke an invariant\n"

@@ -63,13 +63,10 @@ def test_thm_identity2_matches_thm_identity_at_m_zero():
         assert [t.count for t in a.terms] == [t.count for t in b.terms]
 
 
-def test_thm_identity2_series_mode():
-    r = verify_thm_identity2(4, 0, "series")
-    assert r.passed and r.lhs == 3
-    with pytest.raises(ValueError):
-        verify_thm_identity2(2, 1, "series")
-    with pytest.raises(ValueError):
-        verify_thm_identity2(2, 0, "nonsense")
+def test_thm_identity2_counts_by_enumeration_only():
+    for mode in ("series", "nonsense"):
+        with pytest.raises(ValueError):
+            verify_thm_identity2(4, 0, mode)
 
 
 def test_prop_rec_points():
@@ -175,13 +172,18 @@ def _kinds(report):
 
 
 def test_certificate_catches_collision(monkeypatch):
-    # phi sends every sequence to the image of the first one; the cell is
-    # small enough for every counterexample to fit under the cap
-    first = next(s for s in enumerate_mbarred(1, 2, 0) if s.extra.red)
-    monkeypatch.setattr(harness, "phi", lambda s: phi(first))
-    r = certify_phi(1, 2, 0)
-    assert not r.passed
-    assert {"collision", "roundtrip", "not-hit"} <= _kinds(r)
+    # phi sends every sequence to the image of the first one; in (2, 2, 0)
+    # collisions and failed round trips exceed the cap, and the cap per
+    # kind still leaves room for the codomain elements never hit
+    for cell in [(1, 2, 0), (2, 2, 0)]:
+        first = next(s for s in enumerate_mbarred(*cell) if s.extra.red)
+        monkeypatch.setattr(harness, "phi", lambda s, first=first: phi(first))
+        r = certify_phi(*cell)
+        assert not r.passed
+        assert {"collision", "roundtrip", "not-hit"} <= _kinds(r)
+        for kind in _kinds(r):
+            count = sum(kind in ce for ce in r.counterexamples)
+            assert count <= harness._COUNTEREXAMPLE_CAP
 
 
 def test_certificate_catches_outside_codomain(monkeypatch):
