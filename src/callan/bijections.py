@@ -1,21 +1,47 @@
 """The two structural bijections on m-barred Callan sequences.
 
-phi trades the maximal red element for a new maximal blue element: it maps
-sequences whose extra red block is nonempty, with k blue and n red
-elements, onto sequences with k+1 blue and n-1 red elements whose extra
-red block is star-only, except those where the new maximal blue element
-is a barred ordinary singleton.  Which of four moves applies depends on
-where the maximal red element mu = m+n sits (alone or accompanied, in the
-extra block or in an ordinary one).
+The maps work on slots.  A sequence's elements cut into one slot per
+pair: the run of bars standing immediately before the pair (possibly
+empty) and the pair itself.  The last slot holds the extra pair.  A map
+moves, merges or splits slots and replaces blocks, then flattens the
+slots back into elements, giving the extra pair its new red block.
+
+phi trades the maximal red element mu = m+n for a new maximal blue element
+m+k+1: it maps sequences whose extra red block is nonempty, with k blue
+and n red elements, onto sequences with k+1 blue and n-1 red elements
+whose extra red block is star-only, except those where the new maximal
+blue element is a barred ordinary singleton.  The extra red block always
+ends up empty, and the move depends on where mu sat:
+
+* A1, alone in the extra block: the first slot's pair gains the new blue
+  element;
+* A2, with companions in the extra block: they form a pair with the new
+  blue element, in a slot without bars at the front;
+* B1, as an ordinary singleton: mu's slot launches to the front with the
+  old extra red block as its red block, and the pair that followed it
+  gains the new blue element;
+* B2, with companions in an ordinary block: the blue block launches to
+  the front with the slot's bar run and the old extra red block, while
+  the companions stay behind under the new blue element, without bars.
 
 psi retires the minimal blue and the minimal red element to a fresh pair
 of labelled bars, raising the bar parameter: it maps star-only sequences
 whose minimal blue element is a barred ordinary singleton, with k blue
 and n red elements, onto all (m+1)-barred sequences with k-1 blue and n-1
-red elements.  It factors as psi_r after psi_b; between the two stages
-lives an intermediate object that already carries the new blue bar but
-still has n red elements and a nonempty extra red block.  The
-intermediate violates the bar grammar on purpose and is its own type.
+red elements.  It factors as psi_r after psi_b:
+
+* psi_b merges the slot (w1, ({m+1}, R)), whose bar run w1 is nonempty,
+  with the slot (w2, p) after it into (w2 + |b(m+1) + w1, p), and R
+  becomes the extra red block;
+* psi_r appends a red bar labelled m+1 to the bar run of the slot whose
+  pair holds the minimal red element m+1; if that pair is ordinary, the
+  rest of its red block becomes the extra red block and the old extra red
+  block takes its place.
+
+Between the two stages lives an intermediate that already carries the new
+blue bar but still has n red elements and a nonempty extra red block.  It
+violates the bar grammar on purpose and is its own type; the slot
+decomposition refuses one that does not end with the extra pair.
 
 relabel_max_min exchanges the maximal and minimal blue element labels and
 carries the barred-max-singleton subset onto the barred-min-singleton one
@@ -125,24 +151,34 @@ def relabel_domain(seq: MBarredSequence) -> str | None:
     return "no extreme blue element is a barred singleton of a star-only sequence"
 
 
-def _pair_indices(elements: list[Element]) -> list[int]:
-    return [i for i, e in enumerate(elements) if isinstance(e, CallanPair)]
+# ---------------------------------------------------------------------------
+# slots: (bar run, pair)
+# ---------------------------------------------------------------------------
+
+_Slot = tuple[tuple[Bar, ...], CallanPair]
 
 
-def _group_start(elements: list[Element], idx: int) -> int:
-    """Index where the maximal bar run immediately before elements[idx] starts."""
-    g = idx
-    while g > 0 and isinstance(elements[g - 1], Bar):
-        g -= 1
-    return g
+def _slots(elements: tuple[Element, ...], what: str) -> list[_Slot]:
+    """Cut elements into slots.  Only an intermediate can fail to end with
+    the extra pair, and it is refused as outside the domain of `what`."""
+    slots: list[_Slot] = []
+    run: list[Bar] = []
+    for e in elements:
+        if isinstance(e, Bar):
+            run.append(e)
+        else:
+            slots.append((tuple(run), e))
+            run = []
+    if run or not slots or not slots[-1][1].is_extra:
+        raise DomainError(f"{what}: intermediate must end with the extra pair")
+    return slots
 
 
-def _with_extra(elements: list[Element], red: frozenset[int]) -> list[Element]:
-    """Copy with the extra pair's stored red block replaced."""
-    out = list(elements)
-    last = out[-1]
-    out[-1] = CallanPair(last.blue, red, True)
-    return out
+def _elements(slots: list[_Slot], extra_red: frozenset[int]) -> tuple[Element, ...]:
+    """Flatten slots back into elements; the extra pair gets `extra_red`."""
+    *body, (run, extra) = slots
+    out = [e for bars, pair in body for e in (*bars, pair)]
+    return (*out, *run, CallanPair(extra.blue, extra_red, True))
 
 
 # ---------------------------------------------------------------------------
@@ -155,6 +191,11 @@ def phi_case(seq: MBarredSequence) -> str:
     element sits in the extra block (alone with the star / accompanied),
     B1/B2 when it sits in an ordinary block (as a singleton / with others)."""
     _require_mbarred(seq, "phi: input outside phi's domain", phi_domain)
+    return _phi_case(seq)
+
+
+def _phi_case(seq: MBarredSequence) -> str:
+    """phi_case for a sequence already known to lie in phi's domain."""
     extra = seq.extra
     mu = seq.m + seq.n
     if mu in extra.red:
@@ -169,59 +210,27 @@ def phi(seq: MBarredSequence) -> MBarredSequence:
     case = phi_case(seq)
     mu = seq.m + seq.n
     new_blue = seq.m + seq.k + 1
-    elems = list(seq.elements)
-    pidx = _pair_indices(elems)
-    extra_i = pidx[-1]
-    extra = elems[extra_i]
-
+    slots = _slots(seq.elements, "phi")
+    extra = slots[-1][1]
     if case == "A1":
-        # mu was alone with the star: drop it, gift the new blue element
-        # to the first pair of the sequence.
-        elems[extra_i] = CallanPair(extra.blue, frozenset(), True)
-        first = elems[pidx[0]]
-        elems[pidx[0]] = CallanPair(first.blue | {new_blue}, first.red, first.is_extra)
-        out_elems = elems
+        run, first = slots[0]
+        slots[0] = (run, CallanPair(first.blue | {new_blue}, first.red, first.is_extra))
     elif case == "A2":
-        # mu shared the extra block: the leftovers move into a brand-new
-        # ordinary pair with the new blue element, placed at the absolute
-        # front of the sequence.
-        leftovers = extra.red - {mu}
-        elems[extra_i] = CallanPair(extra.blue, frozenset(), True)
-        out_elems = [CallanPair(frozenset({new_blue}), leftovers)] + elems
+        slots.insert(0, ((), CallanPair(frozenset({new_blue}), extra.red - {mu})))
     else:
-        i = next(
-            j for j in pidx if not elems[j].is_extra and mu in elems[j].red
-        )
-        pair_i = elems[i]
-        g = _group_start(elems, i)
+        i = next(j for j, (_, p) in enumerate(slots) if mu in p.red)
+        run, pair = slots[i]
         if case == "B1":
-            # mu's pair inherits the old extra red block and launches to the
-            # front together with its preceding bar run; the pair that
-            # followed it (possibly the extra pair) receives the new blue
-            # element.
-            moved = elems[g:i] + [CallanPair(pair_i.blue, extra.red)]
-            tail: list[Element] = []
-            granted = False
-            for e in elems[i + 1 :]:
-                if isinstance(e, CallanPair):
-                    if not granted:
-                        e = CallanPair(e.blue | {new_blue}, e.red, e.is_extra)
-                        granted = True
-                    if e.is_extra:
-                        e = CallanPair(e.blue, frozenset(), True)
-                tail.append(e)
-            out_elems = moved + elems[:g] + tail
+            del slots[i]
+            after_run, after = slots[i]
+            slots[i] = (
+                after_run,
+                CallanPair(after.blue | {new_blue}, after.red, after.is_extra),
+            )
         else:
-            # B2: mu's pair splits in two: the blue block plus the old extra
-            # red block launches to the front with its bar run, while mu's
-            # red companions stay behind under the new blue element.
-            companions = pair_i.red - {mu}
-            moved = elems[g:i] + [CallanPair(pair_i.blue, extra.red)]
-            stay = [CallanPair(frozenset({new_blue}), companions)] + elems[i + 1 :]
-            stay = _with_extra(stay, frozenset())
-            out_elems = moved + elems[:g] + stay
-
-    out = MBarredSequence(seq.m, seq.k + 1, seq.n - 1, tuple(out_elems))
+            slots[i] = ((), CallanPair(frozenset({new_blue}), pair.red - {mu}))
+        slots.insert(0, (run, CallanPair(pair.blue, extra.red)))
+    out = MBarredSequence(seq.m, seq.k + 1, seq.n - 1, _elements(slots, frozenset()))
     return _require_mbarred(out, "phi: bad image", phi_image, ConsistencyError)
 
 
@@ -230,59 +239,45 @@ def phi_inverse_case(seq: MBarredSequence) -> str:
     element sits in the first pair iff the move was A1/A2 and forms an
     ordinary singleton iff the move was A2/B2."""
     _require_mbarred(seq, "phi_inverse: input outside phi's image", phi_image)
+    return _phi_inverse_case(seq)
+
+
+def _phi_inverse_case(seq: MBarredSequence) -> str:
+    """phi_inverse_case for a sequence already known to lie in phi's image."""
     top = seq.m + seq.k
-    elems = list(seq.elements)
-    pidx = _pair_indices(elems)
-    q_i = next(j for j in pidx if top in elems[j].blue)
-    q = elems[q_i]
-    in_first = q_i == pidx[0]
-    alone = not q.is_extra and q.blue == frozenset({top})
-    if in_first:
+    pairs = seq.pairs()
+    q_i = next(j for j, p in enumerate(pairs) if top in p.blue)
+    q = pairs[q_i]
+    alone = not q.is_extra and q.blue == {top}
+    if q_i == 0:
         return "A2" if alone else "A1"
     return "B2" if alone else "B1"
 
 
 def phi_inverse(seq: MBarredSequence) -> MBarredSequence:
     """Undo phi: remove the maximal blue element, restore mu = m+n of the
-    preimage, and put any launched group back in place."""
+    preimage, and put any launched slot back in place."""
     case = phi_inverse_case(seq)
     top = seq.m + seq.k
     mu = seq.m + seq.n + 1
-    elems = list(seq.elements)
-    pidx = _pair_indices(elems)
-    extra_i = pidx[-1]
-    q_i = next(j for j in pidx if top in elems[j].blue)
-    q = elems[q_i]
-
+    slots = _slots(seq.elements, "phi_inverse")
+    q_i = next(j for j, (_, p) in enumerate(slots) if top in p.blue)
+    run, q = slots[q_i]
+    if case in ("A1", "B1"):
+        slots[q_i] = (run, CallanPair(q.blue - {top}, q.red, q.is_extra))
     if case == "A1":
-        elems[q_i] = CallanPair(q.blue - {top}, q.red, q.is_extra)
-        out_elems = _with_extra(elems, frozenset({mu}))
-    elif case == "A2":
-        # q is elements[0]: phi_image excludes a bar before q
-        elems = _with_extra(elems, q.red | {mu})
-        out_elems = elems[1:]
-    elif case == "B1":
-        elems[q_i] = CallanPair(q.blue - {top}, q.red, q.is_extra)
-        first_i = pidx[0]
-        lead = elems[:first_i]
-        p1 = elems[first_i]
-        elems = _with_extra(elems, p1.red)
-        segment = lead + [CallanPair(p1.blue, frozenset({mu}))]
-        rest = elems[first_i + 1 :]
-        q_pos = q_i - (first_i + 1)
-        g = _group_start(rest, q_pos)
-        out_elems = rest[:g] + segment + rest[g:]
+        extra_red = frozenset({mu})
     else:
-        first_i = pidx[0]
-        lead = elems[:first_i]
-        p1 = elems[first_i]
-        elems = _with_extra(elems, p1.red)
-        restored = CallanPair(p1.blue, q.red | {mu})
-        rest = elems[first_i + 1 :]
-        q_pos = q_i - (first_i + 1)
-        out_elems = rest[:q_pos] + lead + [restored] + rest[q_pos + 1 :]
-
-    out = MBarredSequence(seq.m, seq.k - 1, seq.n + 1, tuple(out_elems))
+        lead, first = slots.pop(0)  # the slot phi launched to the front
+        if case == "A2":
+            extra_red = q.red | {mu}  # first is q, which has no bars
+        else:
+            extra_red = first.red
+            if case == "B1":
+                slots.insert(q_i - 1, (lead, CallanPair(first.blue, frozenset({mu}))))
+            else:  # B2: phi_image leaves q without bars
+                slots[q_i - 1] = (lead, CallanPair(first.blue, q.red | {mu}))
+    out = MBarredSequence(seq.m, seq.k - 1, seq.n + 1, _elements(slots, extra_red))
     return _require_mbarred(out, "phi_inverse: bad image", phi_domain, ConsistencyError)
 
 
@@ -325,23 +320,12 @@ def psi_b(seq: MBarredSequence) -> PsiIntermediate:
     (nonempty by the domain condition) and right bar run w2 swap around a
     new blue bar labelled m+1, and R moves into the extra red block."""
     _require_mbarred(seq, "psi_b: input outside psi's domain", psi_domain)
-    target = frozenset({seq.m + 1})
-    p_idx = next(
-        i
-        for i, e in enumerate(seq.elements)
-        if isinstance(e, CallanPair) and not e.is_extra and e.blue == target
-    )
-    elems = list(seq.elements)
-    g1 = _group_start(elems, p_idx)
-    end2 = p_idx + 1
-    while end2 < len(elems) and isinstance(elems[end2], Bar):
-        end2 += 1
-    w1 = elems[g1:p_idx]
-    w2 = elems[p_idx + 1 : end2]
-    red_block = elems[p_idx].red
-    out = elems[:g1] + w2 + [Bar(BLUE, seq.m + 1)] + w1 + elems[end2:]
-    out = _with_extra(out, red_block)
-    return PsiIntermediate(seq.m, seq.k, seq.n, tuple(out))
+    label = seq.m + 1
+    slots = _slots(seq.elements, "psi_b")
+    i = next(j for j, (_, p) in enumerate(slots) if label in p.blue)
+    (w1, pair), (w2, after) = slots[i : i + 2]
+    slots[i : i + 2] = [(w2 + (Bar(BLUE, label),) + w1, after)]
+    return PsiIntermediate(seq.m, seq.k, seq.n, _elements(slots, pair.red))
 
 
 def psi_r(inter: PsiIntermediate) -> MBarredSequence:
@@ -354,32 +338,25 @@ def psi_r(inter: PsiIntermediate) -> MBarredSequence:
     blocks that are no partition, so an intermediate that is no psi_b image
     can give an invalid sequence.  psi and `callan map --which psi-r`
     validate what it returns."""
-    new_label = inter.m + 1
-    elems = list(inter.elements)
-    extra = elems[-1] if elems else None
-    if not isinstance(extra, CallanPair) or not extra.is_extra:
-        raise DomainError("psi_r: intermediate must end with the extra pair")
-    if new_label in extra.red:
-        elems = _with_extra(elems, extra.red - {new_label})
-        elems.insert(len(elems) - 1, Bar(RED, new_label))
+    label = inter.m + 1
+    slots = _slots(inter.elements, "psi_r")
+    extra = slots[-1][1]
+    if label in extra.red:
+        i, pair, extra_red = len(slots) - 1, extra, extra.red - {label}
     else:
         i = next(
-            (
-                j
-                for j, e in enumerate(elems)
-                if isinstance(e, CallanPair) and not e.is_extra and new_label in e.red
-            ),
+            (j for j, (_, p) in enumerate(slots) if not p.is_extra and label in p.red),
             None,
         )
         if i is None:
-            raise DomainError(f"psi_r: red element {new_label} not present in any block")
+            raise DomainError(f"psi_r: red element {label} not present in any block")
         if not extra.red:
             raise DomainError("psi_r: intermediate extra red block may not be empty here")
-        pair = elems[i]
-        elems = _with_extra(elems, pair.red - {new_label})
-        elems[i] = CallanPair(pair.blue, extra.red)
-        elems.insert(i, Bar(RED, new_label))
-    return MBarredSequence(inter.m + 1, inter.k - 1, inter.n - 1, tuple(elems))
+        old = slots[i][1]
+        pair, extra_red = CallanPair(old.blue, extra.red), old.red - {label}
+    slots[i] = (slots[i][0] + (Bar(RED, label),), pair)
+    elements = _elements(slots, extra_red)
+    return MBarredSequence(inter.m + 1, inter.k - 1, inter.n - 1, elements)
 
 
 def psi(seq: MBarredSequence) -> MBarredSequence:
@@ -391,58 +368,45 @@ def psi(seq: MBarredSequence) -> MBarredSequence:
 
 def psi_r_inverse(seq: MBarredSequence) -> PsiIntermediate:
     """Undo psi_r: the red bar with maximal label m_t dissolves back into a
-    red block element (it always stands immediately before a pair)."""
+    red block element (it always ends the bar run of its slot)."""
     _require_mbarred(seq, "psi_inverse: input outside psi's image", psi_image)
     label = seq.m
-    elems = list(seq.elements)
-    # validation guarantees the bar, and no bar may follow it
-    bi = next(
-        i
-        for i, e in enumerate(elems)
-        if isinstance(e, Bar) and e.color == RED and e.label == label
-    )
-    after = elems[bi + 1]
-    extra = elems[-1]
-    if after.is_extra:
-        elems = _with_extra(elems, extra.red | {label})
+    bar = Bar(RED, label)
+    slots = _slots(seq.elements, "psi_inverse")
+    i = next(j for j, (run, _) in enumerate(slots) if run[-1:] == (bar,))
+    run, pair = slots[i]
+    extra = slots[-1][1]
+    if pair.is_extra:
+        extra_red = extra.red | {label}
     else:
-        elems[bi + 1] = CallanPair(after.blue, extra.red | {label})
-        elems = _with_extra(elems, after.red)
-    del elems[bi]
-    return PsiIntermediate(seq.m - 1, seq.k + 1, seq.n + 1, tuple(elems))
+        pair, extra_red = CallanPair(pair.blue, extra.red | {label}), pair.red
+    slots[i] = (run[:-1], pair)
+    elements = _elements(slots, extra_red)
+    return PsiIntermediate(seq.m - 1, seq.k + 1, seq.n + 1, elements)
 
 
 def psi_b_inverse(inter: PsiIntermediate) -> MBarredSequence:
-    """Undo psi_b: around the blue bar labelled m+1, the runs w2 (before)
-    and w1 (after, nonempty) swap back flanking a restored pair ({m+1}, R)
-    where R is the intermediate's extra red block."""
+    """Undo psi_b: the slot whose bar run holds the blue bar labelled m+1
+    splits there; the run w2 before the bar and the run w1 after it
+    (nonempty) swap back, flanking a restored pair ({m+1}, R) where R is
+    the intermediate's extra red block."""
     label = inter.m + 1
-    elems = list(inter.elements)
-    bi = next(
-        (
-            i
-            for i, e in enumerate(elems)
-            if isinstance(e, Bar) and e.color == BLUE and e.label == label
-        ),
-        None,
-    )
-    if bi is None:
+    bar = Bar(BLUE, label)
+    slots = _slots(inter.elements, "psi_inverse")
+    i = next((j for j, (run, _) in enumerate(slots) if bar in run), None)
+    if i is None:
         raise DomainError(f"psi_inverse: no blue bar labelled {label}")
-    g2 = _group_start(elems, bi)
-    end1 = bi + 1
-    while end1 < len(elems) and isinstance(elems[end1], Bar):
-        end1 += 1
-    w2 = elems[g2:bi]
-    w1 = elems[bi + 1 : end1]
+    run, after = slots[i]
+    cut = run.index(bar)
+    w2, w1 = run[:cut], run[cut + 1 :]
     if not w1:
         raise DomainError("psi_inverse: the blue bar must be followed by a bar")
-    extra = elems[-1]
-    if not extra.red:
+    red = slots[-1][1].red
+    if not red:
         raise DomainError("psi_inverse: intermediate extra red block is empty")
-    restored = CallanPair(frozenset({label}), extra.red)
-    out = elems[:g2] + w1 + [restored] + w2 + elems[end1:]
-    out = _with_extra(out, frozenset())
-    seq = MBarredSequence(inter.m, inter.k, inter.n, tuple(out))
+    slots[i : i + 1] = [(w1, CallanPair(frozenset({label}), red)), (w2, after)]
+    out = _elements(slots, frozenset())
+    seq = MBarredSequence(inter.m, inter.k, inter.n, out)
     return _require_mbarred(seq, "psi_inverse: bad image", psi_domain, ConsistencyError)
 
 

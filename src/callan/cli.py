@@ -21,12 +21,12 @@ import sys
 
 from . import combinat, harness, numbers
 from .bijections import (
+    _phi_case,
+    _phi_inverse_case,
     intermediate_from_json_dict,
     intermediate_to_json_dict,
     phi,
-    phi_case,
     phi_inverse,
-    phi_inverse_case,
     psi,
     psi_b,
     psi_image,
@@ -117,9 +117,11 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     return 0
 
 
+# (map, case): the case function reads the move from an input that the map
+# has already validated.
 _MAPS = {
-    "phi": (phi, phi_case),
-    "phi-inv": (phi_inverse, phi_inverse_case),
+    "phi": (phi, _phi_case),
+    "phi-inv": (phi_inverse, _phi_inverse_case),
     "psi": (psi, None),
     "psi-b": (psi_b, None),
     "psi-r": (psi_r, None),
@@ -140,13 +142,10 @@ def _cmd_map(args: argparse.Namespace) -> int:
             obj = intermediate_from_json_dict(data)
         else:
             obj = combinat.from_json_dict(data)
-        case = case_fn(obj) if case_fn is not None else None
         image = fn(obj)
+        case = case_fn(obj) if case_fn is not None else None
         if args.which == "psi-r":  # psi_r maps psi_b images into psi's image
             combinat._require_mbarred(image, "psi_r: not a psi-b image", psi_image)
-    except ConsistencyError as exc:
-        print(f"map: internal error: {exc}", file=sys.stderr)
-        return 3
     except (DomainError, ValueError) as exc:
         print(f"map: {exc}", file=sys.stderr)
         return 1
@@ -228,7 +227,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except ConsistencyError as exc:  # always a bug, never bad input
+        print(f"{args.command}: internal error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

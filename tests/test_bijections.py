@@ -1,8 +1,10 @@
+import hashlib
 import json
 import pathlib
 
 import pytest
 
+from callan import bijections
 from callan.bijections import (
     PsiIntermediate,
     phi_domain,
@@ -249,3 +251,60 @@ def test_intermediate_json_marker():
         from_json_dict(data)
     with pytest.raises(ValueError):
         intermediate_from_json_dict(to_json_dict(s))
+
+
+def test_psi_b_inverse_refuses_intermediates_without_final_extra_pair():
+    s = next(s for s in enumerate_mbarred(2, 1, 0) if in_barred_min_subset(s))
+    inter = psi_b(s)
+    *body, extra = inter.elements
+    endings = [
+        (*body, extra, Bar(RED, 0)),  # a trailing bar
+        (*body, CallanPair(extra.blue, extra.red)),  # the last pair is ordinary
+        (*body, extra, CallanPair(frozenset({9}), frozenset({9}))),
+    ]
+    for elements in endings:
+        bad = PsiIntermediate(inter.m, inter.k, inter.n, elements)
+        for fn in (psi_b_inverse, psi_r):
+            with pytest.raises(DomainError, match="must end with the extra pair"):
+                fn(bad)
+
+
+# sha256 over one line "input<TAB>image or error" per object of weight
+# k + n + 2m <= 5, in enumeration order, recorded before the maps were
+# rewritten on slots.  Bijectivity alone does not fix which bijection the
+# maps are; these digests pin every image and every refusal.
+PINNED_IMAGES = {
+    "phi_case": "1ed8064085aa1de5691262233e4570ff44060a4440582a7d32fab426e2a4b8ce",
+    "phi": "3a404a457a242db3fd95c91ef1ceb2c8ee21ee50253750b6defc63f62bc83ddc",
+    "phi_inverse_case": "922f991fa4877b87483568b7374c6d1f7b373c2988b57f1a465f88d9bd2d7661",
+    "phi_inverse": "c5afdd4eae48c20a64df1536ee9bf248ba5937924c2c75299d1b132d7ed107e8",
+    "relabel_max_min": "958c519f962f94bcd679318397cb4787f98e84b5e06e2a53cde8d3ae9d8f70a3",
+    "psi_b": "377e6d163e97c8fddb3baac62452f7529058a0cf6ac2ac819543e8b3e01903e0",
+    "psi": "9f2e1240fe406967674ddd8839a10491f71a3dbba602d4b3ba163780e99bf51b",
+    "psi_r_inverse": "d3b444e8b490a8d6d4efc40f3fdf3bdcf06459e8a83224faa2aba697ca2a312f",
+    "psi_inverse": "69365faaa6bda846e85451777a6f296153b026d4920f1c5f0568049298bb1cca",
+}
+
+
+def _shown(fn, seq):
+    try:
+        out = fn(seq)
+    except DomainError as exc:
+        return f"DomainError: {exc}"
+    if isinstance(out, str):
+        return out
+    if isinstance(out, PsiIntermediate):
+        return canonical_intermediate_json(out)
+    return canonical_json(out)
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_IMAGES))
+def test_maps_reproduce_pinned_images(name):
+    fn = getattr(bijections, name)
+    digest = hashlib.sha256()
+    for k in range(6):
+        for n in range(6 - k):
+            for m in range((5 - k - n) // 2 + 1):
+                for s in enumerate_mbarred(k, n, m):
+                    digest.update(f"{canonical_json(s)}\t{_shown(fn, s)}\n".encode())
+    assert digest.hexdigest() == PINNED_IMAGES[name]

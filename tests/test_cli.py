@@ -1,5 +1,6 @@
 import json
 import pathlib
+import random
 
 import pytest
 
@@ -273,3 +274,131 @@ def test_map_internal_error_exits_three(tmp_path, capsys, monkeypatch):
     code, out, err = _map(tmp_path, capsys, "relabel", WELLFORMED)
     assert (code, out) == (3, "")
     assert err == "map: internal error: relabel broke an invariant\n"
+
+
+def test_verify_internal_error_exits_three(capsys, monkeypatch):
+    from callan import harness
+    from callan.errors import ConsistencyError
+
+    def broken(claim, max_weight):
+        raise ConsistencyError("a count came out fractional")
+
+    monkeypatch.setattr(harness, "run_claim", broken)
+    code, out, err = run(capsys, "verify", "--claim", "thm1")
+    assert (code, out) == (3, "")
+    assert err == "verify: internal error: a count came out fractional\n"
+
+
+@pytest.mark.parametrize("which,golden,part", [
+    ("phi", "phi_a1", "input"),
+    ("phi-inv", "phi_a1", "output"),
+    ("psi", "psi_b", "input"),
+])
+def test_map_validates_input_and_image_once_each(
+    tmp_path, capsys, monkeypatch, which, golden, part
+):
+    from callan import combinat
+
+    calls = []
+    validate = combinat.validate_mbarred
+
+    def counting(seq):
+        calls.append(seq)
+        return validate(seq)
+
+    monkeypatch.setattr(combinat, "validate_mbarred", counting)
+    doc = json.loads((GOLDEN / f"{golden}.json").read_text())[part]
+    code, _, _ = _map(tmp_path, capsys, which, doc)
+    assert code == 0 and len(calls) == 2
+
+
+def _domain_inputs(which):
+    """Wire forms of every object of weight k + n + 2m <= 5 in the domain
+    of the map `which`."""
+    from callan import bijections
+    from callan.combinat import enumerate_mbarred, to_json_dict
+
+    inside = {
+        "phi": bijections.phi_domain, "phi-inv": bijections.phi_image,
+        "psi": bijections.psi_domain, "psi-b": bijections.psi_domain,
+        "psi-r": bijections.psi_domain, "relabel": bijections.relabel_domain,
+    }[which]
+    seqs = [
+        s
+        for k in range(6) for n in range(6 - k) for m in range((5 - k - n) // 2 + 1)
+        for s in enumerate_mbarred(k, n, m)
+        if inside(s) is None
+    ]
+    if which == "psi-r":
+        return [bijections.intermediate_to_json_dict(bijections.psi_b(s)) for s in seqs]
+    return [to_json_dict(s) for s in seqs]
+
+
+def _mutate(doc, rng):
+    """Swap two elements, delete one, change a block member or change a bar
+    label, in place."""
+    elements = doc["elements"]
+    while True:
+        kind = rng.randrange(4)
+        if kind == 0 and len(elements) >= 2:
+            i, j = rng.sample(range(len(elements)), 2)
+            elements[i], elements[j] = elements[j], elements[i]
+            return
+        if kind == 1:
+            del elements[rng.randrange(len(elements))]
+            return
+        if kind == 2:
+            pairs = [e["pair"] for e in elements if "pair" in e]
+            block = rng.choice(pairs)[rng.choice(("blue", "red"))]
+            x = rng.randrange(doc["m"] + max(doc["k"], doc["n"]) + 2)
+            if x not in block:
+                if block and rng.random() < 0.7:
+                    block[rng.randrange(len(block))] = x
+                else:
+                    block.append(x)
+                block.sort()
+                return
+        bars = [e["bar"] for e in elements if "bar" in e]
+        if kind == 3 and bars:
+            rng.choice(bars)["label"] = rng.randrange(-1, doc["m"] + 2)
+            return
+
+
+@pytest.mark.parametrize("which", ["phi", "phi-inv", "psi", "psi-b", "psi-r", "relabel"])
+def test_map_mutated_inputs_exit_one_or_round_trip(tmp_path, capsys, which):
+    # every mutant is refused with exit 1 and a one-line reason, or mapped
+    # to a valid image that the inverse map carries back to the mutant
+    from callan import bijections
+    from callan.combinat import from_json_dict, validate_mbarred
+
+    parse, parse_image, inverse = {
+        "phi": (from_json_dict, from_json_dict, bijections.phi_inverse),
+        "phi-inv": (from_json_dict, from_json_dict, bijections.phi),
+        "psi": (from_json_dict, from_json_dict, bijections.psi_inverse),
+        "psi-b": (
+            from_json_dict, bijections.intermediate_from_json_dict,
+            bijections.psi_b_inverse,
+        ),
+        "psi-r": (
+            bijections.intermediate_from_json_dict, from_json_dict,
+            bijections.psi_r_inverse,
+        ),
+        "relabel": (from_json_dict, from_json_dict, bijections.relabel_max_min),
+    }[which]
+    rng = random.Random(which)
+    inputs = _domain_inputs(which)
+    exits = {0: 0, 1: 0}
+    for _ in range(200):
+        doc = json.loads(json.dumps(rng.choice(inputs)))
+        _mutate(doc, rng)
+        code, out, err = _map(tmp_path, capsys, which, doc)
+        assert code in exits, (doc, err)
+        exits[code] += 1
+        if code == 1:
+            assert out == "" and err.startswith("map: ") and len(err.splitlines()) == 1
+            continue
+        image = parse_image(json.loads(out)["result"])
+        if which != "psi-b":  # an intermediate has no validator of its own
+            assert validate_mbarred(image) == (True, "ok")
+        assert inverse(image) == parse(doc)
+    assert exits[0] and exits[1]
