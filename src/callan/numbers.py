@@ -64,14 +64,19 @@ def genocchi_list(max_n: int) -> list[int]:
     ]
 
 
+def _polylog_of_w(k: int, order: int) -> tuple[TruncatedSeries, TruncatedSeries]:
+    """(w, Li_k(w)) with w = 1 - e^{-t}, both truncated at `order`."""
+    w = one_minus_exp_neg(order)
+    return w, polylog_series(k, order).compose(w)
+
+
 @lru_cache(maxsize=None)
 def poly_bernoulli_b(n: int, k: int) -> Fraction:
     """B-variant poly-Bernoulli number: n! [t^n] Li_k(1 - e^{-t}) / (1 - e^{-t})."""
     if n < 0:
         raise ValueError("poly_bernoulli_b index n must be nonnegative")
     order = n + 1  # one extra term pays for the valuation-1 division
-    w = one_minus_exp_neg(order)
-    numerator = polylog_series(k, order).compose(w)
+    w, numerator = _polylog_of_w(k, order)
     quotient = numerator.divide(w)  # reported at order n
     return quotient.egf_coefficient(n)
 
@@ -85,8 +90,7 @@ def poly_bernoulli_c(n: int, k: int) -> Fraction:
     if n < 0:
         raise ValueError("poly_bernoulli_c index n must be nonnegative")
     order = n + 1
-    w = one_minus_exp_neg(order)
-    numerator = polylog_series(k, order).compose(w)
+    _, numerator = _polylog_of_w(k, order)
     quotient = numerator.divide(expm1_series(order))
     return quotient.egf_coefficient(n)
 

@@ -1,15 +1,20 @@
 """Truncated formal power series over exact rationals.
 
 A series is a fixed-length window of coefficients c_0..c_N (N = the order).
-All arithmetic is exact (fractions.Fraction); nothing is ever rounded.
-Binary operations require both operands to share the same order so that
-truncation effects stay explicit at call sites.
+All arithmetic is exact; nothing is ever rounded.  Coefficients are stored
+and returned as fractions.Fraction, but the product, quotient and
+composition kernels run their inner loops on Python ints: each operand is
+rewritten as integer numerators over one common denominator (the lcm of its
+coefficient denominators), and a Fraction is built, once, per output
+coefficient.  Binary operations require both operands to share the same
+order so that truncation effects stay explicit at call sites.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd, lcm
+from operator import mul
 from typing import Iterable, Iterator, Union
 
 __all__ = [
@@ -27,6 +32,15 @@ def _as_fraction_tuple(coefficients: Iterable[Scalar]) -> tuple[Fraction, ...]:
     return tuple(Fraction(c) for c in coefficients)
 
 
+def _over_common_denominator(coefficients: tuple[Fraction, ...]) -> tuple[list[int], int]:
+    """Integer numerators over the lcm of the denominators: c_i = nums[i] / den."""
+    den = 1
+    for c in coefficients:  # a loop, not lcm(*...): no argument tuple per call
+        if den % c.denominator:
+            den = lcm(den, c.denominator)
+    return [c.numerator * (den // c.denominator) for c in coefficients], den
+
+
 class TruncatedSeries:
     """Coefficients c_0..c_order of a formal power series, exact rationals."""
 
@@ -37,6 +51,13 @@ class TruncatedSeries:
         if not coeffs:
             raise ValueError("a truncated series needs at least the constant coefficient")
         object.__setattr__(self, "coefficients", coeffs)
+
+    @classmethod
+    def _exact(cls, fractions: Iterable[Fraction]) -> "TruncatedSeries":
+        """A series from Fractions as they are, skipping the conversion."""
+        series = object.__new__(cls)
+        object.__setattr__(series, "coefficients", tuple(fractions))
+        return series
 
     # -- basic structure ---------------------------------------------------
 
@@ -106,16 +127,14 @@ class TruncatedSeries:
             return NotImplemented
         self._require_same_order(other, "mul")
         n = self.order
-        a, b = self.coefficients, other.coefficients
-        out = [Fraction(0)] * (n + 1)
-        for i, ai in enumerate(a):
-            if not ai:
-                continue
-            for j in range(n + 1 - i):
-                bj = b[j]
-                if bj:
-                    out[i + j] += ai * bj
-        return TruncatedSeries(out)
+        a, a_den = _over_common_denominator(self.coefficients)
+        b, b_den = _over_common_denominator(other.coefficients)
+        b_rev = b[::-1]
+        den = a_den * b_den
+        # c_k = sum_{i<=k} a_i b_{k-i}: zip a against the last k+1 of b reversed
+        return TruncatedSeries._exact(
+            Fraction(sum(map(mul, a, b_rev[n - k:])), den) for k in range(n + 1)
+        )
 
     __rmul__ = __mul__
 
@@ -138,18 +157,27 @@ class TruncatedSeries:
                 f"divide: dividend valuation {self.valuation()} below divisor valuation {v}"
             )
         n = self.order - v
-        num = self.coefficients[v:]
-        den = divisor.coefficients[v:]
-        lead = den[0]
-        q = [Fraction(0)] * (n + 1)
+        num, num_den = _over_common_denominator(self.coefficients[v:])
+        den, den_den = _over_common_denominator(divisor.coefficients[v:])
+        lead, den_rev = den[0], den[::-1]
+        # q_j = q_nums[j] / q_den for j < i, q_den the lcm of their denominators;
+        # with d_l = den[l] / den_den and a_i = num[i] / num_den,
+        # q_i = (a_i - sum_{j<i} q_j d_{i-j}) / d_0 in one normalising Fraction.
+        # Reducing every q_i keeps powers of d_0 out of the running numbers.
+        q: list[Fraction] = []
+        q_nums: list[int] = []
+        q_den = 1
         for i in range(n + 1):
-            acc = num[i] if i < len(num) else Fraction(0)
-            for j in range(i):
-                dj = den[i - j] if i - j < len(den) else Fraction(0)
-                if dj and q[j]:
-                    acc -= q[j] * dj
-            q[i] = acc / lead
-        return TruncatedSeries(q)
+            s = sum(map(mul, q_nums, den_rev[n - i:n]))
+            qi = Fraction(num[i] * q_den * den_den - s * num_den, num_den * q_den * lead)
+            q.append(qi)
+            if q_den % qi.denominator:
+                grown = lcm(q_den, qi.denominator)
+                scale = grown // q_den
+                q_nums = [x * scale for x in q_nums]
+                q_den = grown
+            q_nums.append(qi.numerator * (q_den // qi.denominator))
+        return TruncatedSeries._exact(q)
 
     def compose(self, inner: "TruncatedSeries") -> "TruncatedSeries":
         """self(inner(t)), truncated; inner must have zero constant term."""
@@ -159,12 +187,34 @@ class TruncatedSeries:
         if inner.coefficients[0] != 0:
             raise ValueError("compose: inner series must have zero constant term")
         n = self.order
-        # Horner evaluation keeps the truncation exact because inner has
-        # valuation >= 1: higher powers cannot pollute low coefficients.
-        acc = TruncatedSeries.constant(self.coefficients[n], n)
+        outer = self.coefficients
+        inner_nums, inner_den = _over_common_denominator(inner.coefficients)
+        inner_rev = inner_nums[::-1]
+        # Integer Horner: acc_i = c_i + inner * acc_{i+1}, kept as numerators
+        # `acc` over `den`.  acc_i is later multiplied by inner**i, whose
+        # valuation is >= i, so only its coefficients up to t**(n-i) matter.
+        acc, den = [outer[n].numerator], outer[n].denominator
         for i in range(n - 1, -1, -1):
-            acc = acc * inner + TruncatedSeries.constant(self.coefficients[i], n)
-        return acc
+            # [t^j] inner * acc = sum_{l=1..j} inner_l acc_{j-l}; inner_0 = 0
+            step = [0] + [sum(map(mul, acc, inner_rev[n - j:n])) for j in range(1, n - i + 1)]
+            den *= inner_den
+            c = outer[i]
+            if den % c.denominator:
+                grown = lcm(den, c.denominator)
+                scale = grown // den
+                step = [x * scale for x in step]
+                den = grown
+            step[0] = c.numerator * (den // c.denominator)
+            g = den
+            for x in step:
+                if g == 1:
+                    break
+                g = gcd(g, x)
+            if g > 1:
+                step = [x // g for x in step]
+                den //= g
+            acc = step
+        return TruncatedSeries._exact(Fraction(x, den) for x in acc)
 
     def egf_coefficient(self, n: int) -> Fraction:
         """n! * c_n, the value whose EGF this series is."""

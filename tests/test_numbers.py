@@ -119,6 +119,34 @@ def test_stirling_closed_form_oracle_c():
             assert poly_bernoulli_c(n, k) == expected, (n, k)
 
 
+def test_c_table_matches_stirling_formula_at_24():
+    """A second route far past enumeration: C(n, k) =
+    sum_r r! (r+1)! S(k+1, r+1) S(n+1, r+1)."""
+    size = 24
+    expected = [
+        [
+            sum(
+                math.factorial(r) * math.factorial(r + 1)
+                * _stirling2(k + 1, r + 1) * _stirling2(n + 1, r + 1)
+                for r in range(min(n, k) + 1)
+            )
+            for k in range(size + 1)
+        ]
+        for n in range(size + 1)
+    ]
+    assert c_table(size, size) == expected
+
+
+def test_genocchi_matches_bernoulli_recurrence_to_150():
+    """G_n = 2 (1 - 2^n) B_n, with B_n from sum_{j<=n} C(n+1, j) B_j = [n == 0]."""
+    size = 150
+    bernoulli = []
+    for n in range(size + 1):
+        partial = sum(math.comb(n + 1, j) * b for j, b in enumerate(bernoulli))
+        bernoulli.append((Fraction(n == 0) - partial) / (n + 1))
+    assert genocchi_list(size) == [2 * (1 - 2**n) * b for n, b in enumerate(bernoulli)]
+
+
 def test_alternating_b_sum_vanishes():
     # the alternating diagonal sum is 1 at n=0 and 0 afterwards
     def diag(n):

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from callan.series import (
     TruncatedSeries,
@@ -137,3 +137,112 @@ def test_multiplicative_identity(a):
 def test_division_undoes_multiplication(a):
     den = series([1, 3, -2, 0, 5])  # unit: nonzero constant term
     assert (a * den).divide(den) == a
+
+
+# -- test-only oracle: the plain per-term Fraction loops the integer kernels
+# replaced, on coefficient sequences.
+
+
+def oracle_mul(a, b):
+    n = len(a) - 1
+    out = [F(0)] * (n + 1)
+    for i, ai in enumerate(a):
+        if not ai:
+            continue
+        for j in range(n + 1 - i):
+            if b[j]:
+                out[i + j] += ai * b[j]
+    return out
+
+
+def oracle_divide(num, den):
+    """Quotient of num by den after cancelling den's leading t**v."""
+    v = next(i for i, c in enumerate(den) if c)
+    num, den = num[v:], den[v:]
+    q = [F(0)] * len(num)
+    for i in range(len(num)):
+        acc = num[i]
+        for j in range(i):
+            if den[i - j] and q[j]:
+                acc -= q[j] * den[i - j]
+        q[i] = acc / den[0]
+    return q
+
+
+def oracle_compose(outer, inner):
+    n = len(outer) - 1
+    acc = [outer[n]] + [F(0)] * n
+    for i in range(n - 1, -1, -1):
+        acc = oracle_mul(acc, inner)
+        acc[0] += outer[i]
+    return acc
+
+
+rationals = st.fractions(min_value=-50, max_value=50, max_denominator=50)
+nonzero_rationals = rationals.filter(bool)
+
+
+@st.composite
+def rational_series(draw, order, valuation=0):
+    """A series of the given order whose first `valuation` coefficients are 0."""
+    size = order + 1 - valuation
+    return [F(0)] * valuation + draw(st.lists(rationals, min_size=size, max_size=size))
+
+
+orders = st.integers(min_value=0, max_value=20)
+
+
+@settings(max_examples=60)
+@given(st.data())
+def test_mul_matches_oracle_on_rationals(data):
+    n = data.draw(orders)
+    a, b = data.draw(rational_series(n)), data.draw(rational_series(n))
+    assert list(series(a) * series(b)) == oracle_mul(a, b)
+
+
+@settings(max_examples=60)
+@given(st.data())
+def test_divide_matches_oracle_on_rationals(data):
+    n = data.draw(orders)
+    v = data.draw(st.integers(min_value=0, max_value=min(n, 3)))
+    den = [F(0)] * v + [data.draw(nonzero_rationals)] + data.draw(rational_series(n - v - 1))
+    num = data.draw(st.one_of(st.just([F(0)] * (n + 1)), rational_series(n, v)))
+    q = series(num).divide(series(den))
+    assert q.order == n - v
+    assert list(q) == oracle_divide(num, den)
+
+
+@settings(max_examples=60)
+@given(st.data())
+def test_compose_matches_oracle_on_rationals(data):
+    n = data.draw(orders)
+    outer = data.draw(rational_series(n))
+    inner = data.draw(rational_series(n, 1))
+    assert list(series(outer).compose(series(inner))) == oracle_compose(outer, inner)
+
+
+@pytest.mark.parametrize(
+    "num, den",
+    [
+        # lead other than 1
+        ([F(1), F(2, 3), F(-5, 7), F(1, 2)], [F(-3, 4), F(1, 6), F(0), F(9, 5)]),
+        # valuation >= 1 on both sides, lead 5/2
+        ([F(0), F(0), F(7, 3), F(-1, 9)], [F(0), F(0), F(5, 2), F(1, 4)]),
+        # zero dividend over a valuation-1 divisor
+        ([F(0)] * 5, [F(0), F(3, 2), F(-1, 5), F(0), F(2)]),
+    ],
+    ids=["lead", "valuation", "zero-dividend"],
+)
+def test_divide_divisor_cases_match_oracle(num, den):
+    assert list(series(num).divide(series(den))) == oracle_divide(num, den)
+
+
+def test_divide_by_exp_plus_one_at_order_80():
+    # 2t / (e^t + 1): the Genocchi EGF, lead 2 and denominators up to 80!
+    n = 80
+    den = list(exp_series(n) + TruncatedSeries.constant(1, n))
+    num = [F(0), F(2)] + [F(0)] * (n - 1)
+    assert list(series(num).divide(series(den))) == oracle_divide(num, den)
+    one = list(exp_series(n))
+    assert list(series(one).divide(series(den))) == oracle_divide(one, den)
+
