@@ -109,8 +109,9 @@ class PsiIntermediate:
 
 # ---------------------------------------------------------------------------
 # the sets the maps run between: each predicate takes a valid sequence and
-# returns why it lies outside its set, or None.  The maps check what they
-# accept and emit against them, and the harness certifies over exactly them.
+# returns why it lies outside its set, or None.  The public maps check what
+# they accept and emit against them (_checked), and the harness certifies
+# their unvalidating cores (_phi, _psi, ...) over exactly them.
 # ---------------------------------------------------------------------------
 
 
@@ -151,6 +152,25 @@ def relabel_domain(seq: MBarredSequence) -> str | None:
     return "no extreme blue element is a barred singleton of a star-only sequence"
 
 
+def _checked(core, accepts=None, emits=None):
+    """The public map of `core`.  `accepts` and `emits` are (what, set)
+    pairs: an argument that is no valid sequence of its set is refused with
+    DomainError("what (reason)") before the core runs, and such an output
+    raises ConsistencyError.  None leaves that side unchecked."""
+
+    def checked(arg):
+        if accepts:
+            _require_mbarred(arg, *accepts)
+        out = core(arg)
+        if emits:
+            _require_mbarred(out, *emits, ConsistencyError)
+        return out
+
+    checked.__name__ = checked.__qualname__ = core.__name__[1:]
+    checked.__doc__ = core.__doc__
+    return checked
+
+
 # ---------------------------------------------------------------------------
 # slots: (bar run, pair)
 # ---------------------------------------------------------------------------
@@ -186,16 +206,10 @@ def _elements(slots: list[_Slot], extra_red: frozenset[int]) -> tuple[Element, .
 # ---------------------------------------------------------------------------
 
 
-def phi_case(seq: MBarredSequence) -> str:
+def _phi_case(seq: MBarredSequence) -> str:
     """Which of the four phi moves applies: A1/A2 when the maximal red
     element sits in the extra block (alone with the star / accompanied),
     B1/B2 when it sits in an ordinary block (as a singleton / with others)."""
-    _require_mbarred(seq, "phi: input outside phi's domain", phi_domain)
-    return _phi_case(seq)
-
-
-def _phi_case(seq: MBarredSequence) -> str:
-    """phi_case for a sequence already known to lie in phi's domain."""
     extra = seq.extra
     mu = seq.m + seq.n
     if mu in extra.red:
@@ -204,10 +218,10 @@ def _phi_case(seq: MBarredSequence) -> str:
     return "B1" if owner.red == {mu} else "B2"
 
 
-def phi(seq: MBarredSequence) -> MBarredSequence:
+def _phi(seq: MBarredSequence) -> MBarredSequence:
     """Remove the maximal red element mu = m+n, add the new maximal blue
     element m+k+1, and rearrange so the move is invertible."""
-    case = phi_case(seq)
+    case = _phi_case(seq)
     mu = seq.m + seq.n
     new_blue = seq.m + seq.k + 1
     slots = _slots(seq.elements, "phi")
@@ -230,20 +244,13 @@ def phi(seq: MBarredSequence) -> MBarredSequence:
         else:
             slots[i] = ((), CallanPair(frozenset({new_blue}), pair.red - {mu}))
         slots.insert(0, (run, CallanPair(pair.blue, extra.red)))
-    out = MBarredSequence(seq.m, seq.k + 1, seq.n - 1, _elements(slots, frozenset()))
-    return _require_mbarred(out, "phi: bad image", phi_image, ConsistencyError)
-
-
-def phi_inverse_case(seq: MBarredSequence) -> str:
-    """Recover the phi move from an image element: the new maximal blue
-    element sits in the first pair iff the move was A1/A2 and forms an
-    ordinary singleton iff the move was A2/B2."""
-    _require_mbarred(seq, "phi_inverse: input outside phi's image", phi_image)
-    return _phi_inverse_case(seq)
+    return MBarredSequence(seq.m, seq.k + 1, seq.n - 1, _elements(slots, frozenset()))
 
 
 def _phi_inverse_case(seq: MBarredSequence) -> str:
-    """phi_inverse_case for a sequence already known to lie in phi's image."""
+    """Recover the phi move from an image element: the new maximal blue
+    element sits in the first pair iff the move was A1/A2 and forms an
+    ordinary singleton iff the move was A2/B2."""
     top = seq.m + seq.k
     pairs = seq.pairs()
     q_i = next(j for j, p in enumerate(pairs) if top in p.blue)
@@ -254,10 +261,10 @@ def _phi_inverse_case(seq: MBarredSequence) -> str:
     return "B2" if alone else "B1"
 
 
-def phi_inverse(seq: MBarredSequence) -> MBarredSequence:
+def _phi_inverse(seq: MBarredSequence) -> MBarredSequence:
     """Undo phi: remove the maximal blue element, restore mu = m+n of the
     preimage, and put any launched slot back in place."""
-    case = phi_inverse_case(seq)
+    case = _phi_inverse_case(seq)
     top = seq.m + seq.k
     mu = seq.m + seq.n + 1
     slots = _slots(seq.elements, "phi_inverse")
@@ -277,8 +284,15 @@ def phi_inverse(seq: MBarredSequence) -> MBarredSequence:
                 slots.insert(q_i - 1, (lead, CallanPair(first.blue, frozenset({mu}))))
             else:  # B2: phi_image leaves q without bars
                 slots[q_i - 1] = (lead, CallanPair(first.blue, q.red | {mu}))
-    out = MBarredSequence(seq.m, seq.k - 1, seq.n + 1, _elements(slots, extra_red))
-    return _require_mbarred(out, "phi_inverse: bad image", phi_domain, ConsistencyError)
+    return MBarredSequence(seq.m, seq.k - 1, seq.n + 1, _elements(slots, extra_red))
+
+
+_PHI_IN = ("phi: input outside phi's domain", phi_domain)
+_PHI_INV_IN = ("phi_inverse: input outside phi's image", phi_image)
+phi_case = _checked(_phi_case, _PHI_IN)
+phi = _checked(_phi, _PHI_IN, ("phi: bad image", phi_image))
+phi_inverse_case = _checked(_phi_inverse_case, _PHI_INV_IN)
+phi_inverse = _checked(_phi_inverse, _PHI_INV_IN, ("phi_inverse: bad image", phi_domain))
 
 
 # ---------------------------------------------------------------------------
@@ -286,11 +300,10 @@ def phi_inverse(seq: MBarredSequence) -> MBarredSequence:
 # ---------------------------------------------------------------------------
 
 
-def relabel_max_min(seq: MBarredSequence) -> MBarredSequence:
+def _relabel_max_min(seq: MBarredSequence) -> MBarredSequence:
     """Exchange the maximal and minimal blue element labels everywhere.
     Maps the barred-max-singleton subset onto the barred-min-singleton one
     and back; an involution (the identity when k = 1)."""
-    _require_mbarred(seq, "relabel_max_min: input outside its domain", relabel_domain)
     hi, lo = seq.m + seq.k, seq.m + 1
     if hi == lo:
         return seq
@@ -304,10 +317,14 @@ def relabel_max_min(seq: MBarredSequence) -> MBarredSequence:
         else e
         for e in seq.elements
     )
-    out = MBarredSequence(seq.m, seq.k, seq.n, elements)
-    return _require_mbarred(
-        out, "relabel_max_min: bad image", relabel_domain, ConsistencyError
-    )
+    return MBarredSequence(seq.m, seq.k, seq.n, elements)
+
+
+relabel_max_min = _checked(
+    _relabel_max_min,
+    ("relabel_max_min: input outside its domain", relabel_domain),
+    ("relabel_max_min: bad image", relabel_domain),
+)
 
 
 # ---------------------------------------------------------------------------
@@ -315,11 +332,10 @@ def relabel_max_min(seq: MBarredSequence) -> MBarredSequence:
 # ---------------------------------------------------------------------------
 
 
-def psi_b(seq: MBarredSequence) -> PsiIntermediate:
+def _psi_b(seq: MBarredSequence) -> PsiIntermediate:
     """First psi stage: the pair ({m+1}, R) dissolves.  Its left bar run w1
     (nonempty by the domain condition) and right bar run w2 swap around a
     new blue bar labelled m+1, and R moves into the extra red block."""
-    _require_mbarred(seq, "psi_b: input outside psi's domain", psi_domain)
     label = seq.m + 1
     slots = _slots(seq.elements, "psi_b")
     i = next(j for j, (_, p) in enumerate(slots) if label in p.blue)
@@ -359,17 +375,15 @@ def psi_r(inter: PsiIntermediate) -> MBarredSequence:
     return MBarredSequence(inter.m + 1, inter.k - 1, inter.n - 1, elements)
 
 
-def psi(seq: MBarredSequence) -> MBarredSequence:
+def _psi(seq: MBarredSequence) -> MBarredSequence:
     """Retire the minimal blue and minimal red elements to labelled bars:
     a bijection onto all (m+1)-barred sequences one size smaller."""
-    out = psi_r(psi_b(seq))
-    return _require_mbarred(out, "psi: bad image", psi_image, ConsistencyError)
+    return psi_r(_psi_b(seq))
 
 
-def psi_r_inverse(seq: MBarredSequence) -> PsiIntermediate:
+def _psi_r_inverse(seq: MBarredSequence) -> PsiIntermediate:
     """Undo psi_r: the red bar with maximal label m_t dissolves back into a
     red block element (it always ends the bar run of its slot)."""
-    _require_mbarred(seq, "psi_inverse: input outside psi's image", psi_image)
     label = seq.m
     bar = Bar(RED, label)
     slots = _slots(seq.elements, "psi_inverse")
@@ -385,7 +399,7 @@ def psi_r_inverse(seq: MBarredSequence) -> PsiIntermediate:
     return PsiIntermediate(seq.m - 1, seq.k + 1, seq.n + 1, elements)
 
 
-def psi_b_inverse(inter: PsiIntermediate) -> MBarredSequence:
+def _psi_b_inverse(inter: PsiIntermediate) -> MBarredSequence:
     """Undo psi_b: the slot whose bar run holds the blue bar labelled m+1
     splits there; the run w2 before the bar and the run w1 after it
     (nonempty) swap back, flanking a restored pair ({m+1}, R) where R is
@@ -405,15 +419,25 @@ def psi_b_inverse(inter: PsiIntermediate) -> MBarredSequence:
     if not red:
         raise DomainError("psi_inverse: intermediate extra red block is empty")
     slots[i : i + 1] = [(w1, CallanPair(frozenset({label}), red)), (w2, after)]
-    out = _elements(slots, frozenset())
-    seq = MBarredSequence(inter.m, inter.k, inter.n, out)
-    return _require_mbarred(seq, "psi_inverse: bad image", psi_domain, ConsistencyError)
+    return MBarredSequence(inter.m, inter.k, inter.n, _elements(slots, frozenset()))
 
 
-def psi_inverse(seq: MBarredSequence) -> MBarredSequence:
+def _psi_inverse(seq: MBarredSequence) -> MBarredSequence:
     """Undo psi; defined on every (m+1)-barred sequence with m >= 0 bars
     remaining after the decrement."""
-    return psi_b_inverse(psi_r_inverse(seq))
+    return _psi_b_inverse(_psi_r_inverse(seq))
+
+
+# psi_r and psi_b_inverse take an intermediate, which has no validator of
+# its own; they refuse a malformed one with DomainError.
+_PSI_IN = ("psi_b: input outside psi's domain", psi_domain)
+_PSI_INV_IN = ("psi_inverse: input outside psi's image", psi_image)
+_PSI_INV_OUT = ("psi_inverse: bad image", psi_domain)
+psi_b = _checked(_psi_b, _PSI_IN)
+psi = _checked(_psi, _PSI_IN, ("psi: bad image", psi_image))
+psi_r_inverse = _checked(_psi_r_inverse, _PSI_INV_IN)
+psi_b_inverse = _checked(_psi_b_inverse, None, _PSI_INV_OUT)
+psi_inverse = _checked(_psi_inverse, _PSI_INV_IN, _PSI_INV_OUT)
 
 
 # ---------------------------------------------------------------------------

@@ -159,11 +159,7 @@ def _cmd_map(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    try:
-        reports = harness.run_claim(args.claim, args.max_weight)
-    except ValueError as exc:
-        print(f"verify: {exc}", file=sys.stderr)
-        return 2
+    reports = harness.run_claim(args.claim, args.max_weight)
     reports = sorted(reports, key=harness.report_sort_key)
     failed = 0
     for r in reports:
@@ -231,6 +227,9 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.fn(args)
+    except ValueError as exc:  # a bad argument; map exits 1 on bad input itself
+        print(f"{args.command}: {exc}", file=sys.stderr)
+        return 2
     except ConsistencyError as exc:  # always a bug, never bad input
         print(f"{args.command}: internal error: {exc}", file=sys.stderr)
         return 3

@@ -10,6 +10,9 @@ are reserved for invalid arguments.
 ``run_claim`` sweeps a claim over all parameter points within a weight
 budget (k + n + 2m for three-parameter claims, n + 2m for two-parameter
 ones) so the command-line ``verify`` subcommand can drive everything.
+
+The public maps of ``bijections`` are the trust boundary: they validate
+what they accept and emit.  Certificates run their unvalidating cores.
 """
 
 from __future__ import annotations
@@ -18,22 +21,20 @@ import time
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable
 
 from . import numbers
-from .bijections import (
-    phi,
+from .bijections import (  # the unvalidating cores, under their public names
+    _phi as phi,
+    _phi_inverse as phi_inverse,
+    _psi as psi,
+    _psi_inverse as psi_inverse,
+    _relabel_max_min as relabel_max_min,
     phi_domain,
     phi_image,
-    phi_inverse,
-    psi,
     psi_domain,
     psi_image,
-    psi_inverse,
-    relabel_max_min,
 )
 from .combinat import (
-    MBarredSequence,
     count_mbarred,
     enumerate_mbarred,
     in_barred_max_subset,
@@ -262,24 +263,16 @@ def verify_partition(k: int, n: int, m: int) -> VerificationReport:
 # ---------------------------------------------------------------------------
 
 
-def _certify_map(
-    claim_id: str,
-    parameters: dict[str, int],
-    domain: Iterable[MBarredSequence],
-    codomain: Iterable[MBarredSequence],
-    forward,
-    backward,
-    started: float,
-) -> VerificationReport:
-    """Exhaustively check that forward maps domain bijectively onto
-    codomain with backward as two-sided inverse, in one pass over the
-    domain.
+def _certify_map(claim_id, k, n, m, image_sizes, forward, backward, domain, image):
+    """Check in one pass over D, the sequences at (k, n, m) in `domain`,
+    that forward maps D bijectively onto C, the sequences at image_sizes in
+    `image`, with backward as two-sided inverse.  An image cell with a
+    negative size comes with an empty D, and the report is vacuous.
 
-    Why one pass suffices: write D for the domain and C for the codomain.
-    Suppose the pass notes nothing.  Then forward is total on D (no
-    forward-error), injective (no collision), maps D into C (no
-    outside-codomain) and satisfies backward(forward(s)) = s for every s
-    in D (no roundtrip, no backward-error).  If also |D| = |C|, the
+    Why one pass suffices: suppose the pass notes nothing.  Then forward is
+    total on D (no forward-error), injective (no collision), maps D into C
+    (no outside-codomain) and satisfies backward(forward(s)) = s for every
+    s in D (no roundtrip, no backward-error).  If also |D| = |C|, the
     injection forward: D -> C between finite sets of equal size is a
     bijection, so every t in C is t = forward(s) for some s in D, and then
     backward(t) = s and forward(backward(t)) = t: backward is a two-sided
@@ -287,9 +280,18 @@ def _certify_map(
     counterexample or through lhs = |D| != |C| = rhs.  A second pass over C
     that checks forward(backward(t)) = t can therefore change neither the
     status nor lhs nor rhs of any report; it could only add counterexamples
-    to one that already fails."""
-    domain = list(domain)
-    codomain_set = set(codomain)
+    to one that already fails.
+
+    Why the maps need not validate: D and C are enumerated, so they hold
+    only valid members of their sets.  forward sees only members of D and
+    backward only images in C, so no input check can fail; an image outside
+    C is an outside-codomain counterexample, valid or not, and a preimage
+    other than s a roundtrip one.  So the harness runs the cores."""
+    started = time.perf_counter()
+    params = {"k": k, "n": n, "m": m}
+    if min(image_sizes) < 0:
+        return _finish(claim_id, params, 0, 0, [], started)
+    codomain = {t for t in enumerate_mbarred(*image_sizes) if image(t) is None}
     bad = []
     noted = Counter()
 
@@ -299,7 +301,9 @@ def _certify_map(
             bad.append({kind: payload})
 
     images = {}
-    for s in domain:
+    size = 0
+    sources = (s for s in enumerate_mbarred(k, n, m) if domain(s) is None)
+    for size, s in enumerate(sources, 1):
         try:
             t = forward(s)
         except Exception as exc:
@@ -308,8 +312,9 @@ def _certify_map(
         if t in images:
             note("collision", [to_json_dict(images[t]), to_json_dict(s)])
         images[t] = s
-        if t not in codomain_set:
+        if t not in codomain:
             note("outside-codomain", to_json_dict(t))
+            continue
         try:
             back = backward(t)
         except Exception as exc:
@@ -317,30 +322,16 @@ def _certify_map(
             continue
         if back != s:
             note("roundtrip", to_json_dict(s))
-    for t in sorted(codomain_set - set(images), key=canonical_json)[:_COUNTEREXAMPLE_CAP]:
+    for t in sorted(codomain - set(images), key=canonical_json)[:_COUNTEREXAMPLE_CAP]:
         note("not-hit", to_json_dict(t))
-    return _finish(claim_id, parameters, len(domain), len(codomain_set), bad, started)
-
-
-def _certify_cells(claim_id, k, n, m, image_sizes, forward, backward, domain, image):
-    """Certify forward from the sequences at (k, n, m) that lie in `domain`
-    onto those at image_sizes that lie in `image`: the predicates the maps
-    check themselves.  For phi and psi, an image cell with a negative size
-    comes with an empty domain, and the report is vacuous."""
-    started = time.perf_counter()
-    params = {"k": k, "n": n, "m": m}
-    if min(image_sizes) < 0:
-        return _finish(claim_id, params, 0, 0, [], started)
-    sources = (s for s in enumerate_mbarred(k, n, m) if domain(s) is None)
-    targets = (t for t in enumerate_mbarred(*image_sizes) if image(t) is None)
-    return _certify_map(claim_id, params, sources, targets, forward, backward, started)
+    return _finish(claim_id, params, size, len(codomain), bad, started)
 
 
 def certify_phi(k: int, n: int, m: int) -> VerificationReport:
     """phi: sequences with a nonempty extra red block at (k, n, m) onto
     star-only sequences at (k+1, n-1, m) minus the barred-max singletons.
     Without red elements (n = 0) the domain is empty."""
-    return _certify_cells(
+    return _certify_map(
         "phi", k, n, m, (k + 1, n - 1, m), phi, phi_inverse, phi_domain, phi_image
     )
 
@@ -349,7 +340,7 @@ def certify_psi(k: int, n: int, m: int) -> VerificationReport:
     """psi: barred-min singleton sequences at (k, n, m) onto all
     sequences at (k-1, n-1, m+1).  The domain needs an ordinary pair, so
     it is empty unless k, n >= 1."""
-    return _certify_cells(
+    return _certify_map(
         "psi", k, n, m, (k - 1, n - 1, m + 1), psi, psi_inverse, psi_domain, psi_image
     )
 
@@ -357,15 +348,10 @@ def certify_psi(k: int, n: int, m: int) -> VerificationReport:
 def certify_relabel(k: int, n: int, m: int) -> VerificationReport:
     """The max/min blue relabelling carries the barred-max singleton
     subset onto the barred-min one and is an involution."""
-    started = time.perf_counter()
-    params = {"k": k, "n": n, "m": m}
-    if k == 0:
-        return _finish("relabel", params, 0, 0, [], started)
-    pool = list(enumerate_mbarred(k, n, m))
-    domain = (s for s in pool if in_barred_max_subset(s))
-    codomain = (s for s in pool if in_barred_min_subset(s))
     return _certify_map(
-        "relabel", params, domain, codomain, relabel_max_min, relabel_max_min, started
+        "relabel", k, n, m, (k, n, m), relabel_max_min, relabel_max_min,
+        lambda s: None if in_barred_max_subset(s) else "not barred-max",
+        lambda s: None if in_barred_min_subset(s) else "not barred-min",
     )
 
 
@@ -411,6 +397,8 @@ def _knm_cells(max_weight: int) -> list[tuple[int, int, int]]:
 
 
 def run_claim(claim: str, max_weight: int = 8) -> list[VerificationReport]:
+    if max_weight < 0:
+        raise ValueError("max weight must be nonnegative")
     if claim == "all":
         reports = []
         for name in CLAIM_NAMES:

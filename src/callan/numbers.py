@@ -113,4 +113,6 @@ def c_number(n: int, k: int) -> int:
 
 def c_table(max_n: int, max_k: int) -> list[list[int]]:
     """Rows n = 0..max_n, columns k = 0..max_k of c_number."""
+    if max_n < 0 or max_k < 0:
+        raise ValueError("c_table sizes must be nonnegative")
     return [[c_number(n, k) for k in range(max_k + 1)] for n in range(max_n + 1)]

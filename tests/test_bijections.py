@@ -43,7 +43,7 @@ from callan.combinat import (
     to_json_dict,
     canonical_json,
 )
-from callan.errors import DomainError
+from callan.errors import ConsistencyError, DomainError
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -210,6 +210,40 @@ def test_relabel_rejects_outside_both_subsets():
     )
     with pytest.raises(DomainError):
         relabel_max_min(seq)
+
+
+def test_checked_guards_both_sides_of_a_core():
+    # the public maps are their cores bound through _checked: input outside
+    # the domain never reaches the core, and output outside the image is an
+    # internal error, whether it is invalid or merely a valid sequence of
+    # the wrong set
+    calls = []
+
+    def stub(emit):
+        def core(seq):
+            calls.append(seq)
+            return emit(seq)
+
+        return bijections._checked(
+            core, ("stub: input outside phi's domain", phi_domain),
+            ("stub: bad image", phi_image),
+        )
+
+    inside = next(s for s in enumerate_mbarred(2, 1, 0) if s.extra.red)
+    outside = next(s for s in enumerate_mbarred(2, 1, 0) if not s.extra.red)
+    invalid = MBarredSequence(0, 0, 0, ())
+    with pytest.raises(DomainError, match=r"^stub: input outside phi's domain \("):
+        stub(phi)(outside)
+    with pytest.raises(DomainError, match="sequence is empty"):
+        stub(phi)(invalid)
+    assert calls == []
+    assert stub(phi)(inside) == phi(inside)
+    with pytest.raises(ConsistencyError, match=r"^stub: bad image \(last-element"):
+        stub(lambda s: invalid)(inside)
+    with pytest.raises(ConsistencyError, match=r"^stub: bad image \(the extra red"):
+        stub(lambda s: s)(inside)
+    assert calls == [inside] * 3
+    assert (phi.__name__, phi.__doc__) == ("phi", bijections._phi.__doc__)
 
 
 def test_psi_b_requires_barred_singleton():

@@ -59,6 +59,21 @@ def test_number_requires_indices(capsys):
     assert code == 2 and "--n" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("number", "--family", "b", "--n", "-1", "--k", "2"),
+    ("number", "--family", "c", "--n", "-1", "--k", "2"),
+    ("number", "--family", "ctable", "--n", "-2", "--k", "3"),
+    ("number", "--family", "ctable", "--n", "3", "--k", "-1"),
+    ("verify", "--claim", "phi", "--max-weight", "-3"),
+    ("verify", "--max-weight", "-3"),
+])
+def test_negative_sizes_exit_two(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"{argv[0]}: ") and "nonnegative" in err
+    assert len(err.splitlines()) == 1
+
+
 def test_enumerate_count_only(capsys):
     code, out, _ = run(capsys, "enumerate", "--kind", "mbarred",
                        "--k", "1", "--n", "1", "--m", "1", "--count-only")

@@ -162,6 +162,25 @@ def test_report_json_shape():
     assert isinstance(data["elapsed"], float)
 
 
+@pytest.mark.parametrize("claim", ["phi", "psi", "relabel"])
+def test_certification_never_validates(monkeypatch, claim):
+    # the certificate runs the unvalidating cores over enumerated sets, so
+    # the validator of the public maps is never called
+    from callan import combinat
+
+    calls = []
+    validate = combinat.validate_mbarred
+
+    def counting(seq):
+        calls.append(seq)
+        return validate(seq)
+
+    monkeypatch.setattr(combinat, "validate_mbarred", counting)
+    reports = run_claim(claim, 5)
+    assert reports and all(r.passed for r in reports)
+    assert sum(r.lhs for r in reports) > 0 and calls == []
+
+
 # Mutation tests for the single-pass certificate in _certify_map: each
 # deliberately broken map must still fail the certification, with the
 # counterexample kind that names the broken property.
