@@ -396,6 +396,8 @@ def count_mbarred(k: int, n: int, m: int) -> int:
     """Number of m-barred sequences, counted from the enumeration itself
     (Callan sequences stream by; each contributes the number of enumerated
     bar placements for its pair count).  No closed formula is used."""
+    if m < 0:
+        raise ValueError("m must be nonnegative")
     return sum(
         len(bar_arrangements(m, len(cs.pairs))) for cs in enumerate_callan(k, n, shift=m)
     )

@@ -10,6 +10,10 @@ are reserved for invalid arguments.
 ``run_claim`` sweeps a claim over all parameter points within a weight
 budget (k + n + 2m for three-parameter claims, n + 2m for two-parameter
 ones) so the command-line ``verify`` subcommand can drive everything.
+The claims on m-barred objects (partition, phi, psi, relabel) share one
+sweep that streams each cell (k, n, m) once and feeds every check that
+needs it; ``verify_partition`` and ``certify_*`` run the same consumers
+on one cell.
 
 The public maps of ``bijections`` are the trust boundary: they validate
 what they accept and emit.  Certificates run their unvalidating cores.
@@ -18,7 +22,7 @@ what they accept and emit.  Certificates run their unvalidating cores.
 from __future__ import annotations
 
 import time
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -106,7 +110,9 @@ def _as_int(value):
     return value
 
 
-def _finish(claim_id, parameters, lhs, rhs, counterexamples, started, terms=()):
+def _finish(claim_id, parameters, lhs, rhs, counterexamples, started, terms=(), spent=0.0):
+    """The report of a check that began at `started`, plus `spent` seconds
+    of its work done before (while the check was fed a stream)."""
     lhs, rhs = _as_int(lhs), _as_int(rhs)
     status = "pass" if lhs == rhs and not counterexamples else "fail"
     return VerificationReport(
@@ -116,7 +122,7 @@ def _finish(claim_id, parameters, lhs, rhs, counterexamples, started, terms=()):
         rhs=rhs,
         status=status,
         counterexamples=counterexamples,
-        elapsed=time.perf_counter() - started,
+        elapsed=spent + time.perf_counter() - started,
         terms=tuple(terms),
     )
 
@@ -230,16 +236,30 @@ def verify_partition(k: int, n: int, m: int) -> VerificationReport:
     maximal blue element not a barred singleton / barred-max singleton)
     are disjoint and exhaustive, and their sizes add up to the total
     count obtained by the independent product-count route."""
-    started = time.perf_counter()
-    counts = {CELL_RSTAR_NONEMPTY: 0, CELL_STAR_ONLY: 0, CELL_BARRED_MAX: 0}
-    bad = []
-    for seq in enumerate_mbarred(k, n, m):
+    check = _Partition(k, n, m)
+    _stream_cell(check.cell, [check])
+    return check.report()
+
+
+class _Partition:
+    """verify_partition at one cell, fed the cell's sequences one by one."""
+
+    image_cell = None  # the check ends with its own cell's stream
+
+    def __init__(self, k: int, n: int, m: int) -> None:
+        self.cell = (k, n, m)
+        self.counts = {CELL_RSTAR_NONEMPTY: 0, CELL_STAR_ONLY: 0, CELL_BARRED_MAX: 0}
+        self.bad = []
+        self.elapsed = 0.0
+
+    def domain(self, seq) -> None:
+        """Check one sequence; the partition's domain is its whole cell."""
         nonempty = bool(seq.extra.red)
         barred_max = in_barred_max_subset(seq)
         if nonempty and barred_max:
-            if len(bad) < _COUNTEREXAMPLE_CAP:
-                bad.append({"overlap": to_json_dict(seq)})
-            continue
+            if len(self.bad) < _COUNTEREXAMPLE_CAP:
+                self.bad.append({"overlap": to_json_dict(seq)})
+            return
         cell = classify(seq)
         expected = (
             CELL_RSTAR_NONEMPTY
@@ -249,13 +269,18 @@ def verify_partition(k: int, n: int, m: int) -> VerificationReport:
             else CELL_STAR_ONLY
         )
         if cell != expected:
-            if len(bad) < _COUNTEREXAMPLE_CAP:
-                bad.append({"misclassified": to_json_dict(seq), "cell": cell})
-            continue
-        counts[cell] += 1
-    lhs = sum(counts.values())
-    rhs = count_mbarred(k, n, m)
-    return _finish("partition", {"k": k, "n": n, "m": m}, lhs, rhs, bad, started)
+            if len(self.bad) < _COUNTEREXAMPLE_CAP:
+                self.bad.append({"misclassified": to_json_dict(seq), "cell": cell})
+            return
+        self.counts[cell] += 1
+
+    def report(self) -> VerificationReport:
+        started = time.perf_counter()
+        k, n, m = self.cell
+        lhs = sum(self.counts.values())
+        rhs = count_mbarred(k, n, m)
+        params = {"k": k, "n": n, "m": m}
+        return _finish("partition", params, lhs, rhs, self.bad, started, spent=self.elapsed)
 
 
 # ---------------------------------------------------------------------------
@@ -263,96 +288,211 @@ def verify_partition(k: int, n: int, m: int) -> VerificationReport:
 # ---------------------------------------------------------------------------
 
 
-def _certify_map(claim_id, k, n, m, image_sizes, forward, backward, domain, image):
-    """Check in one pass over D, the sequences at (k, n, m) in `domain`,
-    that forward maps D bijectively onto C, the sequences at image_sizes in
-    `image`, with backward as two-sided inverse.  An image cell with a
-    negative size comes with an empty D, and the report is vacuous.
+class _Certificate:
+    """Certifies that forward maps D bijectively onto C with backward as
+    two-sided inverse.  D is the set of sequences at `cell` that `in_domain`
+    accepts, C the set at `image_cell` that `in_image` accepts (each
+    predicate returns None on its members).  The certificate is fed every
+    sequence of `cell` through domain(), then every sequence of
+    `image_cell` through codomain(), and each skips what its predicate
+    refuses; report() gives the verdict.  The maps are assumed
+    deterministic.
 
-    Why one pass suffices: suppose the pass notes nothing.  Then forward is
-    total on D (no forward-error), injective (no collision), maps D into C
-    (no outside-codomain) and satisfies backward(forward(s)) = s for every
-    s in D (no roundtrip, no backward-error).  If also |D| = |C|, the
-    injection forward: D -> C between finite sets of equal size is a
-    bijection, so every t in C is t = forward(s) for some s in D, and then
-    backward(t) = s and forward(backward(t)) = t: backward is a two-sided
-    inverse on C.  In every other case the report already fails, through a
-    counterexample or through lhs = |D| != |C| = rhs.  A second pass over C
-    that checks forward(backward(t)) = t can therefore change neither the
-    status nor lhs nor rhs of any report; it could only add counterexamples
-    to one that already fails.
+    domain(s) applies forward, notes forward-error and collision, adds the
+    image to the image set I and checks backward(forward(s)) = s
+    (backward-error, roundtrip).  codomain(t) counts |C| and removes t
+    from I, or notes t as not-hit.  report() turns every image still in I
+    into an outside-codomain counterexample.
+
+    Why one pass over each side suffices: suppose nothing is noted.  Then
+    forward is total on D (no forward-error) and injective (no collision),
+    backward(forward(s)) = s for every s in D (no backward-error, no
+    roundtrip), every image lies in C (I ends empty, and only members of C
+    leave it) and every member of C is an image (no not-hit).  So forward
+    is a bijection D -> C, lhs = |D| equals rhs = |C|, and every t in C is
+    t = forward(s) with backward(t) = s, so forward(backward(t)) = t:
+    backward is a two-sided inverse on C.  A second pass over C that checks
+    forward(backward(t)) = t can therefore change neither the status nor
+    lhs nor rhs of any report; it could only add counterexamples to one
+    that already fails.
 
     Why the maps need not validate: D and C are enumerated, so they hold
-    only valid members of their sets.  forward sees only members of D and
-    backward only images in C, so no input check can fail; an image outside
-    C is an outside-codomain counterexample, valid or not, and a preimage
-    other than s a roundtrip one.  So the harness runs the cores."""
-    started = time.perf_counter()
-    params = {"k": k, "n": n, "m": m}
-    if min(image_sizes) < 0:
-        return _finish(claim_id, params, 0, 0, [], started)
-    codomain = {t for t in enumerate_mbarred(*image_sizes) if image(t) is None}
-    bad = []
-    noted = Counter()
+    only valid members of their sets, and forward sees only members of D.
+    backward sees every image, also one outside C (valid or not); such an
+    image is an outside-codomain counterexample whatever backward does with
+    it, so a backward-error or roundtrip it adds can only join a report
+    that already fails.  So the harness runs the cores.
 
-    def note(kind, payload):
-        if noted[kind] < _COUNTEREXAMPLE_CAP:
-            noted[kind] += 1
-            bad.append({kind: payload})
+    Memory: I holds the images of D until C streams by, and C itself is
+    never stored."""
 
-    images = {}
-    size = 0
-    sources = (s for s in enumerate_mbarred(k, n, m) if domain(s) is None)
-    for size, s in enumerate(sources, 1):
+    def __init__(self, claim_id, cell, image_cell, forward, backward, in_domain, in_image):
+        self.claim_id = claim_id
+        self.cell, self.image_cell = cell, image_cell
+        self.forward, self.backward = forward, backward
+        self.in_domain, self.in_image = in_domain, in_image
+        self.images = set()
+        self.held = []  # members of C met before D was complete
+        self.missed = []  # members of C that no member of D hit
+        self.domain_size = self.codomain_size = 0
+        self.bad = []
+        self.noted = Counter()
+        self.elapsed = 0.0
+
+    def note(self, kind, payload) -> None:
+        if self.noted[kind] < _COUNTEREXAMPLE_CAP:
+            self.noted[kind] += 1
+            self.bad.append({kind: payload})
+
+    def domain(self, s) -> None:
+        if self.in_domain(s) is not None:
+            return
+        self.domain_size += 1
         try:
-            t = forward(s)
+            t = self.forward(s)
         except Exception as exc:
-            note("forward-error", {"input": to_json_dict(s), "error": str(exc)})
-            continue
-        if t in images:
-            note("collision", [to_json_dict(images[t]), to_json_dict(s)])
-        images[t] = s
-        if t not in codomain:
-            note("outside-codomain", to_json_dict(t))
-            continue
+            self.note("forward-error", {"input": to_json_dict(s), "error": str(exc)})
+            return
+        seen = len(self.images)  # t is hashed once: a collision adds nothing
+        self.images.add(t)
+        if len(self.images) == seen and self.noted["collision"] < _COUNTEREXAMPLE_CAP:
+            self.note("collision", [to_json_dict(self._first_preimage(t)), to_json_dict(s)])
         try:
-            back = backward(t)
+            back = self.backward(t)
         except Exception as exc:
-            note("backward-error", {"input": to_json_dict(t), "error": str(exc)})
-            continue
+            self.note("backward-error", {"input": to_json_dict(t), "error": str(exc)})
+            return
         if back != s:
-            note("roundtrip", to_json_dict(s))
-    for t in sorted(codomain - set(images), key=canonical_json)[:_COUNTEREXAMPLE_CAP]:
-        note("not-hit", to_json_dict(t))
-    return _finish(claim_id, params, size, len(codomain), bad, started)
+            self.note("roundtrip", to_json_dict(s))
+
+    def _first_preimage(self, t):
+        """The first member of D that forward sends to t.  Collisions only
+        happen in failing reports, so D is streamed again, not stored."""
+        for s in enumerate_mbarred(*self.cell):
+            if self.in_domain(s) is None:
+                try:
+                    if self.forward(s) == t:
+                        return s
+                except Exception:
+                    continue
+
+    def codomain(self, t) -> None:
+        if self.in_image(t) is None:
+            self._hit(t)
+
+    def _hit(self, t) -> None:
+        self.codomain_size += 1
+        try:
+            self.images.remove(t)
+        except KeyError:
+            self.missed.append(t)
+
+    def hold(self, t) -> None:
+        """codomain() while the image cell is the domain cell: keep t until
+        D is complete (relabel; its members of C are few)."""
+        if self.in_image(t) is None:
+            self.held.append(t)
+
+    def release(self) -> None:
+        held, self.held = self.held, []
+        for t in held:
+            self._hit(t)
+
+    def report(self) -> VerificationReport:
+        started = time.perf_counter()
+        for t in sorted(self.images, key=canonical_json)[:_COUNTEREXAMPLE_CAP]:
+            self.note("outside-codomain", to_json_dict(t))
+        for t in sorted(self.missed, key=canonical_json)[:_COUNTEREXAMPLE_CAP]:
+            self.note("not-hit", to_json_dict(t))
+        k, n, m = self.cell
+        return _finish(
+            self.claim_id, {"k": k, "n": n, "m": m}, self.domain_size,
+            self.codomain_size, self.bad, started, spent=self.elapsed,
+        )
+
+
+def _stream_cell(cell, starting, finishing=()) -> None:
+    """Stream the sequences at `cell` once, into domain() of each consumer
+    in `starting` and codomain() of each certificate in `finishing`.  A
+    certificate in `starting` whose image cell is `cell` holds its members
+    of C and takes them after the stream, once its D is complete.  Each
+    consumer's elapsed grows by the time its own calls take; the stream
+    itself is charged to the first consumer."""
+    clock = time.perf_counter
+    looping = [c for c in starting if c.image_cell == cell]
+    feeds = [(c, c.domain) for c in starting] + [(c, c.codomain) for c in finishing]
+    feeds += [(c, c.hold) for c in looping]
+    first = feeds[0][0]
+    last = clock()
+    for seq in enumerate_mbarred(*cell):
+        now = clock()
+        first.elapsed += now - last
+        last = now
+        for consumer, feed in feeds:
+            feed(seq)
+            now = clock()
+            consumer.elapsed += now - last
+            last = now
+    first.elapsed += clock() - last
+    for c in looping:
+        last = clock()
+        c.release()
+        c.elapsed += clock() - last
+
+
+def _certify_map(certificate: _Certificate) -> VerificationReport:
+    """Run one certificate on its own: stream its domain cell, then its
+    image cell.  An image cell with a negative size comes with an empty D,
+    and the report is vacuous."""
+    if min(certificate.image_cell) >= 0:
+        _stream_cell(certificate.cell, [certificate])
+        if certificate.image_cell != certificate.cell:
+            _stream_cell(certificate.image_cell, [], [certificate])
+    return certificate.report()
+
+
+# The map names are looked up when a certificate is made, so a map patched
+# on this module reaches the sweeps as well as the one-cell entry points.
+
+
+def _phi_certificate(k: int, n: int, m: int) -> _Certificate:
+    return _Certificate(
+        "phi", (k, n, m), (k + 1, n - 1, m), phi, phi_inverse, phi_domain, phi_image
+    )
+
+
+def _psi_certificate(k: int, n: int, m: int) -> _Certificate:
+    return _Certificate(
+        "psi", (k, n, m), (k - 1, n - 1, m + 1), psi, psi_inverse, psi_domain, psi_image
+    )
+
+
+def _relabel_certificate(k: int, n: int, m: int) -> _Certificate:
+    return _Certificate(
+        "relabel", (k, n, m), (k, n, m), relabel_max_min, relabel_max_min,
+        lambda s: None if in_barred_max_subset(s) else "not barred-max",
+        lambda s: None if in_barred_min_subset(s) else "not barred-min",
+    )
 
 
 def certify_phi(k: int, n: int, m: int) -> VerificationReport:
     """phi: sequences with a nonempty extra red block at (k, n, m) onto
     star-only sequences at (k+1, n-1, m) minus the barred-max singletons.
     Without red elements (n = 0) the domain is empty."""
-    return _certify_map(
-        "phi", k, n, m, (k + 1, n - 1, m), phi, phi_inverse, phi_domain, phi_image
-    )
+    return _certify_map(_phi_certificate(k, n, m))
 
 
 def certify_psi(k: int, n: int, m: int) -> VerificationReport:
     """psi: barred-min singleton sequences at (k, n, m) onto all
     sequences at (k-1, n-1, m+1).  The domain needs an ordinary pair, so
     it is empty unless k, n >= 1."""
-    return _certify_map(
-        "psi", k, n, m, (k - 1, n - 1, m + 1), psi, psi_inverse, psi_domain, psi_image
-    )
+    return _certify_map(_psi_certificate(k, n, m))
 
 
 def certify_relabel(k: int, n: int, m: int) -> VerificationReport:
     """The max/min blue relabelling carries the barred-max singleton
     subset onto the barred-min one and is an involution."""
-    return _certify_map(
-        "relabel", k, n, m, (k, n, m), relabel_max_min, relabel_max_min,
-        lambda s: None if in_barred_max_subset(s) else "not barred-max",
-        lambda s: None if in_barred_min_subset(s) else "not barred-min",
-    )
+    return _certify_map(_relabel_certificate(k, n, m))
 
 
 # ---------------------------------------------------------------------------
@@ -376,6 +516,15 @@ CLAIM_NAMES = (
 _PB_ZERO_RANGE = range(1, 21)
 _THM1_RANGE = range(0, 17)
 
+# The claims checked on m-barred objects: the cells (k, n, m) each one
+# sweeps, and its consumer at a cell.
+_SWEEPS = {
+    "partition": (lambda k, n, m: True, _Partition),
+    "phi": (lambda k, n, m: n >= 1, _phi_certificate),
+    "psi": (lambda k, n, m: k >= 1 and n >= 1, _psi_certificate),
+    "relabel": (lambda k, n, m: k >= 1, _relabel_certificate),
+}
+
 
 def _nm_cells(max_weight: int) -> list[tuple[int, int]]:
     return [
@@ -386,24 +535,57 @@ def _nm_cells(max_weight: int) -> list[tuple[int, int]]:
     ]
 
 
-def _knm_cells(max_weight: int) -> list[tuple[int, int, int]]:
-    return [
-        (k, n, m)
-        for k in range(max_weight + 1)
-        for n in range(max_weight - k + 1)
-        for m in range((max_weight - k - n) // 2 + 1)
-        if k + n + 2 * m <= max_weight
-    ]
+def _sweep(max_weight: int, claims) -> list[VerificationReport]:
+    """The reports of the object claims in `claims` on every cell with
+    weight k + n + 2m <= max_weight, each cell streamed once.
+
+    Cells go by weight, then by ascending m, then by ascending k.  phi and
+    psi keep the weight; phi's image cell (k+1, n-1, m) has the same m and
+    a larger k, psi's (k-1, n-1, m+1) a larger m, so every image cell
+    comes after its domain cell.  One stream per cell therefore feeds the
+    partition check, the domain side of each certificate that starts at
+    the cell and the codomain side of each whose images land in it.  A
+    certificate waits, holding its images, until its image cell streams by."""
+    reports = []
+    waiting = defaultdict(list)  # image cell -> certificates with D complete
+    for weight in range(max_weight + 1):
+        for m in range(weight // 2 + 1):
+            for k in range(weight - 2 * m + 1):
+                cell = (k, weight - k - 2 * m, m)
+                starting = [
+                    consumer(*cell)
+                    for in_sweep, consumer in map(_SWEEPS.get, claims)
+                    if in_sweep(*cell)
+                ]
+                finishing = waiting.pop(cell, [])
+                if starting or finishing:
+                    _stream_cell(cell, starting, finishing)
+                for c in starting:
+                    if c.image_cell in (None, cell):
+                        reports.append(c.report())
+                    else:
+                        waiting[c.image_cell].append(c)
+                reports += [c.report() for c in finishing]
+    return reports
+
+
+def _cell_order(report: VerificationReport) -> tuple[int, int, int]:
+    p = report.parameters
+    return p["k"], p["n"], p["m"]
 
 
 def run_claim(claim: str, max_weight: int = 8) -> list[VerificationReport]:
     if max_weight < 0:
         raise ValueError("max weight must be nonnegative")
     if claim == "all":
-        reports = []
-        for name in CLAIM_NAMES:
-            reports.extend(run_claim(name, max_weight))
+        reports = [
+            r for name in CLAIM_NAMES if name not in _SWEEPS
+            for r in run_claim(name, max_weight)
+        ]
+        reports += _sweep(max_weight, tuple(_SWEEPS))
         return sorted(reports, key=report_sort_key)
+    if claim in _SWEEPS:
+        return sorted(_sweep(max_weight, (claim,)), key=_cell_order)
     if claim == "pb-zero":
         return [verify_pb_zero(n) for n in _PB_ZERO_RANGE]
     if claim == "thm1":
@@ -412,20 +594,6 @@ def run_claim(claim: str, max_weight: int = 8) -> list[VerificationReport]:
         return [verify_thm_identity2(n, m) for n, m in _nm_cells(max_weight)]
     if claim == "prop-rec":
         return [verify_prop_rec(n, m) for n, m in _nm_cells(max_weight) if n >= 2]
-    if claim == "partition":
-        return [verify_partition(k, n, m) for k, n, m in _knm_cells(max_weight)]
-    if claim == "phi":
-        return [certify_phi(k, n, m) for k, n, m in _knm_cells(max_weight) if n >= 1]
-    if claim == "psi":
-        return [
-            certify_psi(k, n, m)
-            for k, n, m in _knm_cells(max_weight)
-            if k >= 1 and n >= 1
-        ]
-    if claim == "relabel":
-        return [
-            certify_relabel(k, n, m) for k, n, m in _knm_cells(max_weight) if k >= 1
-        ]
     if claim == "telescope":
         return [
             verify_telescope(n, m) for n, m in _nm_cells(max_weight) if n % 2 == 0

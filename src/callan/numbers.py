@@ -112,7 +112,23 @@ def c_number(n: int, k: int) -> int:
 
 
 def c_table(max_n: int, max_k: int) -> list[list[int]]:
-    """Rows n = 0..max_n, columns k = 0..max_k of c_number."""
+    """Rows n = 0..max_n, columns k = 0..max_k of c_number, built column
+    by column.  The coefficient [t^n] of a series does not depend on the
+    order it is truncated at, so one compose and one divide at order
+    max_n + 1 give the whole column k, where c_number pays both per cell."""
     if max_n < 0 or max_k < 0:
         raise ValueError("c_table sizes must be nonnegative")
-    return [[c_number(n, k) for k in range(max_k + 1)] for n in range(max_n + 1)]
+    order = max_n + 1
+    denominator = expm1_series(order)
+    columns = []
+    for k in range(max_k + 1):
+        _, numerator = _polylog_of_w(-k - 1, order)
+        quotient = numerator.divide(denominator)
+        column = []
+        for n in range(max_n + 1):
+            value = _require_integer(quotient.egf_coefficient(n), f"c_number({n}, {k})")
+            if value <= 0:
+                raise ConsistencyError(f"c_number({n}, {k}) = {value} is not positive; series bug")
+            column.append(value)
+        columns.append(column)
+    return [list(row) for row in zip(*columns)]

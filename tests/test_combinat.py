@@ -155,6 +155,13 @@ def test_count_one_one_one():
     assert count_mbarred(1, 1, 1) == 5
 
 
+@pytest.mark.parametrize("k,n,m", [(1, 1, -1), (0, 0, -2), (3, 0, -1)])
+def test_count_refuses_negative_m_like_enumeration(k, n, m):
+    for count_or_enumerate in (count_mbarred, lambda *c: list(enumerate_mbarred(*c))):
+        with pytest.raises(ValueError, match="m must be nonnegative"):
+            count_or_enumerate(k, n, m)
+
+
 @pytest.mark.parametrize(
     "k,n,m",
     [(k, n, m) for k in range(5) for n in range(5) for m in range(5)

@@ -1,8 +1,12 @@
+import dataclasses
+import time
+from collections import Counter
+
 import pytest
 
 from callan import harness
 from callan.bijections import phi, phi_inverse, psi_inverse
-from callan.combinat import enumerate_mbarred
+from callan.combinat import enumerate_mbarred, to_json_dict
 from callan.harness import (
     SumTerm,
     certify_phi,
@@ -245,3 +249,93 @@ def test_certificate_catches_raising_maps(monkeypatch):
     assert _kinds(certify_psi(2, 2, 0)) == {"backward-error"}
     monkeypatch.setattr(harness, "psi", refuse)
     assert _kinds(certify_psi(2, 2, 0)) == {"forward-error", "not-hit"}
+
+
+# The sweep behind run_claim streams each (k, n, m) cell once and feeds
+# every object claim from that one stream.
+
+_OBJECT_CHECKS = {
+    "partition": verify_partition,
+    "phi": certify_phi,
+    "psi": certify_psi,
+    "relabel": certify_relabel,
+}
+
+
+def _timeless(reports):
+    return [dataclasses.replace(r, elapsed=0.0) for r in reports]
+
+
+def test_sweep_streams_each_cell_once(monkeypatch):
+    streamed = Counter()
+
+    def counting(k, n, m):
+        streamed[k, n, m] += 1
+        return enumerate_mbarred(k, n, m)
+
+    monkeypatch.setattr(harness, "enumerate_mbarred", counting)
+    reports = run_claim("all", 6)
+    assert reports and all(r.passed for r in reports)
+    cells = {
+        (k, n, m)
+        for k in range(7) for n in range(7) for m in range(4)
+        if k + n + 2 * m <= 6
+    }
+    assert streamed == Counter(cells)
+
+
+def test_all_is_the_union_of_single_claims():
+    union = [r for name in harness.CLAIM_NAMES for r in run_claim(name, 6)]
+    assert _timeless(run_claim("all", 6)) == _timeless(
+        sorted(union, key=report_sort_key)
+    )
+
+
+def test_one_cell_reports_equal_the_sweep():
+    swept = [r for r in run_claim("all", 6) if r.claim_id in _OBJECT_CHECKS]
+    # 50 cells of weight <= 6; phi needs n >= 1, psi k, n >= 1, relabel k >= 1
+    assert Counter(r.claim_id for r in swept) == {
+        "partition": 50, "phi": 34, "psi": 22, "relabel": 34,
+    }
+    for r in swept:
+        p = r.parameters
+        alone = _OBJECT_CHECKS[r.claim_id](p["k"], p["n"], p["m"])
+        assert _timeless([alone]) == _timeless([r])
+
+
+def test_single_claim_sweeps_keep_cell_order():
+    for claim in _OBJECT_CHECKS:
+        cells = [tuple(r.parameters.values()) for r in run_claim(claim, 5)]
+        assert cells == sorted(cells)
+
+
+def test_sweep_looks_maps_up_when_it_runs(monkeypatch):
+    # a map patched on the module reaches the sweep, not only certify_*
+    monkeypatch.setattr(harness, "phi_inverse", lambda t: t)
+    monkeypatch.setattr(harness, "relabel_max_min", lambda s: s)
+    failing = {r.claim_id for r in run_claim("all", 4) if not r.passed}
+    assert failing == {"phi", "relabel"}
+    assert not all(r.passed for r in run_claim("phi", 4))
+
+
+def test_collision_names_the_first_preimage(monkeypatch):
+    cell = (1, 2, 0)
+    members = [s for s in enumerate_mbarred(*cell) if s.extra.red]
+    monkeypatch.setattr(harness, "phi", lambda s: phi(members[0]))
+    collisions = [
+        ce["collision"] for ce in certify_phi(*cell).counterexamples if "collision" in ce
+    ]
+    assert collisions == [
+        [to_json_dict(members[0]), to_json_dict(s)] for s in members[1:6]
+    ]
+
+
+def test_sweep_charges_each_stream_once():
+    # each report's elapsed is its own share of the sweep: the stream of a
+    # cell goes to its first consumer only, so the shares add up to no
+    # more than the sweep took
+    started = time.perf_counter()
+    reports = run_claim("all", 6)
+    took = time.perf_counter() - started
+    assert all(r.elapsed > 0.0 for r in reports)
+    assert sum(r.elapsed for r in reports) <= took

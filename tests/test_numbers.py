@@ -53,6 +53,15 @@ def test_c_table_transpose_symmetric():
     assert t == [list(row) for row in zip(*t)]
 
 
+@pytest.mark.parametrize("max_n,max_k", [(0, 0), (0, 4), (9, 2), (3, 11)])
+def test_c_table_columns_equal_c_number_cells(max_n, max_k):
+    # c_table builds each column from one series division; c_number
+    # divides once per cell
+    assert c_table(max_n, max_k) == [
+        [c_number(n, k) for k in range(max_k + 1)] for n in range(max_n + 1)
+    ]
+
+
 def test_c_number_row_one():
     assert [c_number(1, k) for k in range(6)] == [1, 3, 7, 15, 31, 63]
 
