@@ -287,16 +287,15 @@ def validate_dumont(perm: DumontPermutation) -> tuple[bool, str]:
 # ---------------------------------------------------------------------------
 
 
-def _nonempty_subsets_lex(avail: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-    """Nonempty subsets of a sorted tuple, as sorted tuples in lex order."""
-
-    def rec(prefix: tuple[int, ...], start: int) -> Iterator[tuple[int, ...]]:
-        for i in range(start, len(avail)):
-            cur = prefix + (avail[i],)
-            yield cur
-            yield from rec(cur, i + 1)
-
-    return rec((), 0)
+def _nonempty_subsets_lex(
+    avail: tuple[int, ...], prefix: tuple[int, ...] = (), start: int = 0
+) -> Iterator[tuple[int, ...]]:
+    """Nonempty subsets of a sorted tuple, as sorted tuples in lex order,
+    each extending `prefix` by members of avail[start:]."""
+    for i in range(start, len(avail)):
+        cur = prefix + (avail[i],)
+        yield cur
+        yield from _nonempty_subsets_lex(avail, cur, i + 1)
 
 
 def _ordered_partitions(
@@ -346,6 +345,8 @@ def bar_arrangements(m: int, runs: int) -> tuple[tuple[tuple[Bar, ...], ...], ..
     Backtracking order: a run is closed before it is extended; candidate
     bars are tried ascending by (label, blue before red).
     """
+    if m < 0 or runs < 0:
+        raise ValueError("m and runs must be nonnegative")
     pool = sorted(
         [Bar(BLUE, i) for i in range(1, m + 1)] + [Bar(RED, i) for i in range(m + 1)],
         key=lambda b: (b.label, b.color != BLUE),
@@ -448,10 +449,11 @@ CELL_BARRED_MAX = "star-only-barred-max-singleton"
 def has_barred_blue_singleton(seq: MBarredSequence, label: int) -> bool:
     """True if `label` forms a singleton blue block of an ordinary pair and
     at least one bar stands immediately before that pair."""
-    target = frozenset({label})
-    for i, e in enumerate(seq.elements):
-        if isinstance(e, CallanPair) and not e.is_extra and e.blue == target:
-            return i > 0 and isinstance(seq.elements[i - 1], Bar)
+    before = None
+    for e in seq.elements:
+        if isinstance(e, CallanPair) and label in e.blue:  # blue blocks are disjoint
+            return not e.is_extra and len(e.blue) == 1 and isinstance(before, Bar)
+        before = e
     return False
 
 

@@ -104,7 +104,11 @@ def c_number(n: int, k: int) -> int:
     """
     if n < 0 or k < 0:
         raise ValueError("c_number indices must be nonnegative")
-    value = poly_bernoulli_c(n, -k - 1)
+    return _positive_c(poly_bernoulli_c(n, -k - 1), n, k)
+
+
+def _positive_c(value: Fraction, n: int, k: int) -> int:
+    """C_n^k from its poly-Bernoulli value, checked to be a positive integer."""
     result = _require_integer(value, f"c_number({n}, {k})")
     if result <= 0:
         raise ConsistencyError(f"c_number({n}, {k}) = {result} is not positive; series bug")
@@ -124,11 +128,7 @@ def c_table(max_n: int, max_k: int) -> list[list[int]]:
     for k in range(max_k + 1):
         _, numerator = _polylog_of_w(-k - 1, order)
         quotient = numerator.divide(denominator)
-        column = []
-        for n in range(max_n + 1):
-            value = _require_integer(quotient.egf_coefficient(n), f"c_number({n}, {k})")
-            if value <= 0:
-                raise ConsistencyError(f"c_number({n}, {k}) = {value} is not positive; series bug")
-            column.append(value)
-        columns.append(column)
+        columns.append(
+            [_positive_c(quotient.egf_coefficient(n), n, k) for n in range(max_n + 1)]
+        )
     return [list(row) for row in zip(*columns)]

@@ -1,3 +1,4 @@
+import gc
 import json
 import pathlib
 from itertools import combinations, permutations
@@ -10,6 +11,7 @@ from callan.combinat import (
     RED,
     Bar,
     CallanPair,
+    bar_arrangements,
     MBarredSequence,
     DumontPermutation,
     validate_mbarred,
@@ -160,6 +162,28 @@ def test_count_refuses_negative_m_like_enumeration(k, n, m):
     for count_or_enumerate in (count_mbarred, lambda *c: list(enumerate_mbarred(*c))):
         with pytest.raises(ValueError, match="m must be nonnegative"):
             count_or_enumerate(k, n, m)
+
+
+def test_enumeration_leaves_no_cyclic_garbage():
+    # what the enumerator drops is freed by reference counting alone, so
+    # the cyclic collector finds nothing and takes no pauses for it
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        assert sum(1 for _ in enumerate_callan(4, 4)) == 6902
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
+
+
+@pytest.mark.parametrize("m,runs", [(-1, 2), (0, -1), (-1, -1)])
+def test_bar_arrangements_refuses_negative_sizes(m, runs):
+    cached = bar_arrangements.cache_info().currsize
+    with pytest.raises(ValueError, match="must be nonnegative"):
+        bar_arrangements(m, runs)
+    assert bar_arrangements.cache_info().currsize == cached  # refusals are not cached
 
 
 @pytest.mark.parametrize(

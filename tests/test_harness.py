@@ -1,12 +1,15 @@
 import dataclasses
+import hashlib
+import json
 import time
 from collections import Counter
+from itertools import zip_longest
 
 import pytest
 
 from callan import harness
 from callan.bijections import phi, phi_inverse, psi_inverse
-from callan.combinat import enumerate_mbarred, to_json_dict
+from callan.combinat import enumerate_mbarred
 from callan.harness import (
     SumTerm,
     certify_phi,
@@ -195,15 +198,16 @@ def _kinds(report):
 
 
 def test_certificate_catches_collision(monkeypatch):
-    # phi sends every sequence to the image of the first one; in (2, 2, 0)
-    # collisions and failed round trips exceed the cap, and the cap per
-    # kind still leaves room for the codomain elements never hit
+    # phi sends every sequence to the image of the first one; a forward map
+    # that is not injective fails its round trips, so no collision kind is
+    # needed, and in (2, 2, 0) the cap per kind still leaves room for the
+    # codomain elements never hit
     for cell in [(1, 2, 0), (2, 2, 0)]:
         first = next(s for s in enumerate_mbarred(*cell) if s.extra.red)
         monkeypatch.setattr(harness, "phi", lambda s, first=first: phi(first))
         r = certify_phi(*cell)
         assert not r.passed
-        assert {"collision", "roundtrip", "not-hit"} <= _kinds(r)
+        assert _kinds(r) == {"roundtrip", "not-hit"}
         for kind in _kinds(r):
             count = sum(kind in ce for ce in r.counterexamples)
             assert count <= harness._COUNTEREXAMPLE_CAP
@@ -318,18 +322,6 @@ def test_sweep_looks_maps_up_when_it_runs(monkeypatch):
     assert not all(r.passed for r in run_claim("phi", 4))
 
 
-def test_collision_names_the_first_preimage(monkeypatch):
-    cell = (1, 2, 0)
-    members = [s for s in enumerate_mbarred(*cell) if s.extra.red]
-    monkeypatch.setattr(harness, "phi", lambda s: phi(members[0]))
-    collisions = [
-        ce["collision"] for ce in certify_phi(*cell).counterexamples if "collision" in ce
-    ]
-    assert collisions == [
-        [to_json_dict(members[0]), to_json_dict(s)] for s in members[1:6]
-    ]
-
-
 def test_sweep_charges_each_stream_once():
     # each report's elapsed is its own share of the sweep: the stream of a
     # cell goes to its first consumer only, so the shares add up to no
@@ -339,3 +331,63 @@ def test_sweep_charges_each_stream_once():
     took = time.perf_counter() - started
     assert all(r.elapsed > 0.0 for r in reports)
     assert sum(r.elapsed for r in reports) <= took
+
+
+# A certificate takes its domain and codomain sides in any order.
+
+_CERTIFICATES = {
+    "phi": (harness._phi_certificate, ("phi", "phi_inverse")),
+    "psi": (harness._psi_certificate, ("psi", "psi_inverse")),
+    "relabel": (harness._relabel_certificate, ("relabel_max_min",)),
+}
+
+
+def _fed(make, cell, order):
+    certificate = make(*cell)
+    domain = list(enumerate_mbarred(*certificate.cell))
+    codomain = list(enumerate_mbarred(*certificate.image_cell))
+    if order == "domain-first":
+        feeds = [(certificate.domain, s) for s in domain]
+        feeds += [(certificate.codomain, t) for t in codomain]
+    elif order == "codomain-first":
+        feeds = [(certificate.codomain, t) for t in codomain]
+        feeds += [(certificate.domain, s) for s in domain]
+    else:  # one interleaved stream, as _stream_cell feeds a shared cell
+        feeds = [
+            pair
+            for s, t in zip_longest(domain, codomain)
+            for pair in ((certificate.domain, s), (certificate.codomain, t))
+            if pair[1] is not None
+        ]
+    for feed, seq in feeds:
+        feed(seq)
+    return dataclasses.replace(certificate.report(), elapsed=0.0)
+
+
+@pytest.mark.parametrize("identity", [False, True])
+@pytest.mark.parametrize("claim,k,n,m", [
+    ("phi", 2, 2, 0), ("phi", 1, 2, 1), ("psi", 2, 2, 0),
+    ("psi", 2, 1, 1), ("relabel", 2, 1, 1), ("relabel", 3, 1, 0),
+])
+def test_certificate_ignores_the_order_of_its_sides(monkeypatch, claim, k, n, m, identity):
+    # a passing cell passes in every order, and with identity maps patched
+    # in, every order names the same counterexamples
+    make, maps = _CERTIFICATES[claim]
+    if identity:
+        for name in maps:
+            monkeypatch.setattr(harness, name, lambda s: s)
+    cell = (k, n, m)
+    first = _fed(make, cell, "domain-first")
+    assert first.passed != identity and first.lhs > 0
+    assert _fed(make, cell, "codomain-first") == first
+    assert _fed(make, cell, "interleaved") == first
+
+
+def test_run_all_at_weight_seven_is_pinned():
+    # sha256 of the 283 reports of run_claim("all", 7) without elapsed:
+    # their claims, cells, sizes and verdicts, in order
+    reports = [report_to_json_dict(r) for r in run_claim("all", 7)]
+    for data in reports:
+        del data["elapsed"]
+    digest = hashlib.sha256(json.dumps(reports, sort_keys=True).encode()).hexdigest()
+    assert digest == "caa2c9d9f94452a305358b5e28fc1d733b706eeae13193bb006f50152073e8ff"
