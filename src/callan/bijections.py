@@ -50,7 +50,6 @@ carries the barred-max-singleton subset onto the barred-min-singleton one
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from .combinat import (
@@ -63,6 +62,7 @@ from .combinat import (
     _from_wire,
     _require_mbarred,
     _to_wire,
+    _wire_json,
     in_barred_max_subset,
     in_barred_min_subset,
 )
@@ -454,4 +454,4 @@ def intermediate_from_json_dict(data: dict) -> PsiIntermediate:
 
 
 def canonical_intermediate_json(inter: PsiIntermediate) -> str:
-    return json.dumps(intermediate_to_json_dict(inter), separators=(",", ":"))
+    return _wire_json(inter, intermediate=True)

@@ -33,7 +33,6 @@ connects the two families.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Union
@@ -148,7 +147,7 @@ class MBarredSequence:
 
     @property
     def extra(self) -> CallanPair:
-        last = self.elements[-1]
+        last = self.elements[-1] if self.elements else None
         if not isinstance(last, CallanPair) or not last.is_extra:
             raise DomainError("sequence does not end with the extra pair")
         return last
@@ -344,6 +343,15 @@ def bar_arrangements(m: int, runs: int) -> tuple[tuple[tuple[Bar, ...], ...], ..
     Runs are independent because a pair separates consecutive runs.
     Backtracking order: a run is closed before it is extended; candidate
     bars are tried ascending by (label, blue before red).
+
+    The search works on indices into the sorted pool.  Before it starts,
+    `successors[i]` lists, ascending, the pool indices that may follow bar
+    i under `_may_follow`, so a step scans only those instead of testing
+    the whole pool; a run's first bar may be any unused one.  Filtering an
+    ascending list keeps it ascending, so the candidates come in the same
+    order as a scan of the whole pool, and the arrangements come out in
+    the same order.  Bar objects are gathered only when an arrangement is
+    stored.
     """
     if m < 0 or runs < 0:
         raise ValueError("m and runs must be nonnegative")
@@ -351,28 +359,27 @@ def bar_arrangements(m: int, runs: int) -> tuple[tuple[tuple[Bar, ...], ...], ..
         [Bar(BLUE, i) for i in range(1, m + 1)] + [Bar(RED, i) for i in range(m + 1)],
         key=lambda b: (b.label, b.color != BLUE),
     )
+    red = [b.color == RED for b in pool]
+    successors = [[j for j, nxt in enumerate(pool) if _may_follow(b, nxt)] for b in pool]
     results: list[tuple[tuple[Bar, ...], ...]] = []
-    current: list[list[Bar]] = [[] for _ in range(runs)]
+    current: list[list[int]] = [[] for _ in range(runs)]
     used = [False] * len(pool)
 
     def rec(run_idx: int, remaining: int) -> None:
         if run_idx == runs:
             if remaining == 0:
-                results.append(tuple(tuple(r) for r in current))
+                results.append(tuple(tuple(pool[i] for i in r) for r in current))
             return
         run = current[run_idx]
-        if not run or run[-1].color == RED:
+        if not run or red[run[-1]]:
             rec(run_idx + 1, remaining)
-        for i, bar in enumerate(pool):
-            if used[i]:
-                continue
-            if run and not _may_follow(run[-1], bar):
-                continue
-            used[i] = True
-            run.append(bar)
-            rec(run_idx, remaining - 1)
-            run.pop()
-            used[i] = False
+        for i in successors[run[-1]] if run else range(len(pool)):
+            if not used[i]:
+                used[i] = True
+                run.append(i)
+                rec(run_idx, remaining - 1)
+                run.pop()
+                used[i] = False
 
     rec(0, len(pool))
     return tuple(results)
@@ -618,6 +625,28 @@ def _to_wire(obj, intermediate: bool) -> dict:
     return out
 
 
+def _wire_json(obj, intermediate: bool) -> str:
+    """The canonical text of `_to_wire(obj, intermediate)`, written directly:
+    the same bytes as json.dumps of that dict with separators (",", ":"),
+    without building the dict.  Labels and block members are ints and the
+    colors are BLUE or RED, so none of them needs escaping."""
+    parts = []
+    for e in obj.elements:
+        if isinstance(e, Bar):
+            parts.append(f'{{"bar":{{"color":"{e.color}","label":{e.label}}}}}')
+        else:
+            blue = ",".join(map(str, sorted(e.blue)))
+            red = ",".join(map(str, sorted(e.red)))
+            extra = "true" if e.is_extra else "false"
+            parts.append(f'{{"pair":{{"blue":[{blue}],"red":[{red}],"extra":{extra}}}}}')
+    marker = '"intermediate":true,' if intermediate else ""
+    return (
+        f'{{"m":{obj.m},"k":{obj.k},"n":{obj.n},{marker}"elements":['
+        + ",".join(parts)
+        + "]}"
+    )
+
+
 def _from_wire(data, intermediate: bool) -> tuple[int, int, int, tuple[Element, ...]]:
     """Parse the wire form strictly into (m, k, n, elements).  These are
     shape checks only: the maps validate the combinatorial rules on what
@@ -654,5 +683,6 @@ def from_json_dict(data: dict) -> MBarredSequence:
 
 def canonical_json(seq: MBarredSequence) -> str:
     """Bit-exact canonical serialization: fixed key order, no whitespace,
-    blocks ascending."""
-    return json.dumps(to_json_dict(seq), separators=(",", ":"))
+    blocks ascending.  Equal to json.dumps(to_json_dict(seq),
+    separators=(",", ":"))."""
+    return _wire_json(seq, intermediate=False)

@@ -287,6 +287,20 @@ def test_intermediate_json_marker():
         intermediate_from_json_dict(to_json_dict(s))
 
 
+def test_canonical_intermediate_json_is_json_dumps_of_the_dict_form():
+    images = [
+        psi_b(s)
+        for k in range(7)
+        for n in range(7 - k)
+        for m in range((6 - k - n) // 2 + 1)
+        for s in enumerate_mbarred(k, n, m)
+        if psi_domain(s) is None
+    ]
+    assert images
+    for inter in images:
+        assert canonical_intermediate_json(inter) == _compact(intermediate_to_json_dict(inter))
+
+
 def test_psi_b_inverse_refuses_intermediates_without_final_extra_pair():
     s = next(s for s in enumerate_mbarred(2, 1, 0) if in_barred_min_subset(s))
     inter = psi_b(s)

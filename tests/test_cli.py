@@ -1,3 +1,4 @@
+import hashlib
 import json
 import pathlib
 import random
@@ -95,6 +96,27 @@ def test_enumerate_mbarred_json_lines(capsys):
     for line in lines:
         obj = json.loads(line)
         assert (obj["m"], obj["k"], obj["n"]) == (0, 2, 1)
+
+
+# sha256 of `enumerate --kind mbarred --json` per (k, n, m): the four
+# bar-heavy cells of the benchmark's stream workload and one small cell,
+# recorded while canonical_json still went through json.dumps and the bar
+# search still scanned the whole pool.
+PINNED_ENUMERATIONS = {
+    (1, 1, 4): "8a3877133b2c3521ac712c1873eb80c38c9da4ff409cda036f8afae9827c52a3",
+    (2, 2, 3): "47613f22c929144efc14beb4cc3890a32393c32cc40b53d4e997718247f32588",
+    (3, 2, 3): "b0b88b09de9efa1640ce375b499a078953ce6d0d26f1a53df6a1e9909ad94cc8",
+    (0, 0, 5): "1fd540ccab75259107e025d913b3c665917ddd9e41758741063c9507002fc985",
+    (2, 2, 1): "446c5d2d7e824123822ca0874d77c485c77c928cd8838fe4c6fba00ddba24e2f",
+}
+
+
+@pytest.mark.parametrize("k,n,m", sorted(PINNED_ENUMERATIONS))
+def test_enumerate_mbarred_json_reproduces_pinned_digest(capsys, k, n, m):
+    code, out, _ = run(capsys, "enumerate", "--kind", "mbarred",
+                       "--k", str(k), "--n", str(n), "--m", str(m), "--json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_ENUMERATIONS[(k, n, m)]
 
 
 def test_enumerate_dumont(capsys):

@@ -34,8 +34,10 @@ from callan.combinat import (
     to_json_dict,
     from_json_dict,
     canonical_json,
+    _may_follow,
 )
 from callan.errors import DomainError
+from callan.numbers import genocchi
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -65,6 +67,41 @@ def brute_force_mbarred(k, n, m):
                 if validate_mbarred(cand)[0]:
                     out.add(cand)
     return out
+
+
+def backtrack_bar_arrangements(m, runs):
+    """Oracle for bar_arrangements: the same backtracking without the
+    successor table, testing every bar of the pool with _may_follow at
+    every step.  Same order: a run is closed before it is extended, and
+    candidates are tried ascending by (label, blue before red)."""
+    pool = sorted(
+        [Bar(BLUE, i) for i in range(1, m + 1)] + [Bar(RED, i) for i in range(m + 1)],
+        key=lambda b: (b.label, b.color != BLUE),
+    )
+    results = []
+    current = [[] for _ in range(runs)]
+    used = [False] * len(pool)
+
+    def rec(run_idx, remaining):
+        if run_idx == runs:
+            if remaining == 0:
+                results.append(tuple(tuple(r) for r in current))
+            return
+        run = current[run_idx]
+        if not run or run[-1].color == RED:
+            rec(run_idx + 1, remaining)
+        for i, bar in enumerate(pool):
+            if used[i] or (run and not _may_follow(run[-1], bar)):
+                continue
+            used[i] = True
+            run.append(bar)
+            rec(run_idx, remaining - 1)
+            run.pop()
+            used[i] = False
+
+    rec(0, len(pool))
+    return tuple(results)
+
 
 # All fourteen sequences with two blue and two red elements.
 CALLAN_2_2 = {
@@ -186,6 +223,23 @@ def test_bar_arrangements_refuses_negative_sizes(m, runs):
     assert bar_arrangements.cache_info().currsize == cached  # refusals are not cached
 
 
+# m <= 5 and runs <= 4, as far as 2m + 1 bars plus runs stay within 12:
+# (5, 4) alone has 1,216,176 arrangements and takes the oracle a minute.
+@pytest.mark.parametrize(
+    "m,runs",
+    [(m, runs) for m in range(6) for runs in range(5) if 2 * m + 1 + runs <= 12],
+)
+def test_bar_arrangements_match_backtracking_oracle(m, runs):
+    assert bar_arrangements(m, runs) == backtrack_bar_arrangements(m, runs)
+
+
+@pytest.mark.parametrize("m", range(7))
+def test_one_run_arrangements_count_genocchi(m):
+    # one run of all 2m+1 bars reads as a Dumont permutation of length 2m
+    # followed by the red bar m, so there are |G_{2m+2}| of them
+    assert len(bar_arrangements(m, 1)) == abs(genocchi(2 * m + 2))
+
+
 @pytest.mark.parametrize(
     "k,n,m",
     [(k, n, m) for k in range(5) for n in range(5) for m in range(5)
@@ -250,6 +304,13 @@ def test_classify_cells_partition():
         assert sum(cells.values()) == count_mbarred(k, n, m)
 
 
+def test_cell_predicates_refuse_an_empty_sequence():
+    seq = from_json_dict({"m": 0, "k": 0, "n": 0, "elements": []})
+    for predicate in (classify, in_barred_min_subset, in_barred_max_subset):
+        with pytest.raises(DomainError, match="does not end with the extra pair"):
+            predicate(seq)
+
+
 def test_star_only_empty_when_no_blue():
     # with no blue elements every ordinary red block is impossible to
     # balance, so the extra red block soaks up everything
@@ -311,6 +372,38 @@ def test_canonical_json_bytes_stable():
         '{"pair":{"blue":[1],"red":[1],"extra":false}},'
         '{"pair":{"blue":[],"red":[],"extra":true}}]}'
     )
+
+
+def _weight_at_most(w):
+    """Every m-barred sequence of weight k + n + 2m <= w."""
+    for k in range(w + 1):
+        for n in range(w + 1 - k):
+            for m in range((w - k - n) // 2 + 1):
+                yield from enumerate_mbarred(k, n, m)
+
+
+def _dumps(data):
+    return json.dumps(data, separators=(",", ":"))
+
+
+def test_canonical_json_is_json_dumps_of_the_dict_form():
+    seqs = list(_weight_at_most(6))
+    assert len(seqs) == 2192
+    for seq in seqs:
+        assert canonical_json(seq) == _dumps(to_json_dict(seq))
+
+
+def test_canonical_json_with_two_digit_labels():
+    # blocks sort as integers, not as strings: 9 before 10 before 12
+    seq = MBarredSequence(
+        11, 3, 2,
+        (Bar(BLUE, 11), Bar(RED, 10),
+         CallanPair(frozenset({12, 9, 10}), frozenset({13})),
+         Bar(RED, 11),
+         CallanPair(frozenset(), frozenset({12}), True)),
+    )
+    assert canonical_json(seq) == _dumps(to_json_dict(seq))
+    assert '"blue":[9,10,12]' in canonical_json(seq)
 
 
 def test_from_json_rejects_malformed():
