@@ -1,10 +1,11 @@
 """The two structural bijections on m-barred Callan sequences.
 
-The maps work on slots.  A sequence's elements cut into one slot per
-pair: the run of bars standing immediately before the pair (possibly
-empty) and the pair itself.  The last slot holds the extra pair.  A map
-moves, merges or splits slots and replaces blocks, then flattens the
-slots back into elements, giving the extra pair its new red block.
+The map cores work on the packed form of combinat: (m, k, n, slots),
+one slot (bar codes, blue bitmask, red bitmask) per pair, the extra pair
+last.  A core moves, merges or splits slots and replaces blocks by mask
+operations, then gives the extra pair its new red block.  The public maps
+validate the object they accept, pack it, run the core, decode the result
+and validate it; the harness runs the cores on packed sequences directly.
 
 phi trades the maximal red element mu = m+n for a new maximal blue element
 m+k+1: it maps sequences whose extra red block is nonempty, with k blue
@@ -40,8 +41,8 @@ red elements.  It factors as psi_r after psi_b:
 
 Between the two stages lives an intermediate that already carries the new
 blue bar but still has n red elements and a nonempty extra red block.  It
-violates the bar grammar on purpose and is its own type; the slot
-decomposition refuses one that does not end with the extra pair.
+violates the bar grammar on purpose and is its own type; pack refuses
+one that the packed form cannot hold.
 
 relabel_max_min exchanges the maximal and minimal blue element labels and
 carries the barred-max-singleton subset onto the barred-min-singleton one
@@ -53,18 +54,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .combinat import (
-    BLUE,
-    RED,
-    Bar,
-    CallanPair,
     Element,
     MBarredSequence,
+    Packed,
+    Slot,
+    _Memo,
+    _element,
     _from_wire,
     _require_mbarred,
     _to_wire,
     _wire_json,
     in_barred_max_subset,
     in_barred_min_subset,
+    pack,
+    unpack,
 )
 from .errors import ConsistencyError, DomainError
 
@@ -110,8 +113,8 @@ class PsiIntermediate:
 # ---------------------------------------------------------------------------
 # the sets the maps run between: each predicate takes a valid sequence and
 # returns why it lies outside its set, or None.  The public maps check what
-# they accept and emit against them (_checked), and the harness certifies
-# their unvalidating cores (_phi, _psi, ...) over exactly them.
+# they accept and emit against them (_checked); the harness certifies the
+# packed cores (_phi, _psi, ...) over the same sets, read on packed form.
 # ---------------------------------------------------------------------------
 
 
@@ -171,34 +174,28 @@ def _checked(core, accepts=None, emits=None):
     return checked
 
 
-# ---------------------------------------------------------------------------
-# slots: (bar run, pair)
-# ---------------------------------------------------------------------------
+def _on_objects(core, result=MBarredSequence):
+    """`core`, a map on the packed form, as a map on objects: pack the
+    argument, run the core and decode its packed result into `result`
+    (None passes a phi case through), reusing the argument's elements
+    where the core left them unchanged.  An intermediate that the packed
+    form cannot hold is refused in the name of the public map."""
+    what = core.__name__[1:]
 
-_Slot = tuple[tuple[Bar, ...], CallanPair]
+    def on_objects(obj):
+        memo = _Memo(_element)
+        out = core(pack(obj, what, memo))
+        return out if result is None else unpack(out, result, memo)
 
-
-def _slots(elements: tuple[Element, ...], what: str) -> list[_Slot]:
-    """Cut elements into slots.  Only an intermediate can fail to end with
-    the extra pair, and it is refused as outside the domain of `what`."""
-    slots: list[_Slot] = []
-    run: list[Bar] = []
-    for e in elements:
-        if isinstance(e, Bar):
-            run.append(e)
-        else:
-            slots.append((tuple(run), e))
-            run = []
-    if run or not slots or not slots[-1][1].is_extra:
-        raise DomainError(f"{what}: intermediate must end with the extra pair")
-    return slots
+    on_objects.__name__, on_objects.__doc__ = core.__name__, core.__doc__
+    return on_objects
 
 
-def _elements(slots: list[_Slot], extra_red: frozenset[int]) -> tuple[Element, ...]:
-    """Flatten slots back into elements; the extra pair gets `extra_red`."""
-    *body, (run, extra) = slots
-    out = [e for bars, pair in body for e in (*bars, pair)]
-    return (*out, *run, CallanPair(extra.blue, extra_red, True))
+def _with_extra_red(slots: list[Slot], red: int) -> tuple[Slot, ...]:
+    """The slots, the extra pair's red block replaced by `red`."""
+    run, blue, _ = slots[-1]
+    slots[-1] = (run, blue, red)
+    return tuple(slots)
 
 
 # ---------------------------------------------------------------------------
@@ -206,93 +203,94 @@ def _elements(slots: list[_Slot], extra_red: frozenset[int]) -> tuple[Element, .
 # ---------------------------------------------------------------------------
 
 
-def _phi_case(seq: MBarredSequence) -> str:
+def _phi_case(seq: Packed) -> str:
     """Which of the four phi moves applies: A1/A2 when the maximal red
     element sits in the extra block (alone with the star / accompanied),
     B1/B2 when it sits in an ordinary block (as a singleton / with others)."""
-    extra = seq.extra
-    mu = seq.m + seq.n
-    if mu in extra.red:
-        return "A1" if extra.red == {mu} else "A2"
-    owner = next(p for p in seq.pairs() if mu in p.red)  # an ordinary pair
-    return "B1" if owner.red == {mu} else "B2"
+    m, _, n, slots = seq
+    mu = 1 << (m + n)
+    extra_red = slots[-1][2]
+    if extra_red & mu:
+        return "A1" if extra_red == mu else "A2"
+    red = next(red for _, _, red in slots if red & mu)  # an ordinary pair's
+    return "B1" if red == mu else "B2"
 
 
-def _phi(seq: MBarredSequence) -> MBarredSequence:
+def _phi(seq: Packed) -> Packed:
     """Remove the maximal red element mu = m+n, add the new maximal blue
     element m+k+1, and rearrange so the move is invertible."""
     case = _phi_case(seq)
-    mu = seq.m + seq.n
-    new_blue = seq.m + seq.k + 1
-    slots = _slots(seq.elements, "phi")
-    extra = slots[-1][1]
+    m, k, n, slots = seq
+    mu = 1 << (m + n)
+    new_blue = 1 << (m + k + 1)
+    slots = list(slots)
+    extra_red = slots[-1][2]
     if case == "A1":
-        run, first = slots[0]
-        slots[0] = (run, CallanPair(first.blue | {new_blue}, first.red, first.is_extra))
+        run, blue, red = slots[0]
+        slots[0] = (run, blue | new_blue, red)
     elif case == "A2":
-        slots.insert(0, ((), CallanPair(frozenset({new_blue}), extra.red - {mu})))
+        slots.insert(0, ((), new_blue, extra_red ^ mu))
     else:
-        i = next(j for j, (_, p) in enumerate(slots) if mu in p.red)
-        run, pair = slots[i]
+        i = next(j for j, (_, _, red) in enumerate(slots) if red & mu)
+        run, blue, red = slots[i]
         if case == "B1":
             del slots[i]
-            after_run, after = slots[i]
-            slots[i] = (
-                after_run,
-                CallanPair(after.blue | {new_blue}, after.red, after.is_extra),
-            )
+            after_run, after_blue, after_red = slots[i]
+            slots[i] = (after_run, after_blue | new_blue, after_red)
         else:
-            slots[i] = ((), CallanPair(frozenset({new_blue}), pair.red - {mu}))
-        slots.insert(0, (run, CallanPair(pair.blue, extra.red)))
-    return MBarredSequence(seq.m, seq.k + 1, seq.n - 1, _elements(slots, frozenset()))
+            slots[i] = ((), new_blue, red ^ mu)
+        slots.insert(0, (run, blue, extra_red))
+    return m, k + 1, n - 1, _with_extra_red(slots, 0)
 
 
-def _phi_inverse_case(seq: MBarredSequence) -> str:
+def _phi_inverse_case(seq: Packed) -> str:
     """Recover the phi move from an image element: the new maximal blue
     element sits in the first pair iff the move was A1/A2 and forms an
     ordinary singleton iff the move was A2/B2."""
-    top = seq.m + seq.k
-    pairs = seq.pairs()
-    q_i = next(j for j, p in enumerate(pairs) if top in p.blue)
-    q = pairs[q_i]
-    alone = not q.is_extra and q.blue == {top}
+    m, k, _, slots = seq
+    top = 1 << (m + k)
+    q_i = next(j for j, (_, blue, _) in enumerate(slots) if blue & top)
+    alone = slots[q_i][1] == top and q_i < len(slots) - 1
     if q_i == 0:
         return "A2" if alone else "A1"
     return "B2" if alone else "B1"
 
 
-def _phi_inverse(seq: MBarredSequence) -> MBarredSequence:
+def _phi_inverse(seq: Packed) -> Packed:
     """Undo phi: remove the maximal blue element, restore mu = m+n of the
     preimage, and put any launched slot back in place."""
     case = _phi_inverse_case(seq)
-    top = seq.m + seq.k
-    mu = seq.m + seq.n + 1
-    slots = _slots(seq.elements, "phi_inverse")
-    q_i = next(j for j, (_, p) in enumerate(slots) if top in p.blue)
-    run, q = slots[q_i]
+    m, k, n, slots = seq
+    top = 1 << (m + k)
+    mu = 1 << (m + n + 1)
+    slots = list(slots)
+    q_i = next(j for j, (_, blue, _) in enumerate(slots) if blue & top)
+    run, q_blue, q_red = slots[q_i]
     if case in ("A1", "B1"):
-        slots[q_i] = (run, CallanPair(q.blue - {top}, q.red, q.is_extra))
+        slots[q_i] = (run, q_blue ^ top, q_red)
     if case == "A1":
-        extra_red = frozenset({mu})
+        extra_red = mu
     else:
-        lead, first = slots.pop(0)  # the slot phi launched to the front
+        lead, first_blue, first_red = slots.pop(0)  # the slot phi launched to the front
         if case == "A2":
-            extra_red = q.red | {mu}  # first is q, which has no bars
+            extra_red = q_red | mu  # the first slot is q's, which has no bars
         else:
-            extra_red = first.red
+            extra_red = first_red
             if case == "B1":
-                slots.insert(q_i - 1, (lead, CallanPair(first.blue, frozenset({mu}))))
+                slots.insert(q_i - 1, (lead, first_blue, mu))
             else:  # B2: phi_image leaves q without bars
-                slots[q_i - 1] = (lead, CallanPair(first.blue, q.red | {mu}))
-    return MBarredSequence(seq.m, seq.k - 1, seq.n + 1, _elements(slots, extra_red))
+                slots[q_i - 1] = (lead, first_blue, q_red | mu)
+    return m, k - 1, n + 1, _with_extra_red(slots, extra_red)
 
 
 _PHI_IN = ("phi: input outside phi's domain", phi_domain)
 _PHI_INV_IN = ("phi_inverse: input outside phi's image", phi_image)
-phi_case = _checked(_phi_case, _PHI_IN)
-phi = _checked(_phi, _PHI_IN, ("phi: bad image", phi_image))
-phi_inverse_case = _checked(_phi_inverse_case, _PHI_INV_IN)
-phi_inverse = _checked(_phi_inverse, _PHI_INV_IN, ("phi_inverse: bad image", phi_domain))
+phi_case = _checked(_on_objects(_phi_case, None), _PHI_IN)
+phi = _checked(_on_objects(_phi), _PHI_IN, ("phi: bad image", phi_image))
+phi_inverse_case = _checked(_on_objects(_phi_inverse_case, None), _PHI_INV_IN)
+phi_inverse = _checked(
+    _on_objects(_phi_inverse), _PHI_INV_IN, ("phi_inverse: bad image", phi_domain)
+)
 
 
 # ---------------------------------------------------------------------------
@@ -300,28 +298,24 @@ phi_inverse = _checked(_phi_inverse, _PHI_INV_IN, ("phi_inverse: bad image", phi
 # ---------------------------------------------------------------------------
 
 
-def _relabel_max_min(seq: MBarredSequence) -> MBarredSequence:
+def _relabel_max_min(seq: Packed) -> Packed:
     """Exchange the maximal and minimal blue element labels everywhere.
     Maps the barred-max-singleton subset onto the barred-min-singleton one
     and back; an involution (the identity when k = 1)."""
-    hi, lo = seq.m + seq.k, seq.m + 1
+    m, k, n, slots = seq
+    hi, lo = 1 << (m + k), 1 << (m + 1)
     if hi == lo:
         return seq
-
-    def swap(x: int) -> int:
-        return lo if x == hi else hi if x == lo else x
-
-    elements = tuple(
-        CallanPair(frozenset(swap(x) for x in e.blue), e.red, e.is_extra)
-        if isinstance(e, CallanPair)
-        else e
-        for e in seq.elements
+    both = hi | lo
+    # a block that holds exactly one of the two labels trades it for the other
+    return m, k, n, tuple(
+        (run, blue ^ both if (blue & both) in (hi, lo) else blue, red)
+        for run, blue, red in slots
     )
-    return MBarredSequence(seq.m, seq.k, seq.n, elements)
 
 
 relabel_max_min = _checked(
-    _relabel_max_min,
+    _on_objects(_relabel_max_min),
     ("relabel_max_min: input outside its domain", relabel_domain),
     ("relabel_max_min: bad image", relabel_domain),
 )
@@ -332,19 +326,21 @@ relabel_max_min = _checked(
 # ---------------------------------------------------------------------------
 
 
-def _psi_b(seq: MBarredSequence) -> PsiIntermediate:
+def _psi_b(seq: Packed) -> Packed:
     """First psi stage: the pair ({m+1}, R) dissolves.  Its left bar run w1
     (nonempty by the domain condition) and right bar run w2 swap around a
     new blue bar labelled m+1, and R moves into the extra red block."""
-    label = seq.m + 1
-    slots = _slots(seq.elements, "psi_b")
-    i = next(j for j, (_, p) in enumerate(slots) if label in p.blue)
-    (w1, pair), (w2, after) = slots[i : i + 2]
-    slots[i : i + 2] = [(w2 + (Bar(BLUE, label),) + w1, after)]
-    return PsiIntermediate(seq.m, seq.k, seq.n, _elements(slots, pair.red))
+    m, k, n, slots = seq
+    label = m + 1
+    bit = 1 << label
+    slots = list(slots)
+    i = next(j for j, (_, blue, _) in enumerate(slots) if blue & bit)
+    (w1, _, red), (w2, after_blue, after_red) = slots[i : i + 2]
+    slots[i : i + 2] = [(w2 + (2 * label,) + w1, after_blue, after_red)]
+    return m, k, n, _with_extra_red(slots, red)
 
 
-def psi_r(inter: PsiIntermediate) -> MBarredSequence:
+def _psi_r(inter: Packed) -> Packed:
     """Second psi stage: the minimal red element m+1 of the intermediate
     becomes a red bar labelled m+1 standing before its old pair; block
     contents rotate so the extra block ends up star-only exactly when m+1
@@ -354,90 +350,89 @@ def psi_r(inter: PsiIntermediate) -> MBarredSequence:
     blocks that are no partition, so an intermediate that is no psi_b image
     can give an invalid sequence.  psi and `callan map --which psi-r`
     validate what it returns."""
-    label = inter.m + 1
-    slots = _slots(inter.elements, "psi_r")
-    extra = slots[-1][1]
-    if label in extra.red:
-        i, pair, extra_red = len(slots) - 1, extra, extra.red - {label}
+    m, k, n, slots = inter
+    label = m + 1
+    bit = 1 << label
+    slots = list(slots)
+    extra_red = slots[-1][2]
+    if extra_red & bit:
+        i = len(slots) - 1
+        red = extra_red = extra_red ^ bit
     else:
-        i = next(
-            (j for j, (_, p) in enumerate(slots) if not p.is_extra and label in p.red),
-            None,
-        )
+        i = next((j for j, (_, _, red) in enumerate(slots[:-1]) if red & bit), None)
         if i is None:
             raise DomainError(f"psi_r: red element {label} not present in any block")
-        if not extra.red:
+        if not extra_red:
             raise DomainError("psi_r: intermediate extra red block may not be empty here")
-        old = slots[i][1]
-        pair, extra_red = CallanPair(old.blue, extra.red), old.red - {label}
-    slots[i] = (slots[i][0] + (Bar(RED, label),), pair)
-    elements = _elements(slots, extra_red)
-    return MBarredSequence(inter.m + 1, inter.k - 1, inter.n - 1, elements)
+        red, extra_red = extra_red, slots[i][2] ^ bit
+    run, blue, _ = slots[i]
+    slots[i] = (run + (2 * label + 1,), blue, red)
+    return m + 1, k - 1, n - 1, _with_extra_red(slots, extra_red)
 
 
-def _psi(seq: MBarredSequence) -> MBarredSequence:
+def _psi(seq: Packed) -> Packed:
     """Retire the minimal blue and minimal red elements to labelled bars:
     a bijection onto all (m+1)-barred sequences one size smaller."""
-    return psi_r(_psi_b(seq))
+    return _psi_r(_psi_b(seq))
 
 
-def _psi_r_inverse(seq: MBarredSequence) -> PsiIntermediate:
+def _psi_r_inverse(seq: Packed) -> Packed:
     """Undo psi_r: the red bar with maximal label m_t dissolves back into a
     red block element (it always ends the bar run of its slot)."""
-    label = seq.m
-    bar = Bar(RED, label)
-    slots = _slots(seq.elements, "psi_inverse")
-    i = next(j for j, (run, _) in enumerate(slots) if run[-1:] == (bar,))
-    run, pair = slots[i]
-    extra = slots[-1][1]
-    if pair.is_extra:
-        extra_red = extra.red | {label}
-    else:
-        pair, extra_red = CallanPair(pair.blue, extra.red | {label}), pair.red
-    slots[i] = (run[:-1], pair)
-    elements = _elements(slots, extra_red)
-    return PsiIntermediate(seq.m - 1, seq.k + 1, seq.n + 1, elements)
+    m, k, n, slots = seq
+    code = 2 * m + 1
+    slots = list(slots)
+    i = next(j for j, (run, _, _) in enumerate(slots) if run[-1:] == (code,))
+    run, blue, red = slots[i]
+    extra_red = slots[-1][2] | 1 << m
+    if i < len(slots) - 1:  # the bar stood before an ordinary pair
+        red, extra_red = extra_red, red
+    slots[i] = (run[:-1], blue, red)
+    return m - 1, k + 1, n + 1, _with_extra_red(slots, extra_red)
 
 
-def _psi_b_inverse(inter: PsiIntermediate) -> MBarredSequence:
+def _psi_b_inverse(inter: Packed) -> Packed:
     """Undo psi_b: the slot whose bar run holds the blue bar labelled m+1
     splits there; the run w2 before the bar and the run w1 after it
     (nonempty) swap back, flanking a restored pair ({m+1}, R) where R is
     the intermediate's extra red block."""
-    label = inter.m + 1
-    bar = Bar(BLUE, label)
-    slots = _slots(inter.elements, "psi_inverse")
-    i = next((j for j, (run, _) in enumerate(slots) if bar in run), None)
+    m, k, n, slots = inter
+    label = m + 1
+    code = 2 * label
+    slots = list(slots)
+    i = next((j for j, (run, _, _) in enumerate(slots) if code in run), None)
     if i is None:
         raise DomainError(f"psi_inverse: no blue bar labelled {label}")
-    run, after = slots[i]
-    cut = run.index(bar)
+    run, blue, red = slots[i]
+    cut = run.index(code)
     w2, w1 = run[:cut], run[cut + 1 :]
     if not w1:
         raise DomainError("psi_inverse: the blue bar must be followed by a bar")
-    red = slots[-1][1].red
-    if not red:
+    extra_red = slots[-1][2]
+    if not extra_red:
         raise DomainError("psi_inverse: intermediate extra red block is empty")
-    slots[i : i + 1] = [(w1, CallanPair(frozenset({label}), red)), (w2, after)]
-    return MBarredSequence(inter.m, inter.k, inter.n, _elements(slots, frozenset()))
+    slots[i : i + 1] = [(w1, 1 << label, extra_red), (w2, blue, red)]
+    return m, k, n, _with_extra_red(slots, 0)
 
 
-def _psi_inverse(seq: MBarredSequence) -> MBarredSequence:
+def _psi_inverse(seq: Packed) -> Packed:
     """Undo psi; defined on every (m+1)-barred sequence with m >= 0 bars
     remaining after the decrement."""
     return _psi_b_inverse(_psi_r_inverse(seq))
 
 
 # psi_r and psi_b_inverse take an intermediate, which has no validator of
-# its own; they refuse a malformed one with DomainError.
+# its own; they refuse a malformed one with DomainError, and pack refuses
+# one that the packed form cannot hold.
 _PSI_IN = ("psi_b: input outside psi's domain", psi_domain)
 _PSI_INV_IN = ("psi_inverse: input outside psi's image", psi_image)
 _PSI_INV_OUT = ("psi_inverse: bad image", psi_domain)
-psi_b = _checked(_psi_b, _PSI_IN)
-psi = _checked(_psi, _PSI_IN, ("psi: bad image", psi_image))
-psi_r_inverse = _checked(_psi_r_inverse, _PSI_INV_IN)
-psi_b_inverse = _checked(_psi_b_inverse, None, _PSI_INV_OUT)
-psi_inverse = _checked(_psi_inverse, _PSI_INV_IN, _PSI_INV_OUT)
+psi_b = _checked(_on_objects(_psi_b, PsiIntermediate), _PSI_IN)
+psi_r = _checked(_on_objects(_psi_r))
+psi = _checked(_on_objects(_psi), _PSI_IN, ("psi: bad image", psi_image))
+psi_r_inverse = _checked(_on_objects(_psi_r_inverse, PsiIntermediate), _PSI_INV_IN)
+psi_b_inverse = _checked(_on_objects(_psi_b_inverse), None, _PSI_INV_OUT)
+psi_inverse = _checked(_on_objects(_psi_inverse), _PSI_INV_IN, _PSI_INV_OUT)
 
 
 # ---------------------------------------------------------------------------

@@ -113,13 +113,13 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     if args.count_only:
         print(combinat.count_mbarred(args.k, args.n, m))
         return 0
-    for seq in combinat.enumerate_mbarred(args.k, args.n, m):
-        print(combinat.canonical_json(seq) if args.json else str(seq))
+    stream = combinat.enumerate_packed(args.k, args.n, m)
+    sys.stdout.writelines(f"{line}\n" for line in combinat.packed_lines(stream, args.json))
     return 0
 
 
-# (map, case): the case function reads the move from an input that the map
-# has already validated.
+# (map, case): the case function, a packed core, reads the move from an
+# input that the map has already validated.
 _MAPS = {
     "phi": (phi, _phi_case),
     "phi-inv": (phi_inverse, _phi_inverse_case),
@@ -144,7 +144,7 @@ def _cmd_map(args: argparse.Namespace) -> int:
         else:
             obj = combinat.from_json_dict(data)
         image = fn(obj)
-        case = case_fn(obj) if case_fn is not None else None
+        case = case_fn(combinat.pack(obj, args.which)) if case_fn is not None else None
         if args.which == "psi-r":  # psi_r maps psi_b images into psi's image
             combinat._require_mbarred(image, "psi_r: not a psi-b image", psi_image)
     except (DomainError, ValueError) as exc:

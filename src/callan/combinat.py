@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Union
+from typing import Iterable, Iterator, Union
 
 from .errors import ConsistencyError, DomainError
 
@@ -55,6 +55,14 @@ __all__ = [
     "validate_dumont",
     "enumerate_callan",
     "enumerate_mbarred",
+    "enumerate_packed",
+    "Packed",
+    "Slot",
+    "pack",
+    "unpack",
+    "packed_barred_singleton",
+    "packed_classify",
+    "packed_lines",
     "enumerate_dumont",
     "count_mbarred",
     "bar_arrangements",
@@ -190,6 +198,130 @@ class DumontPermutation:
 
 
 # ---------------------------------------------------------------------------
+# packed form
+# ---------------------------------------------------------------------------
+#
+# The enumerator, the map cores of bijections and the harness work on one
+# packed form, (m, k, n, slots), built from ints and tuples only, so that
+# hashing and comparing it never calls back into Python.  A sequence's
+# elements cut into one slot per pair: (run, blue, red), where run is the
+# tuple of the bar codes standing immediately before the pair (2*label for
+# a blue bar, 2*label + 1 for a red one, which is the Dumont reading) and
+# blue and red are the pair's blocks as bitmasks (bit x for member x).  The
+# last slot holds the extra pair.  The psi-b intermediate packs the same
+# way.  Objects are built from the packed form only at the boundary:
+# enumerate_mbarred, the public maps, and the counterexamples of reports.
+
+Slot = tuple[tuple[int, ...], int, int]
+Packed = tuple[int, int, int, tuple[Slot, ...]]
+
+
+def _members(mask: int) -> list[int]:
+    """The members of a block bitmask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def _bar(code: int) -> Bar:
+    return Bar(RED if code & 1 else BLUE, code >> 1)
+
+
+def _pair(blue: int, red: int, is_extra: bool) -> CallanPair:
+    return CallanPair(frozenset(_members(blue)), frozenset(_members(red)), is_extra)
+
+
+class _Memo(dict):
+    """key -> value, made by make(key) on first use."""
+
+    def __init__(self, make) -> None:
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key):
+        value = self[key] = self.make(key)
+        return value
+
+
+def _element(key) -> Element:
+    """The element of a key: a bar code, or (blue, red, is_extra)."""
+    return _bar(key) if isinstance(key, int) else _pair(*key)
+
+
+def _elements(slots: tuple[Slot, ...], memo: _Memo) -> tuple[Element, ...]:
+    """Flatten packed slots into elements, each looked up in `memo`, a
+    _Memo of _element, so a caller that keeps it builds each once."""
+    element = memo.__getitem__
+    out: list[Element] = []
+    last = len(slots) - 1
+    for i, (run, blue, red) in enumerate(slots):
+        out += map(element, run)
+        out.append(element((blue, red, i == last)))
+    return tuple(out)
+
+
+def unpack(packed: Packed, cls=MBarredSequence, memo: _Memo | None = None):
+    """The object of a packed sequence, or of a packed intermediate when
+    `cls` is the intermediate's class.  `memo` is as for _elements; one
+    that pack filled reuses the elements of the packed object."""
+    m, k, n, slots = packed
+    return cls(m, k, n, _elements(slots, _Memo(_element) if memo is None else memo))
+
+
+# Sizes and block members of a packed object stay below this, so that no
+# mask or shift in the cores needs more than 128 KB.
+_PACKED_LIMIT = 1 << 20
+
+
+def _mask(block: frozenset[int], what: str) -> int:
+    mask = 0
+    for x in block:
+        if x < 0:
+            raise DomainError(f"{what}: block member {x} is negative")
+        if x >= _PACKED_LIMIT:
+            raise DomainError(f"{what}: block member {x} is out of range")
+        mask |= 1 << x
+    return mask
+
+
+def pack(obj, what: str, memo: dict | None = None) -> Packed:
+    """The packed form of a sequence or of a psi-b intermediate.  A valid
+    sequence with sizes below 2**20 always packs.  An intermediate has no
+    validator of its own,
+    and one that the packed form cannot hold is refused with DomainError,
+    named by `what`: one that does not end with the extra pair, has an
+    extra pair before its end, or has a size or block member that is
+    negative or not below 2**20.  `memo`, when given, gets each element
+    of obj under its key in _elements, so that unpacking a map's result
+    builds only the elements the map changed."""
+    if not 0 <= min(obj.m, obj.k, obj.n) <= max(obj.m, obj.k, obj.n) < _PACKED_LIMIT:
+        raise DomainError(f"{what}: sizes m, k, n must lie in 0..{_PACKED_LIMIT - 1}")
+    elements = obj.elements
+    last = elements[-1] if elements else None
+    if not isinstance(last, CallanPair) or not last.is_extra:
+        raise DomainError(f"{what}: intermediate must end with the extra pair")
+    memo = {} if memo is None else memo
+    slots = []
+    run: list[int] = []
+    for i, e in enumerate(elements, 1 - len(elements)):  # i == 0 at the end
+        if isinstance(e, Bar):
+            code = 2 * e.label + (e.color == RED)
+            run.append(code)
+            memo[code] = e
+            continue
+        if e.is_extra and i:
+            raise DomainError(f"{what}: intermediate has an extra pair before its end")
+        blue, red = _mask(e.blue, what), _mask(e.red, what)
+        slots.append((tuple(run), blue, red))
+        memo[blue, red, e.is_extra] = e
+        run = []
+    return obj.m, obj.k, obj.n, tuple(slots)
+
+
+# ---------------------------------------------------------------------------
 # validation
 # ---------------------------------------------------------------------------
 
@@ -287,116 +419,126 @@ def validate_dumont(perm: DumontPermutation) -> tuple[bool, str]:
 
 
 def _nonempty_subsets_lex(
-    avail: tuple[int, ...], prefix: tuple[int, ...] = (), start: int = 0
-) -> Iterator[tuple[int, ...]]:
-    """Nonempty subsets of a sorted tuple, as sorted tuples in lex order,
+    avail: tuple[int, ...], prefix: int = 0, start: int = 0
+) -> Iterator[int]:
+    """Nonempty subsets of avail, a tuple of one-bit masks in ascending
+    order, as masks in lexicographic order of their sorted member tuples,
     each extending `prefix` by members of avail[start:]."""
     for i in range(start, len(avail)):
-        cur = prefix + (avail[i],)
+        cur = prefix | avail[i]
         yield cur
         yield from _nonempty_subsets_lex(avail, cur, i + 1)
 
 
-def _ordered_partitions(
-    avail: tuple[int, ...], blocks: int
-) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """Ordered tuples of `blocks` disjoint nonempty subsets of avail,
-    lexicographic in the tuple-of-sorted-tuples representation."""
+def _ordered_partitions(avail: tuple[int, ...], blocks: int) -> Iterator[tuple[int, ...]]:
+    """Ordered tuples of `blocks` disjoint nonempty subsets of avail, as
+    masks, lexicographic in the tuple-of-sorted-tuples representation."""
     if blocks == 0:
         yield ()
         return
     for first in _nonempty_subsets_lex(avail):
-        chosen = set(first)
-        rest = tuple(x for x in avail if x not in chosen)
+        rest = tuple(bit for bit in avail if not bit & first)
         for tail in _ordered_partitions(rest, blocks - 1):
             yield (first,) + tail
+
+
+def _skeletons(k: int, n: int, shift: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """The Callan sequences with k blue / n red elements over shifted base
+    sets as (blue masks, red masks), one mask per pair and the extra
+    pair's last, in canonical order: ordinary-pair count ascending, then
+    lexicographic on the ordered blue partition, then on the red one."""
+    if k < 0 or n < 0:
+        raise ValueError("sizes must be nonnegative")
+    blue_base = tuple(1 << x for x in range(shift + 1, shift + k + 1))
+    red_base = tuple(1 << x for x in range(shift + 1, shift + n + 1))
+    blue_all, red_all = sum(blue_base), sum(red_base)
+    for r in range(min(k, n) + 1):
+        # the blocks of a partition are disjoint, so their sum is their union
+        reds = [p + (red_all - sum(p),) for p in _ordered_partitions(red_base, r)]
+        for blue_parts in _ordered_partitions(blue_base, r):
+            blues = blue_parts + (blue_all - sum(blue_parts),)
+            for red in reds:
+                yield blues, red
 
 
 def enumerate_callan(k: int, n: int, shift: int = 0) -> Iterator[CallanSequence]:
     """All Callan sequences with k blue / n red elements over shifted base
     sets, in canonical order: ordinary-pair count ascending, then
     lexicographic on the ordered blue partition, then on the red one."""
-    if k < 0 or n < 0:
-        raise ValueError("sizes must be nonnegative")
-    blue_base = tuple(range(shift + 1, shift + k + 1))
-    red_base = tuple(range(shift + 1, shift + n + 1))
-    for r in range(0, min(k, n) + 1):
-        for blue_parts in _ordered_partitions(blue_base, r):
-            blue_used = set().union(*blue_parts) if blue_parts else set()
-            extra_blue = frozenset(x for x in blue_base if x not in blue_used)
-            for red_parts in _ordered_partitions(red_base, r):
-                red_used = set().union(*red_parts) if red_parts else set()
-                extra_red = frozenset(x for x in red_base if x not in red_used)
-                pairs = tuple(
-                    CallanPair(frozenset(b), frozenset(rd))
-                    for b, rd in zip(blue_parts, red_parts)
-                ) + (CallanPair(extra_blue, extra_red, is_extra=True),)
-                yield CallanSequence(k, n, shift, pairs)
+    for blues, reds in _skeletons(k, n, shift):
+        last = len(blues) - 1
+        pairs = tuple(_pair(b, r, i == last) for i, (b, r) in enumerate(zip(blues, reds)))
+        yield CallanSequence(k, n, shift, pairs)
 
 
 @lru_cache(maxsize=None)
-def bar_arrangements(m: int, runs: int) -> tuple[tuple[tuple[Bar, ...], ...], ...]:
+def bar_arrangements(m: int, runs: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
     """All ways to distribute the 2m+1 labelled bars of an m-barred sequence
     into `runs` ordered runs (one run immediately before each pair), each run
     internally satisfying the adjacency rules and ending with a red bar.
 
+    Bars are bar codes, as in the packed form: a blue bar labelled i is 2i
+    and a red one 2i+1, so the bars are the codes 1..2m+1, and ascending
+    codes order them by (label, blue before red).  In these terms an even
+    code must be followed by a smaller one, and an odd code by a larger one
+    or by the pair that closes the run.
+
     Runs are independent because a pair separates consecutive runs.
     Backtracking order: a run is closed before it is extended; candidate
-    bars are tried ascending by (label, blue before red).
-
-    The search works on indices into the sorted pool.  Before it starts,
-    `successors[i]` lists, ascending, the pool indices that may follow bar
-    i under `_may_follow`, so a step scans only those instead of testing
-    the whole pool; a run's first bar may be any unused one.  Filtering an
-    ascending list keeps it ascending, so the candidates come in the same
-    order as a scan of the whole pool, and the arrangements come out in
-    the same order.  Bar objects are gathered only when an arrangement is
-    stored.
+    bars are tried ascending.  This is the only cache of bar placements.
     """
     if m < 0 or runs < 0:
         raise ValueError("m and runs must be nonnegative")
-    pool = sorted(
-        [Bar(BLUE, i) for i in range(1, m + 1)] + [Bar(RED, i) for i in range(m + 1)],
-        key=lambda b: (b.label, b.color != BLUE),
-    )
-    red = [b.color == RED for b in pool]
-    successors = [[j for j, nxt in enumerate(pool) if _may_follow(b, nxt)] for b in pool]
-    results: list[tuple[tuple[Bar, ...], ...]] = []
+    top = 2 * m + 1
+    # successors[c]: the codes that may follow code c; successors[0] is
+    # for an empty run, which may start with any bar
+    successors = [range(1, top + 1)] + [
+        range(c + 1, top + 1) if c & 1 else range(1, c) for c in range(1, top + 1)
+    ]
+    results: list[tuple[tuple[int, ...], ...]] = []
     current: list[list[int]] = [[] for _ in range(runs)]
-    used = [False] * len(pool)
+    used = [False] * (top + 1)
 
     def rec(run_idx: int, remaining: int) -> None:
         if run_idx == runs:
             if remaining == 0:
-                results.append(tuple(tuple(pool[i] for i in r) for r in current))
+                results.append(tuple(map(tuple, current)))
             return
         run = current[run_idx]
-        if not run or red[run[-1]]:
+        last = run[-1] if run else 0
+        if last & 1 or not last:  # a run ends empty or with a red bar
             rec(run_idx + 1, remaining)
-        for i in successors[run[-1]] if run else range(len(pool)):
-            if not used[i]:
-                used[i] = True
-                run.append(i)
+        for code in successors[last]:
+            if not used[code]:
+                used[code] = True
+                run.append(code)
                 rec(run_idx, remaining - 1)
                 run.pop()
-                used[i] = False
+                used[code] = False
 
-    rec(0, len(pool))
+    rec(0, top)
     return tuple(results)
+
+
+def enumerate_packed(k: int, n: int, m: int) -> Iterator[Packed]:
+    """All m-barred Callan sequences with k blue / n red elements in the
+    packed form, canonical order: underlying Callan sequence first, then
+    bar placement.  This is the one m-barred enumerator."""
+    if m < 0:
+        raise ValueError("m must be nonnegative")
+    for blues, reds in _skeletons(k, n, m):
+        for runs in bar_arrangements(m, len(blues)):
+            yield m, k, n, tuple(zip(runs, blues, reds))
 
 
 def enumerate_mbarred(k: int, n: int, m: int) -> Iterator[MBarredSequence]:
     """All m-barred Callan sequences with k blue / n red elements, canonical
-    order: underlying Callan sequence first, then bar placement."""
-    if m < 0:
-        raise ValueError("m must be nonnegative")
-    for cs in enumerate_callan(k, n, shift=m):
-        for runs in bar_arrangements(m, len(cs.pairs)):
-            elements: list[Element] = []
-            for run, pair in zip(runs, cs.pairs):
-                elements.extend(run)
-                elements.append(pair)
-            yield MBarredSequence(m, k, n, tuple(elements))
+    order: underlying Callan sequence first, then bar placement.  The
+    objects of enumerate_packed, decoded; each Bar and CallanPair is built
+    once per call."""
+    memo = _Memo(_element)
+    for packed in enumerate_packed(k, n, m):
+        yield MBarredSequence(m, k, n, _elements(packed[3], memo))
 
 
 @lru_cache(maxsize=None)
@@ -406,9 +548,7 @@ def count_mbarred(k: int, n: int, m: int) -> int:
     bar placements for its pair count).  No closed formula is used."""
     if m < 0:
         raise ValueError("m must be nonnegative")
-    return sum(
-        len(bar_arrangements(m, len(cs.pairs))) for cs in enumerate_callan(k, n, shift=m)
-    )
+    return sum(len(bar_arrangements(m, len(blues))) for blues, _ in _skeletons(k, n, m))
 
 
 def enumerate_dumont(length: int) -> Iterator[DumontPermutation]:
@@ -476,6 +616,24 @@ def in_barred_min_subset(seq: MBarredSequence) -> bool:
     return not seq.extra.red and has_barred_blue_singleton(seq, seq.m + 1)
 
 
+def packed_barred_singleton(seq: Packed, label: int) -> bool:
+    """has_barred_blue_singleton on the packed form."""
+    bit = 1 << label
+    for run, blue, _ in seq[3][:-1]:  # blue blocks are disjoint
+        if blue & bit:
+            return blue == bit and bool(run)
+    return False
+
+
+def packed_classify(seq: Packed) -> str:
+    """classify on the packed form."""
+    if seq[3][-1][2]:
+        return CELL_RSTAR_NONEMPTY
+    if packed_barred_singleton(seq, seq[0] + seq[1]):
+        return CELL_BARRED_MAX
+    return CELL_STAR_ONLY
+
+
 def classify(seq: MBarredSequence) -> str:
     """Which cell of the three-way split the sequence belongs to: nonempty
     extra red block / star-only / star-only with the maximal blue element a
@@ -535,16 +693,13 @@ def barred_to_mbarred(barred: BarredCallanSequence) -> MBarredSequence:
 
 def mbarred_to_dumont(seq: MBarredSequence) -> DumontPermutation:
     """For k = n = 0: drop the forced trailing red bar |r m and the extra
-    pair, then read blue |i as 2i and red |i as 2i+1."""
+    pair, then read blue |i as 2i and red |i as 2i+1, which are the bar
+    codes of the packed form."""
     if seq.k != 0 or seq.n != 0:
         raise DomainError("the Dumont encoding applies to sequences without pair content")
     _require_mbarred(seq, "mbarred_to_dumont: invalid input")
-    body = seq.elements[:-2]
-    values = tuple(
-        2 * e.label if e.color == BLUE else 2 * e.label + 1
-        for e in body  # type: ignore[union-attr]
-    )
-    return DumontPermutation(values)
+    (run, _, _), = pack(seq, "mbarred_to_dumont")[3]
+    return DumontPermutation(run[:-1])
 
 
 def dumont_to_mbarred(perm: DumontPermutation) -> MBarredSequence:
@@ -553,12 +708,7 @@ def dumont_to_mbarred(perm: DumontPermutation) -> MBarredSequence:
     if not ok:
         raise DomainError(why)
     m = len(perm.values) // 2
-    elements: list[Element] = [
-        Bar(BLUE, v // 2) if v % 2 == 0 else Bar(RED, (v - 1) // 2) for v in perm.values
-    ]
-    elements.append(Bar(RED, m))
-    elements.append(CallanPair(frozenset(), frozenset(), is_extra=True))
-    seq = MBarredSequence(m, 0, 0, tuple(elements))
+    seq = unpack((m, 0, 0, ((tuple(perm.values) + (2 * m + 1,), 0, 0),)))
     return _require_mbarred(seq, "dumont_to_mbarred: bad image", error=ConsistencyError)
 
 
@@ -625,26 +775,54 @@ def _to_wire(obj, intermediate: bool) -> dict:
     return out
 
 
+def _element_wire(e: Element) -> str:
+    """The canonical text of _element_to_json(e).  Labels and block members
+    are ints and the colors are BLUE or RED, so none of them needs
+    escaping."""
+    if isinstance(e, Bar):
+        return f'{{"bar":{{"color":"{e.color}","label":{e.label}}}}}'
+    blue = ",".join(map(str, sorted(e.blue)))
+    red = ",".join(map(str, sorted(e.red)))
+    extra = "true" if e.is_extra else "false"
+    return f'{{"pair":{{"blue":[{blue}],"red":[{red}],"extra":{extra}}}}}'
+
+
+def _wire_head(m: int, k: int, n: int, intermediate: bool) -> str:
+    marker = '"intermediate":true,' if intermediate else ""
+    return f'{{"m":{m},"k":{k},"n":{n},{marker}"elements":['
+
+
 def _wire_json(obj, intermediate: bool) -> str:
     """The canonical text of `_to_wire(obj, intermediate)`, written directly:
     the same bytes as json.dumps of that dict with separators (",", ":"),
-    without building the dict.  Labels and block members are ints and the
-    colors are BLUE or RED, so none of them needs escaping."""
-    parts = []
-    for e in obj.elements:
-        if isinstance(e, Bar):
-            parts.append(f'{{"bar":{{"color":"{e.color}","label":{e.label}}}}}')
-        else:
-            blue = ",".join(map(str, sorted(e.blue)))
-            red = ",".join(map(str, sorted(e.red)))
-            extra = "true" if e.is_extra else "false"
-            parts.append(f'{{"pair":{{"blue":[{blue}],"red":[{red}],"extra":{extra}}}}}')
-    marker = '"intermediate":true,' if intermediate else ""
-    return (
-        f'{{"m":{obj.m},"k":{obj.k},"n":{obj.n},{marker}"elements":['
-        + ",".join(parts)
-        + "]}"
-    )
+    without building the dict."""
+    body = ",".join(map(_element_wire, obj.elements))
+    return f"{_wire_head(obj.m, obj.k, obj.n, intermediate)}{body}]}}"
+
+
+def packed_lines(stream: Iterable[Packed], as_json: bool) -> Iterator[str]:
+    """The canonical JSON text (as canonical_json writes it) or the display
+    text (as str) of each packed sequence in `stream`, written straight
+    from the slots.  Each distinct bar, pair and head is rendered once per
+    call, through the element writers of the objects, and then looked up;
+    bar runs are not kept, since most of a bar-heavy cell's are distinct.
+    In JSON a separator follows every element but the last, which is the
+    extra pair."""
+    sep, text = (",", _element_wire) if as_json else ("", str)
+    bar = _Memo(lambda code: f"{text(_bar(code))}{sep}").__getitem__
+    ordinary = _Memo(lambda blocks: f"{text(_pair(*blocks, False))}{sep}")
+    extra = _Memo(lambda blocks: text(_pair(*blocks, True)))
+    heads = _Memo(lambda sizes: _wire_head(*sizes, False) if as_json else "")
+    tail = "]}" if as_json else ""
+    for m, k, n, slots in stream:
+        *body, (run, blue, red) = slots
+        parts = [heads[m, k, n]]
+        for r, b, d in body:
+            parts += map(bar, r)
+            parts.append(ordinary[b, d])
+        parts += map(bar, run)
+        parts += (extra[blue, red], tail)
+        yield "".join(parts)
 
 
 def _from_wire(data, intermediate: bool) -> tuple[int, int, int, tuple[Element, ...]]:

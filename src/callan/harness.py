@@ -16,7 +16,10 @@ needs it; ``verify_partition`` and ``certify_*`` run the same consumers
 on one cell.
 
 The public maps of ``bijections`` are the trust boundary: they validate
-what they accept and emit.  Certificates run their unvalidating cores.
+what they accept and emit.  The object claims run on the packed form of
+``combinat``: the sweep streams packed sequences, the certificates run
+the unvalidating packed cores, and objects are decoded only for the
+counterexamples a report carries.
 """
 
 from __future__ import annotations
@@ -27,23 +30,19 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import numbers
-from .bijections import (  # the unvalidating cores, under their public names
+from .bijections import (  # the unvalidating packed cores, under their public names
     _phi as phi,
     _phi_inverse as phi_inverse,
     _psi as psi,
     _psi_inverse as psi_inverse,
     _relabel_max_min as relabel_max_min,
-    phi_domain,
-    phi_image,
-    psi_domain,
-    psi_image,
 )
 from .combinat import (
     count_mbarred,
-    enumerate_mbarred,
-    in_barred_max_subset,
-    in_barred_min_subset,
-    classify,
+    enumerate_packed,
+    packed_barred_singleton,
+    packed_classify,
+    unpack,
     CELL_RSTAR_NONEMPTY,
     CELL_STAR_ONLY,
     CELL_BARRED_MAX,
@@ -71,6 +70,11 @@ __all__ = [
 
 # How many counterexample objects a report keeps per failure kind.
 _COUNTEREXAMPLE_CAP = 5
+
+
+def _payload(seq) -> dict:
+    """The wire form of a packed sequence, for a counterexample."""
+    return to_json_dict(unpack(seq))
 
 
 @dataclass(frozen=True)
@@ -252,25 +256,21 @@ class _Partition:
         self.bad = []
         self.elapsed = 0.0
 
-    def domain(self, seq) -> None:
-        """Check one sequence; the partition's domain is its whole cell."""
-        nonempty = bool(seq.extra.red)
-        barred_max = in_barred_max_subset(seq)
-        if nonempty and barred_max:
-            if len(self.bad) < _COUNTEREXAMPLE_CAP:
-                self.bad.append({"overlap": to_json_dict(seq)})
-            return
-        cell = classify(seq)
+    def domain(self, seq, barred_max: bool, barred_min: bool) -> None:
+        """Check one packed sequence; the partition's domain is its whole
+        cell.  The cell that classify gives, recomputed here, must be the
+        one that the predicates' flags name."""
+        cell = packed_classify(seq)
         expected = (
             CELL_RSTAR_NONEMPTY
-            if nonempty
+            if seq[3][-1][2]
             else CELL_BARRED_MAX
             if barred_max
             else CELL_STAR_ONLY
         )
         if cell != expected:
             if len(self.bad) < _COUNTEREXAMPLE_CAP:
-                self.bad.append({"misclassified": to_json_dict(seq), "cell": cell})
+                self.bad.append({"misclassified": _payload(seq), "cell": cell})
             return
         self.counts[cell] += 1
 
@@ -292,11 +292,12 @@ class _Certificate:
     """Certifies that forward maps D bijectively onto C with backward as
     two-sided inverse.  D is the set of sequences at `cell` that `in_domain`
     accepts, C the set at `image_cell` that `in_image` accepts (each
-    predicate returns None on its members).  The certificate is fed every
-    sequence of `cell` through domain() and every sequence of `image_cell`
-    through codomain(), the two sides in any order, even interleaved; each
-    skips what its predicate refuses, and report() gives the verdict.  The
-    maps are assumed deterministic.
+    predicate is true on its members).  The certificate is fed every
+    packed sequence of `cell` through domain() and every one of
+    `image_cell` through codomain(), each with the flags that _marked
+    gives it, the two sides in any order, even interleaved; each skips
+    what its predicate refuses, and report() gives the verdict.  The maps
+    are assumed deterministic.
 
     domain(s) applies forward, adds the image to the image set I and checks
     backward(forward(s)) = s (forward-error, backward-error, roundtrip).
@@ -348,26 +349,26 @@ class _Certificate:
             self.noted[kind] += 1
             self.bad.append({kind: payload})
 
-    def domain(self, s) -> None:
-        if self.in_domain(s) is not None:
+    def domain(self, s, barred_max: bool, barred_min: bool) -> None:
+        if not self.in_domain(s, barred_max, barred_min):
             return
         self.domain_size += 1
         try:
             t = self.forward(s)
         except Exception as exc:
-            self.note("forward-error", {"input": to_json_dict(s), "error": str(exc)})
+            self.note("forward-error", {"input": _payload(s), "error": str(exc)})
             return
         self.images.add(t)
         try:
             back = self.backward(t)
         except Exception as exc:
-            self.note("backward-error", {"input": to_json_dict(t), "error": str(exc)})
+            self.note("backward-error", {"input": _payload(t), "error": str(exc)})
             return
         if back != s:
-            self.note("roundtrip", to_json_dict(s))
+            self.note("roundtrip", _payload(s))
 
-    def codomain(self, t) -> None:
-        if self.in_image(t) is not None:
+    def codomain(self, t, barred_max: bool, barred_min: bool) -> None:
+        if not self.in_image(t, barred_max, barred_min):
             return
         self.codomain_size += 1
         before = len(self.images)  # t is hashed once, and nothing raises
@@ -381,13 +382,28 @@ class _Certificate:
             ("outside-codomain", self.images - self.missed),
             ("not-hit", self.missed - self.images),
         ):
-            for t in sorted(left, key=canonical_json)[:_COUNTEREXAMPLE_CAP]:
+            for t in sorted(map(unpack, left), key=canonical_json)[:_COUNTEREXAMPLE_CAP]:
                 self.note(kind, to_json_dict(t))
         k, n, m = self.cell
         return _finish(
             self.claim_id, {"k": k, "n": n, "m": m}, self.domain_size,
             self.codomain_size, self.bad, started, spent=self.elapsed,
         )
+
+
+def _marked(k: int, n: int, m: int):
+    """The packed sequences at (k, n, m), each with its barred-max and
+    barred-min flags (in_barred_max_subset and in_barred_min_subset),
+    found once per sequence for all the checks it feeds.  Both need a
+    star-only sequence with a blue element."""
+    hi, lo = m + k, m + 1
+    for seq in enumerate_packed(k, n, m):
+        if k == 0 or seq[3][-1][2]:
+            yield seq, False, False
+        else:
+            barred_max = packed_barred_singleton(seq, hi)
+            barred_min = barred_max if hi == lo else packed_barred_singleton(seq, lo)
+            yield seq, barred_max, barred_min
 
 
 def _stream_cell(cell, starting, finishing=()) -> None:
@@ -400,12 +416,12 @@ def _stream_cell(cell, starting, finishing=()) -> None:
     feeds = [(c, c.domain) for c in starting] + [(c, c.codomain) for c in finishing]
     first = feeds[0][0]
     last = clock()
-    for seq in enumerate_mbarred(*cell):
+    for seq, barred_max, barred_min in _marked(*cell):
         now = clock()
         first.elapsed += now - last
         last = now
         for consumer, feed in feeds:
-            feed(seq)
+            feed(seq, barred_max, barred_min)
             now = clock()
             consumer.elapsed += now - last
             last = now
@@ -425,27 +441,51 @@ def _certify_map(certificate: _Certificate) -> VerificationReport:
     return certificate.report()
 
 
+# The sets the certificates run between, on a packed sequence and the
+# flags that _marked gives it: the sets of phi_domain, phi_image,
+# psi_domain and psi_image in bijections, and relabel's two subsets.
+
+
+def _phi_domain(seq, barred_max: bool, barred_min: bool) -> bool:
+    return seq[3][-1][2] != 0
+
+
+def _phi_image(seq, barred_max: bool, barred_min: bool) -> bool:
+    return seq[1] >= 1 and not seq[3][-1][2] and not barred_max
+
+
+def _psi_domain(seq, barred_max: bool, barred_min: bool) -> bool:
+    return barred_min
+
+
+def _psi_image(seq, barred_max: bool, barred_min: bool) -> bool:
+    return seq[0] >= 1
+
+
+def _barred_max(seq, barred_max: bool, barred_min: bool) -> bool:
+    return barred_max
+
+
 # The map names are looked up when a certificate is made, so a map patched
 # on this module reaches the sweeps as well as the one-cell entry points.
 
 
 def _phi_certificate(k: int, n: int, m: int) -> _Certificate:
     return _Certificate(
-        "phi", (k, n, m), (k + 1, n - 1, m), phi, phi_inverse, phi_domain, phi_image
+        "phi", (k, n, m), (k + 1, n - 1, m), phi, phi_inverse, _phi_domain, _phi_image
     )
 
 
 def _psi_certificate(k: int, n: int, m: int) -> _Certificate:
     return _Certificate(
-        "psi", (k, n, m), (k - 1, n - 1, m + 1), psi, psi_inverse, psi_domain, psi_image
+        "psi", (k, n, m), (k - 1, n - 1, m + 1), psi, psi_inverse, _psi_domain, _psi_image
     )
 
 
 def _relabel_certificate(k: int, n: int, m: int) -> _Certificate:
     return _Certificate(
         "relabel", (k, n, m), (k, n, m), relabel_max_min, relabel_max_min,
-        lambda s: None if in_barred_max_subset(s) else "not barred-max",
-        lambda s: None if in_barred_min_subset(s) else "not barred-min",
+        _barred_max, _psi_domain,  # the barred-min subset is psi's domain
     )
 
 

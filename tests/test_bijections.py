@@ -317,6 +317,19 @@ def test_psi_b_inverse_refuses_intermediates_without_final_extra_pair():
                 fn(bad)
 
 
+def test_intermediates_the_packed_form_cannot_hold_are_refused():
+    inter = intermediate_from_json_dict(_golden("psi_b")["output"])
+    pair, *rest = inter.elements  # an ordinary pair comes first
+    for first, reason in [
+        (CallanPair(pair.blue, pair.red, True), "intermediate has an extra pair before its end"),
+        (CallanPair(pair.blue, pair.red | {-2}), "block member -2 is negative"),
+    ]:
+        bad = PsiIntermediate(inter.m, inter.k, inter.n, (first, *rest))
+        for fn in (psi_b_inverse, psi_r):
+            with pytest.raises(DomainError, match=f"^{fn.__name__}: {reason}$"):
+                fn(bad)
+
+
 # sha256 over one line "input<TAB>image or error" per object of weight
 # k + n + 2m <= 5, in enumeration order, recorded before the maps were
 # rewritten on slots.  Bijectivity alone does not fix which bijection the

@@ -300,6 +300,34 @@ def test_map_psi_r_rejects_bad_blue_members(tmp_path, capsys, name):
     assert len(err.splitlines()) == 1
 
 
+# The packed form cannot hold these intermediates, so psi-r refuses them
+# before it maps: an extra pair before the end would lose its flag, a
+# negative size or block member has no bit, and a huge one would make a
+# huge bitmask or shift.
+PSI_R_UNPACKABLE = {
+    "extra-pair-before-end": (
+        _set("elements", 0, "pair", "extra", True),
+        "intermediate has an extra pair before its end",
+    ),
+    "negative-member": (
+        _set("elements", 0, "pair", "red", [-1, 9]), "block member -1 is negative",
+    ),
+    "negative-size": (_set("m", -5), "sizes m, k, n must lie in 0..1048575"),
+    "huge-size": (_set("m", 10**15), "sizes m, k, n must lie in 0..1048575"),
+    "huge-member": (
+        _set("elements", 0, "pair", "blue", [10**15]), f"block member {10**15} is out of range",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PSI_R_UNPACKABLE))
+def test_map_psi_r_refuses_what_the_packed_form_cannot_hold(tmp_path, capsys, name):
+    mutate, reason = PSI_R_UNPACKABLE[name]
+    doc = mutate(json.loads((GOLDEN / "psi_b.json").read_text())["output"])
+    code, out, err = _map(tmp_path, capsys, "psi-r", doc)
+    assert (code, out, err) == (1, "", f"map: psi_r: {reason}\n")
+
+
 def test_map_internal_error_exits_three(tmp_path, capsys, monkeypatch):
     from callan import cli
     from callan.errors import ConsistencyError

@@ -35,6 +35,13 @@ from callan.combinat import (
     from_json_dict,
     canonical_json,
     _may_follow,
+    enumerate_packed,
+    has_barred_blue_singleton,
+    pack,
+    packed_barred_singleton,
+    packed_classify,
+    packed_lines,
+    unpack,
 )
 from callan.errors import DomainError
 from callan.numbers import genocchi
@@ -70,9 +77,10 @@ def brute_force_mbarred(k, n, m):
 
 
 def backtrack_bar_arrangements(m, runs):
-    """Oracle for bar_arrangements: the same backtracking without the
-    successor table, testing every bar of the pool with _may_follow at
-    every step.  Same order: a run is closed before it is extended, and
+    """Oracle for bar_arrangements: the same backtracking on Bar objects,
+    testing every bar of the pool with _may_follow at every step, with
+    each arrangement written in bar codes (2 * label, plus 1 for red) at
+    the end.  Same order: a run is closed before it is extended, and
     candidates are tried ascending by (label, blue before red)."""
     pool = sorted(
         [Bar(BLUE, i) for i in range(1, m + 1)] + [Bar(RED, i) for i in range(m + 1)],
@@ -85,7 +93,9 @@ def backtrack_bar_arrangements(m, runs):
     def rec(run_idx, remaining):
         if run_idx == runs:
             if remaining == 0:
-                results.append(tuple(tuple(r) for r in current))
+                results.append(tuple(
+                    tuple(2 * bar.label + (bar.color == RED) for bar in r) for r in current
+                ))
             return
         run = current[run_idx]
         if not run or run[-1].color == RED:
@@ -425,3 +435,37 @@ def test_from_json_rejects_intermediates():
 @given(st.sampled_from(sorted(enumerate_mbarred(2, 2, 1), key=canonical_json)))
 def test_json_roundtrip_sampled(seq):
     assert from_json_dict(json.loads(canonical_json(seq))) == seq
+
+
+# The packed form: the enumerator, the map cores and the harness work on
+# it, and objects are built from it only at the boundary.
+
+
+def _packed_weight_at_most(w):
+    for k in range(w + 1):
+        for n in range(w + 1 - k):
+            for m in range((w - k - n) // 2 + 1):
+                yield from enumerate_packed(k, n, m)
+
+
+def test_packed_form_round_trips_through_objects():
+    packed = list(_packed_weight_at_most(6))
+    objects = list(_weight_at_most(6))
+    assert [unpack(p) for p in packed] == objects
+    assert [pack(s, "test") for s in objects] == packed
+    assert len(set(packed)) == len(packed) == 2192
+
+
+def test_packed_predicates_match_the_object_predicates():
+    for p in _packed_weight_at_most(6):
+        seq = unpack(p)
+        assert packed_classify(p) == classify(seq)
+        for label in range(seq.m, seq.m + seq.k + 2):
+            assert packed_barred_singleton(p, label) == has_barred_blue_singleton(seq, label)
+
+
+def test_packed_lines_write_the_objects_text():
+    seqs = list(_weight_at_most(6)) + [_load_showcase()]
+    packed = [pack(s, "test") for s in seqs]
+    assert list(packed_lines(packed, True)) == [canonical_json(s) for s in seqs]
+    assert list(packed_lines(packed, False)) == [str(s) for s in seqs]

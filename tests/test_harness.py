@@ -8,8 +8,8 @@ from itertools import zip_longest
 import pytest
 
 from callan import harness
-from callan.bijections import phi, phi_inverse, psi_inverse
-from callan.combinat import enumerate_mbarred
+from callan.bijections import _phi as phi, _phi_inverse as phi_inverse, _psi_inverse as psi_inverse
+from callan.combinat import enumerate_packed
 from callan.harness import (
     SumTerm,
     certify_phi,
@@ -190,7 +190,8 @@ def test_certification_never_validates(monkeypatch, claim):
 
 # Mutation tests for the single-pass certificate in _certify_map: each
 # deliberately broken map must still fail the certification, with the
-# counterexample kind that names the broken property.
+# counterexample kind that names the broken property.  The certificates
+# run the packed cores, so the mutants are maps on packed sequences.
 
 
 def _kinds(report):
@@ -203,7 +204,7 @@ def test_certificate_catches_collision(monkeypatch):
     # needed, and in (2, 2, 0) the cap per kind still leaves room for the
     # codomain elements never hit
     for cell in [(1, 2, 0), (2, 2, 0)]:
-        first = next(s for s in enumerate_mbarred(*cell) if s.extra.red)
+        first = next(s for s in enumerate_packed(*cell) if harness._phi_domain(s, False, False))
         monkeypatch.setattr(harness, "phi", lambda s, first=first: phi(first))
         r = certify_phi(*cell)
         assert not r.passed
@@ -224,7 +225,7 @@ def test_certificate_catches_outside_codomain(monkeypatch):
 
 def test_certificate_catches_wrong_inverse(monkeypatch):
     # psi itself is a bijection; only its inverse is broken
-    fixed = psi_inverse(next(iter(enumerate_mbarred(1, 1, 1))))
+    fixed = psi_inverse(next(iter(enumerate_packed(1, 1, 1))))
     monkeypatch.setattr(harness, "psi_inverse", lambda t: fixed)
     r = certify_psi(2, 2, 0)
     assert not r.passed and r.lhs == r.rhs
@@ -234,7 +235,7 @@ def test_certificate_catches_wrong_inverse(monkeypatch):
 def test_certificate_catches_missed_codomain_element(monkeypatch):
     # one domain element is sent outside the codomain, so one codomain
     # element is never hit although the sizes agree
-    victim = next(s for s in enumerate_mbarred(2, 2, 0) if s.extra.red)
+    victim = next(s for s in enumerate_packed(2, 2, 0) if harness._phi_domain(s, False, False))
     monkeypatch.setattr(harness, "phi", lambda s: s if s == victim else phi(s))
     monkeypatch.setattr(
         harness, "phi_inverse", lambda t: t if t == victim else phi_inverse(t)
@@ -253,6 +254,31 @@ def test_certificate_catches_raising_maps(monkeypatch):
     assert _kinds(certify_psi(2, 2, 0)) == {"backward-error"}
     monkeypatch.setattr(harness, "psi", refuse)
     assert _kinds(certify_psi(2, 2, 0)) == {"forward-error", "not-hit"}
+
+
+def test_packed_sets_match_the_bijections_predicates():
+    # the certificates read the sets of bijections' predicates on packed
+    # sequences and the flags of _marked
+    from callan import bijections
+    from callan.combinat import in_barred_max_subset, unpack
+
+    sets = [
+        (harness._phi_domain, bijections.phi_domain),
+        (harness._phi_image, bijections.phi_image),
+        (harness._psi_domain, bijections.psi_domain),
+        (harness._psi_image, bijections.psi_image),
+        (harness._barred_max, lambda s: None if in_barred_max_subset(s) else "out"),
+    ]
+    checked = 0
+    for k in range(7):
+        for n in range(7 - k):
+            for m in range((6 - k - n) // 2 + 1):
+                for marked in harness._marked(k, n, m):
+                    seq = unpack(marked[0])
+                    for packed_set, predicate in sets:
+                        assert packed_set(*marked) == (predicate(seq) is None)
+                    checked += 1
+    assert checked == 2192
 
 
 # The sweep behind run_claim streams each (k, n, m) cell once and feeds
@@ -275,9 +301,9 @@ def test_sweep_streams_each_cell_once(monkeypatch):
 
     def counting(k, n, m):
         streamed[k, n, m] += 1
-        return enumerate_mbarred(k, n, m)
+        return enumerate_packed(k, n, m)
 
-    monkeypatch.setattr(harness, "enumerate_mbarred", counting)
+    monkeypatch.setattr(harness, "enumerate_packed", counting)
     reports = run_claim("all", 6)
     assert reports and all(r.passed for r in reports)
     cells = {
@@ -286,6 +312,27 @@ def test_sweep_streams_each_cell_once(monkeypatch):
         if k + n + 2 * m <= 6
     }
     assert streamed == Counter(cells)
+
+
+def test_sweep_scans_for_barred_singletons_at_most_twice_per_object(monkeypatch):
+    # _marked finds each object's barred-max and barred-min flags once for
+    # every check it feeds; only the partition check classifies again
+    from callan import combinat
+
+    scans = []
+    scan = combinat.packed_barred_singleton
+
+    def counting(seq, label):
+        scans.append(label)
+        return scan(seq, label)
+
+    monkeypatch.setattr(combinat, "packed_barred_singleton", counting)
+    monkeypatch.setattr(harness, "packed_barred_singleton", counting)
+    reports = run_claim("all", 8)
+    assert reports and all(r.passed for r in reports)
+    objects = sum(r.lhs for r in reports if r.claim_id == "partition")
+    assert objects == 84639
+    assert len(scans) <= 2 * objects
 
 
 def test_all_is_the_union_of_single_claims():
@@ -344,8 +391,8 @@ _CERTIFICATES = {
 
 def _fed(make, cell, order):
     certificate = make(*cell)
-    domain = list(enumerate_mbarred(*certificate.cell))
-    codomain = list(enumerate_mbarred(*certificate.image_cell))
+    domain = list(harness._marked(*certificate.cell))
+    codomain = list(harness._marked(*certificate.image_cell))
     if order == "domain-first":
         feeds = [(certificate.domain, s) for s in domain]
         feeds += [(certificate.codomain, t) for t in codomain]
@@ -359,8 +406,8 @@ def _fed(make, cell, order):
             for pair in ((certificate.domain, s), (certificate.codomain, t))
             if pair[1] is not None
         ]
-    for feed, seq in feeds:
-        feed(seq)
+    for feed, marked in feeds:
+        feed(*marked)
     return dataclasses.replace(certificate.report(), elapsed=0.0)
 
 
