@@ -5,7 +5,10 @@ one slot (bar codes, blue bitmask, red bitmask) per pair, the extra pair
 last.  A core moves, merges or splits slots and replaces blocks by mask
 operations, then gives the extra pair its new red block.  The public maps
 validate the object they accept, pack it, run the core, decode the result
-and validate it; the harness runs the cores on packed sequences directly.
+and validate it (_checked); the harness runs the cores on packed sequences
+directly.  The sets that the maps run between are stated once, as
+predicates on the marks of combinat, which objects and packed sequences
+both give.
 
 phi trades the maximal red element mu = m+n for a new maximal blue element
 m+k+1: it maps sequences whose extra red block is nonempty, with k blue
@@ -64,8 +67,6 @@ from .combinat import (
     _require_mbarred,
     _to_wire,
     _wire_json,
-    in_barred_max_subset,
-    in_barred_min_subset,
     pack,
     unpack,
 )
@@ -77,6 +78,7 @@ __all__ = [
     "psi_domain",
     "psi_image",
     "relabel_domain",
+    "relabel_max_side",
     "PsiIntermediate",
     "phi_case",
     "phi",
@@ -111,84 +113,86 @@ class PsiIntermediate:
 
 
 # ---------------------------------------------------------------------------
-# the sets the maps run between: each predicate takes a valid sequence and
-# returns why it lies outside its set, or None.  The public maps check what
-# they accept and emit against them (_checked); the harness certifies the
-# packed cores (_phi, _psi, ...) over the same sets, read on packed form.
+# the sets the maps run between: each predicate takes the marks of a valid
+# sequence (combinat.marks on an object, combinat.packed_marks on a packed
+# sequence) and returns why it lies outside its set, or None.  The public
+# maps check what they accept and emit against them (_checked); the
+# harness certifies the packed cores (_phi, _psi, ...) over the same sets.
 # ---------------------------------------------------------------------------
 
 
-def phi_domain(seq: MBarredSequence) -> str | None:
+def phi_domain(m, k, extra_red, barred_max, barred_min) -> str | None:
     """phi's domain: the extra red block is nonempty."""
-    return None if seq.extra.red else "the extra red block is empty"
+    return None if extra_red else "the extra red block is empty"
 
 
-def phi_image(seq: MBarredSequence) -> str | None:
+def phi_image(m, k, extra_red, barred_max, barred_min) -> str | None:
     """phi's image: at least one blue element, a star-only extra red block,
     and a maximal blue element that is no barred ordinary singleton."""
-    if seq.k < 1:
+    if k < 1:
         return "no blue elements present"
-    if seq.extra.red:
+    if extra_red:
         return "the extra red block is not star-only"
-    if in_barred_max_subset(seq):
+    if barred_max:
         return "the maximal blue element is a barred ordinary singleton"
     return None
 
 
-def psi_domain(seq: MBarredSequence) -> str | None:
+def psi_domain(m, k, extra_red, barred_max, barred_min) -> str | None:
     """psi's domain: the barred-min-singleton subset."""
-    if in_barred_min_subset(seq):
+    if barred_min:
         return None
     return "the minimal blue element is no barred singleton of a star-only sequence"
 
 
-def psi_image(seq: MBarredSequence) -> str | None:
+def psi_image(m, k, extra_red, barred_max, barred_min) -> str | None:
     """psi's image: every sequence with at least one blue bar (m >= 1)."""
-    return None if seq.m >= 1 else "no red bar with a positive label"
+    return None if m >= 1 else "no red bar with a positive label"
 
 
-def relabel_domain(seq: MBarredSequence) -> str | None:
+def relabel_domain(m, k, extra_red, barred_max, barred_min) -> str | None:
     """relabel_max_min's domain, which is also its image: the union of the
     barred-max-singleton and the barred-min-singleton subsets."""
-    if in_barred_max_subset(seq) or in_barred_min_subset(seq):
+    if barred_max or barred_min:
         return None
     return "no extreme blue element is a barred singleton of a star-only sequence"
 
 
-def _checked(core, accepts=None, emits=None):
-    """The public map of `core`.  `accepts` and `emits` are (what, set)
-    pairs: an argument that is no valid sequence of its set is refused with
-    DomainError("what (reason)") before the core runs, and such an output
-    raises ConsistencyError.  None leaves that side unchecked."""
+def relabel_max_side(m, k, extra_red, barred_max, barred_min) -> str | None:
+    """relabel_max_min's barred-max side: the barred-max-singleton subset,
+    which the map carries onto the barred-min one, psi's domain."""
+    if barred_max:
+        return None
+    return "the maximal blue element is no barred singleton of a star-only sequence"
+
+
+def _checked(core, accepts=None, emits=None, result=MBarredSequence):
+    """The public map of `core`, a map on the packed form.  `accepts` and
+    `emits` are (what, set) pairs: an argument that is no valid sequence of
+    its set is refused with DomainError("what (reason)") before it is
+    packed, and such an output raises ConsistencyError.  None leaves that
+    side unchecked.  The map packs its argument, runs the core and decodes
+    the packed result into `result` (None passes a phi case through),
+    reusing the argument's elements where the core left them unchanged; it
+    reads the output's marks from the packed result.  An intermediate that
+    the packed form cannot hold is refused in the name of the public map."""
+    what = core.__name__[1:]
 
     def checked(arg):
         if accepts:
             _require_mbarred(arg, *accepts)
-        out = core(arg)
+        memo = _Memo(_element)
+        out = core(pack(arg, what, memo))
+        if result is None:
+            return out
+        obj = unpack(out, result, memo)
         if emits:
-            _require_mbarred(out, *emits, ConsistencyError)
-        return out
+            _require_mbarred(obj, *emits, ConsistencyError, packed=out)
+        return obj
 
-    checked.__name__ = checked.__qualname__ = core.__name__[1:]
+    checked.__name__ = checked.__qualname__ = what
     checked.__doc__ = core.__doc__
     return checked
-
-
-def _on_objects(core, result=MBarredSequence):
-    """`core`, a map on the packed form, as a map on objects: pack the
-    argument, run the core and decode its packed result into `result`
-    (None passes a phi case through), reusing the argument's elements
-    where the core left them unchanged.  An intermediate that the packed
-    form cannot hold is refused in the name of the public map."""
-    what = core.__name__[1:]
-
-    def on_objects(obj):
-        memo = _Memo(_element)
-        out = core(pack(obj, what, memo))
-        return out if result is None else unpack(out, result, memo)
-
-    on_objects.__name__, on_objects.__doc__ = core.__name__, core.__doc__
-    return on_objects
 
 
 def _with_extra_red(slots: list[Slot], red: int) -> tuple[Slot, ...]:
@@ -285,12 +289,10 @@ def _phi_inverse(seq: Packed) -> Packed:
 
 _PHI_IN = ("phi: input outside phi's domain", phi_domain)
 _PHI_INV_IN = ("phi_inverse: input outside phi's image", phi_image)
-phi_case = _checked(_on_objects(_phi_case, None), _PHI_IN)
-phi = _checked(_on_objects(_phi), _PHI_IN, ("phi: bad image", phi_image))
-phi_inverse_case = _checked(_on_objects(_phi_inverse_case, None), _PHI_INV_IN)
-phi_inverse = _checked(
-    _on_objects(_phi_inverse), _PHI_INV_IN, ("phi_inverse: bad image", phi_domain)
-)
+phi_case = _checked(_phi_case, _PHI_IN, result=None)
+phi = _checked(_phi, _PHI_IN, ("phi: bad image", phi_image))
+phi_inverse_case = _checked(_phi_inverse_case, _PHI_INV_IN, result=None)
+phi_inverse = _checked(_phi_inverse, _PHI_INV_IN, ("phi_inverse: bad image", phi_domain))
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +317,7 @@ def _relabel_max_min(seq: Packed) -> Packed:
 
 
 relabel_max_min = _checked(
-    _on_objects(_relabel_max_min),
+    _relabel_max_min,
     ("relabel_max_min: input outside its domain", relabel_domain),
     ("relabel_max_min: bad image", relabel_domain),
 )
@@ -427,12 +429,12 @@ def _psi_inverse(seq: Packed) -> Packed:
 _PSI_IN = ("psi_b: input outside psi's domain", psi_domain)
 _PSI_INV_IN = ("psi_inverse: input outside psi's image", psi_image)
 _PSI_INV_OUT = ("psi_inverse: bad image", psi_domain)
-psi_b = _checked(_on_objects(_psi_b, PsiIntermediate), _PSI_IN)
-psi_r = _checked(_on_objects(_psi_r))
-psi = _checked(_on_objects(_psi), _PSI_IN, ("psi: bad image", psi_image))
-psi_r_inverse = _checked(_on_objects(_psi_r_inverse, PsiIntermediate), _PSI_INV_IN)
-psi_b_inverse = _checked(_on_objects(_psi_b_inverse), None, _PSI_INV_OUT)
-psi_inverse = _checked(_on_objects(_psi_inverse), _PSI_INV_IN, _PSI_INV_OUT)
+psi_b = _checked(_psi_b, _PSI_IN, result=PsiIntermediate)
+psi_r = _checked(_psi_r)
+psi = _checked(_psi, _PSI_IN, ("psi: bad image", psi_image))
+psi_r_inverse = _checked(_psi_r_inverse, _PSI_INV_IN, result=PsiIntermediate)
+psi_b_inverse = _checked(_psi_b_inverse, None, _PSI_INV_OUT)
+psi_inverse = _checked(_psi_inverse, _PSI_INV_IN, _PSI_INV_OUT)
 
 
 # ---------------------------------------------------------------------------

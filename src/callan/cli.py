@@ -134,7 +134,8 @@ def _cmd_map(args: argparse.Namespace) -> int:
     try:
         with open(args.input, encoding="utf-8") as fh:
             data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, RecursionError) as exc:
+        # RecursionError: JSON nested too deep for the decoder
         print(f"map: cannot read {args.input}: {exc}", file=sys.stderr)
         return 2
     fn, case_fn = _MAPS[args.which]

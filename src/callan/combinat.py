@@ -61,11 +61,13 @@ __all__ = [
     "pack",
     "unpack",
     "packed_barred_singleton",
-    "packed_classify",
     "packed_lines",
     "enumerate_dumont",
     "count_mbarred",
     "bar_arrangements",
+    "marks",
+    "packed_marks",
+    "cell_of",
     "classify",
     "has_barred_blue_singleton",
     "in_barred_max_subset",
@@ -336,10 +338,12 @@ def _may_follow(prev: Bar, nxt: Element) -> bool:
 
 def validate_mbarred(seq: MBarredSequence) -> tuple[bool, str]:
     """Check every defining rule; returns (ok, reason) where reason names
-    the first violated rule.  The "last bar of a run is red" fact is a
-    consequence of bar adjacency and needs no separate check."""
-    if seq.m < 0 or seq.k < 0 or seq.n < 0:
-        return False, "sizes: m, k, n must be nonnegative"
+    the first violated rule.  The first rule is the packed form's size
+    limit, so that no range is built from a size that the elements do not
+    bear out.  The "last bar of a run is red" fact is a consequence of bar
+    adjacency and needs no separate check."""
+    if not 0 <= min(seq.m, seq.k, seq.n) <= max(seq.m, seq.k, seq.n) < _PACKED_LIMIT:
+        return False, f"sizes: m, k, n must lie in 0..{_PACKED_LIMIT - 1}"
     if not seq.elements:
         return False, "last-element: sequence is empty"
     bars = seq.bars()
@@ -380,16 +384,18 @@ def validate_mbarred(seq: MBarredSequence) -> tuple[bool, str]:
 
 
 def _require_mbarred(
-    seq: MBarredSequence, what: str, outside=None, error=DomainError
+    seq: MBarredSequence, what: str, outside=None, error=DomainError, packed=None
 ) -> MBarredSequence:
     """Return seq if it is a valid m-barred sequence in the set that
-    `outside` describes (a predicate that returns why a valid sequence lies
-    outside the set, or None); else raise `error` with "what (reason)".
-    Callers raise DomainError for what they accept and ConsistencyError for
-    what they emit."""
+    `outside` describes (a set predicate of bijections: it takes the marks
+    of a valid sequence and returns why it lies outside the set, or None);
+    else raise `error` with "what (reason)".  The marks are read from
+    `packed`, the packed form of seq, when the caller has it.  Callers
+    raise DomainError for what they accept and ConsistencyError for what
+    they emit."""
     ok, why = validate_mbarred(seq)
     if ok and outside is not None:
-        why = outside(seq)
+        why = outside(*(marks(seq) if packed is None else packed_marks(packed)))
         ok = why is None
     if not ok:
         raise error(f"{what} ({why})")
@@ -587,6 +593,15 @@ def enumerate_dumont(length: int) -> Iterator[DumontPermutation]:
 # ---------------------------------------------------------------------------
 # classification
 # ---------------------------------------------------------------------------
+#
+# The proof splits every cell (k, n, m) three ways, and the bijections map
+# between subsets of these cells.  All of them depend on five marks of a
+# sequence: m, k, the extra red block (a block or a bitmask, true iff it is
+# nonempty), and the barred-max and barred-min flags, which say that the
+# sequence is star-only and its maximal or minimal blue element is a barred
+# ordinary singleton.  marks reads them from an object and packed_marks
+# from a packed sequence; the cell rule (cell_of) and the set predicates of
+# bijections are stated once, on the marks.
 
 CELL_RSTAR_NONEMPTY = "R*-nonempty"
 CELL_STAR_ONLY = "star-only"
@@ -604,18 +619,6 @@ def has_barred_blue_singleton(seq: MBarredSequence, label: int) -> bool:
     return False
 
 
-def in_barred_max_subset(seq: MBarredSequence) -> bool:
-    """Star-only extra red block, and the maximal blue element is a barred
-    ordinary singleton."""
-    return not seq.extra.red and has_barred_blue_singleton(seq, seq.m + seq.k)
-
-
-def in_barred_min_subset(seq: MBarredSequence) -> bool:
-    """Star-only extra red block, and the minimal blue element is a barred
-    ordinary singleton."""
-    return not seq.extra.red and has_barred_blue_singleton(seq, seq.m + 1)
-
-
 def packed_barred_singleton(seq: Packed, label: int) -> bool:
     """has_barred_blue_singleton on the packed form."""
     bit = 1 << label
@@ -625,24 +628,53 @@ def packed_barred_singleton(seq: Packed, label: int) -> bool:
     return False
 
 
-def packed_classify(seq: Packed) -> str:
-    """classify on the packed form."""
-    if seq[3][-1][2]:
+def marks(seq: MBarredSequence) -> tuple:
+    """The marks (m, k, extra red block, barred-max, barred-min) of a
+    sequence object.  Both flags need a star-only sequence with a blue
+    element, and they coincide when there is one blue element."""
+    m, k, red = seq.m, seq.k, seq.extra.red
+    if k == 0 or red:
+        return m, k, red, False, False
+    barred_max = has_barred_blue_singleton(seq, m + k)
+    barred_min = barred_max if k == 1 else has_barred_blue_singleton(seq, m + 1)
+    return m, k, red, barred_max, barred_min
+
+
+def packed_marks(seq: Packed) -> tuple:
+    """The marks of a packed sequence, as marks reads them from its object."""
+    m, k, _, slots = seq
+    red = slots[-1][2]
+    if k == 0 or red:
+        return m, k, red, False, False
+    barred_max = packed_barred_singleton(seq, m + k)
+    barred_min = barred_max if k == 1 else packed_barred_singleton(seq, m + 1)
+    return m, k, red, barred_max, barred_min
+
+
+def cell_of(m: int, k: int, extra_red, barred_max: bool, barred_min: bool) -> str:
+    """The cell rule: nonempty extra red block / star-only / star-only with
+    the maximal blue element a barred ordinary singleton.  The cells are
+    disjoint and exhaustive."""
+    if extra_red:
         return CELL_RSTAR_NONEMPTY
-    if packed_barred_singleton(seq, seq[0] + seq[1]):
-        return CELL_BARRED_MAX
-    return CELL_STAR_ONLY
+    return CELL_BARRED_MAX if barred_max else CELL_STAR_ONLY
 
 
 def classify(seq: MBarredSequence) -> str:
-    """Which cell of the three-way split the sequence belongs to: nonempty
-    extra red block / star-only / star-only with the maximal blue element a
-    barred ordinary singleton.  The cells are disjoint and exhaustive."""
-    if seq.extra.red:
-        return CELL_RSTAR_NONEMPTY
-    if has_barred_blue_singleton(seq, seq.m + seq.k):
-        return CELL_BARRED_MAX
-    return CELL_STAR_ONLY
+    """Which cell of the three-way split the sequence belongs to."""
+    return cell_of(*marks(seq))
+
+
+def in_barred_max_subset(seq: MBarredSequence) -> bool:
+    """Star-only extra red block, and the maximal blue element is a barred
+    ordinary singleton."""
+    return marks(seq)[3]
+
+
+def in_barred_min_subset(seq: MBarredSequence) -> bool:
+    """Star-only extra red block, and the minimal blue element is a barred
+    ordinary singleton."""
+    return marks(seq)[4]
 
 
 # ---------------------------------------------------------------------------

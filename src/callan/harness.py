@@ -17,8 +17,10 @@ on one cell.
 
 The public maps of ``bijections`` are the trust boundary: they validate
 what they accept and emit.  The object claims run on the packed form of
-``combinat``: the sweep streams packed sequences, the certificates run
-the unvalidating packed cores, and objects are decoded only for the
+``combinat``: the sweep streams packed sequences with their marks, the
+partition check counts them by the cell rule of ``combinat``, the
+certificates run the unvalidating packed cores over the sets that
+``bijections`` states, and objects are decoded only for the
 counterexamples a report carries.
 """
 
@@ -37,11 +39,12 @@ from .bijections import (  # the unvalidating packed cores, under their public n
     _psi_inverse as psi_inverse,
     _relabel_max_min as relabel_max_min,
 )
+from .bijections import phi_domain, phi_image, psi_domain, psi_image, relabel_max_side
 from .combinat import (
+    cell_of,
     count_mbarred,
     enumerate_packed,
-    packed_barred_singleton,
-    packed_classify,
+    packed_marks,
     unpack,
     CELL_RSTAR_NONEMPTY,
     CELL_STAR_ONLY,
@@ -253,26 +256,12 @@ class _Partition:
     def __init__(self, k: int, n: int, m: int) -> None:
         self.cell = (k, n, m)
         self.counts = {CELL_RSTAR_NONEMPTY: 0, CELL_STAR_ONLY: 0, CELL_BARRED_MAX: 0}
-        self.bad = []
         self.elapsed = 0.0
 
-    def domain(self, seq, barred_max: bool, barred_min: bool) -> None:
-        """Check one packed sequence; the partition's domain is its whole
-        cell.  The cell that classify gives, recomputed here, must be the
-        one that the predicates' flags name."""
-        cell = packed_classify(seq)
-        expected = (
-            CELL_RSTAR_NONEMPTY
-            if seq[3][-1][2]
-            else CELL_BARRED_MAX
-            if barred_max
-            else CELL_STAR_ONLY
-        )
-        if cell != expected:
-            if len(self.bad) < _COUNTEREXAMPLE_CAP:
-                self.bad.append({"misclassified": _payload(seq), "cell": cell})
-            return
-        self.counts[cell] += 1
+    def domain(self, seq, marked: tuple) -> None:
+        """Count one packed sequence, with its marks, in its cell; the
+        partition's domain is its whole cell."""
+        self.counts[cell_of(*marked)] += 1
 
     def report(self) -> VerificationReport:
         started = time.perf_counter()
@@ -280,7 +269,7 @@ class _Partition:
         lhs = sum(self.counts.values())
         rhs = count_mbarred(k, n, m)
         params = {"k": k, "n": n, "m": m}
-        return _finish("partition", params, lhs, rhs, self.bad, started, spent=self.elapsed)
+        return _finish("partition", params, lhs, rhs, [], started, spent=self.elapsed)
 
 
 # ---------------------------------------------------------------------------
@@ -291,13 +280,13 @@ class _Partition:
 class _Certificate:
     """Certifies that forward maps D bijectively onto C with backward as
     two-sided inverse.  D is the set of sequences at `cell` that `in_domain`
-    accepts, C the set at `image_cell` that `in_image` accepts (each
-    predicate is true on its members).  The certificate is fed every
-    packed sequence of `cell` through domain() and every one of
-    `image_cell` through codomain(), each with the flags that _marked
-    gives it, the two sides in any order, even interleaved; each skips
-    what its predicate refuses, and report() gives the verdict.  The maps
-    are assumed deterministic.
+    accepts, C the set at `image_cell` that `in_image` accepts (each is a
+    set predicate of bijections, which returns None on its members).  The
+    certificate is fed every packed sequence of `cell` through domain() and
+    every one of `image_cell` through codomain(), each with its marks, the
+    two sides in any order, even interleaved; each skips what its predicate
+    refuses, and report() gives the verdict.  The maps are assumed
+    deterministic.
 
     domain(s) applies forward, adds the image to the image set I and checks
     backward(forward(s)) = s (forward-error, backward-error, roundtrip).
@@ -349,8 +338,8 @@ class _Certificate:
             self.noted[kind] += 1
             self.bad.append({kind: payload})
 
-    def domain(self, s, barred_max: bool, barred_min: bool) -> None:
-        if not self.in_domain(s, barred_max, barred_min):
+    def domain(self, s, marked: tuple) -> None:
+        if self.in_domain(*marked) is not None:
             return
         self.domain_size += 1
         try:
@@ -367,8 +356,8 @@ class _Certificate:
         if back != s:
             self.note("roundtrip", _payload(s))
 
-    def codomain(self, t, barred_max: bool, barred_min: bool) -> None:
-        if not self.in_image(t, barred_max, barred_min):
+    def codomain(self, t, marked: tuple) -> None:
+        if self.in_image(*marked) is not None:
             return
         self.codomain_size += 1
         before = len(self.images)  # t is hashed once, and nothing raises
@@ -391,37 +380,22 @@ class _Certificate:
         )
 
 
-def _marked(k: int, n: int, m: int):
-    """The packed sequences at (k, n, m), each with its barred-max and
-    barred-min flags (in_barred_max_subset and in_barred_min_subset),
-    found once per sequence for all the checks it feeds.  Both need a
-    star-only sequence with a blue element."""
-    hi, lo = m + k, m + 1
-    for seq in enumerate_packed(k, n, m):
-        if k == 0 or seq[3][-1][2]:
-            yield seq, False, False
-        else:
-            barred_max = packed_barred_singleton(seq, hi)
-            barred_min = barred_max if hi == lo else packed_barred_singleton(seq, lo)
-            yield seq, barred_max, barred_min
-
-
 def _stream_cell(cell, starting, finishing=()) -> None:
-    """Stream the sequences at `cell` once, into domain() of each consumer
-    in `starting` and codomain() of each certificate in `finishing`; a
+    """Stream the sequences at `cell` once, each with its marks, read once
+    for all the checks it feeds, into domain() of each consumer in
+    `starting` and codomain() of each certificate in `finishing`; a
     certificate whose two sides share the cell is in both.  Each consumer's
-    elapsed grows by the time its own calls take; the stream itself is
-    charged to the first consumer."""
+    elapsed grows by the time its own calls take; the stream itself and
+    the marks are charged to the first consumer, whose clock read after
+    its own call covers them."""
     clock = time.perf_counter
     feeds = [(c, c.domain) for c in starting] + [(c, c.codomain) for c in finishing]
     first = feeds[0][0]
     last = clock()
-    for seq, barred_max, barred_min in _marked(*cell):
-        now = clock()
-        first.elapsed += now - last
-        last = now
+    for seq in enumerate_packed(*cell):
+        marked = packed_marks(seq)
         for consumer, feed in feeds:
-            feed(seq, barred_max, barred_min)
+            feed(seq, marked)
             now = clock()
             consumer.elapsed += now - last
             last = now
@@ -441,51 +415,26 @@ def _certify_map(certificate: _Certificate) -> VerificationReport:
     return certificate.report()
 
 
-# The sets the certificates run between, on a packed sequence and the
-# flags that _marked gives it: the sets of phi_domain, phi_image,
-# psi_domain and psi_image in bijections, and relabel's two subsets.
-
-
-def _phi_domain(seq, barred_max: bool, barred_min: bool) -> bool:
-    return seq[3][-1][2] != 0
-
-
-def _phi_image(seq, barred_max: bool, barred_min: bool) -> bool:
-    return seq[1] >= 1 and not seq[3][-1][2] and not barred_max
-
-
-def _psi_domain(seq, barred_max: bool, barred_min: bool) -> bool:
-    return barred_min
-
-
-def _psi_image(seq, barred_max: bool, barred_min: bool) -> bool:
-    return seq[0] >= 1
-
-
-def _barred_max(seq, barred_max: bool, barred_min: bool) -> bool:
-    return barred_max
-
-
 # The map names are looked up when a certificate is made, so a map patched
 # on this module reaches the sweeps as well as the one-cell entry points.
 
 
 def _phi_certificate(k: int, n: int, m: int) -> _Certificate:
     return _Certificate(
-        "phi", (k, n, m), (k + 1, n - 1, m), phi, phi_inverse, _phi_domain, _phi_image
+        "phi", (k, n, m), (k + 1, n - 1, m), phi, phi_inverse, phi_domain, phi_image
     )
 
 
 def _psi_certificate(k: int, n: int, m: int) -> _Certificate:
     return _Certificate(
-        "psi", (k, n, m), (k - 1, n - 1, m + 1), psi, psi_inverse, _psi_domain, _psi_image
+        "psi", (k, n, m), (k - 1, n - 1, m + 1), psi, psi_inverse, psi_domain, psi_image
     )
 
 
 def _relabel_certificate(k: int, n: int, m: int) -> _Certificate:
     return _Certificate(
         "relabel", (k, n, m), (k, n, m), relabel_max_min, relabel_max_min,
-        _barred_max, _psi_domain,  # the barred-min subset is psi's domain
+        relabel_max_side, psi_domain,  # the barred-min subset is psi's domain
     )
 
 

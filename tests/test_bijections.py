@@ -12,6 +12,7 @@ from callan.bijections import (
     psi_domain,
     psi_image,
     relabel_domain,
+    relabel_max_side,
     phi,
     phi_case,
     phi_inverse,
@@ -40,6 +41,8 @@ from callan.combinat import (
     in_barred_max_subset,
     in_barred_min_subset,
     from_json_dict,
+    marks,
+    pack,
     to_json_dict,
     canonical_json,
 )
@@ -157,11 +160,13 @@ def test_domain_and_image_predicates_match_the_cells():
         for s in enumerate_mbarred(k, n, m):
             cell = classify(s)
             extreme = in_barred_max_subset(s) or in_barred_min_subset(s)
-            assert (phi_domain(s) is None) == (cell == CELL_RSTAR_NONEMPTY)
-            assert (phi_image(s) is None) == (k >= 1 and cell == CELL_STAR_ONLY)
-            assert (psi_domain(s) is None) == in_barred_min_subset(s)
-            assert (psi_image(s) is None) == (m >= 1)
-            assert (relabel_domain(s) is None) == extreme
+            marked = marks(s)
+            assert (phi_domain(*marked) is None) == (cell == CELL_RSTAR_NONEMPTY)
+            assert (phi_image(*marked) is None) == (k >= 1 and cell == CELL_STAR_ONLY)
+            assert (psi_domain(*marked) is None) == in_barred_min_subset(s)
+            assert (psi_image(*marked) is None) == (m >= 1)
+            assert (relabel_domain(*marked) is None) == extreme
+            assert (relabel_max_side(*marked) is None) == in_barred_max_subset(s)
 
 
 def test_phi_rejects_star_only_input():
@@ -213,19 +218,19 @@ def test_relabel_rejects_outside_both_subsets():
 
 
 def test_checked_guards_both_sides_of_a_core():
-    # the public maps are their cores bound through _checked: input outside
-    # the domain never reaches the core, and output outside the image is an
-    # internal error, whether it is invalid or merely a valid sequence of
-    # the wrong set
+    # the public maps are their packed cores bound through _checked: input
+    # outside the domain never reaches the core, and output outside the
+    # image is an internal error, whether it is invalid or merely a valid
+    # sequence of the wrong set
     calls = []
 
     def stub(emit):
-        def core(seq):
+        def _core(seq):
             calls.append(seq)
             return emit(seq)
 
         return bijections._checked(
-            core, ("stub: input outside phi's domain", phi_domain),
+            _core, ("stub: input outside phi's domain", phi_domain),
             ("stub: bad image", phi_image),
         )
 
@@ -233,16 +238,16 @@ def test_checked_guards_both_sides_of_a_core():
     outside = next(s for s in enumerate_mbarred(2, 1, 0) if not s.extra.red)
     invalid = MBarredSequence(0, 0, 0, ())
     with pytest.raises(DomainError, match=r"^stub: input outside phi's domain \("):
-        stub(phi)(outside)
+        stub(bijections._phi)(outside)
     with pytest.raises(DomainError, match="sequence is empty"):
-        stub(phi)(invalid)
+        stub(bijections._phi)(invalid)
     assert calls == []
-    assert stub(phi)(inside) == phi(inside)
+    assert stub(bijections._phi)(inside) == phi(inside)
     with pytest.raises(ConsistencyError, match=r"^stub: bad image \(last-element"):
-        stub(lambda s: invalid)(inside)
+        stub(lambda s: (0, 0, 0, ()))(inside)  # packs no element at all
     with pytest.raises(ConsistencyError, match=r"^stub: bad image \(the extra red"):
         stub(lambda s: s)(inside)
-    assert calls == [inside] * 3
+    assert calls == [pack(inside, "test")] * 3
     assert (phi.__name__, phi.__doc__) == ("phi", bijections._phi.__doc__)
 
 
@@ -294,7 +299,7 @@ def test_canonical_intermediate_json_is_json_dumps_of_the_dict_form():
         for n in range(7 - k)
         for m in range((6 - k - n) // 2 + 1)
         for s in enumerate_mbarred(k, n, m)
-        if psi_domain(s) is None
+        if psi_domain(*marks(s)) is None
     ]
     assert images
     for inter in images:

@@ -1,10 +1,15 @@
 import hashlib
 import json
+import os
 import pathlib
 import random
+import resource
+import subprocess
+import sys
 
 import pytest
 
+import callan
 from callan.cli import main
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -328,6 +333,76 @@ def test_map_psi_r_refuses_what_the_packed_form_cannot_hold(tmp_path, capsys, na
     assert (code, out, err) == (1, "", f"map: psi_r: {reason}\n")
 
 
+# Every other map validates its input, and the validator's first rule is
+# the packed form's size limit: it refuses a size before any range is
+# built from it.  The input holds the single red bar |r0 and the extra
+# pair, whatever sizes it claims.
+SIZE_REFUSALS = {
+    "phi": "phi: input outside phi's domain",
+    "phi-inv": "phi_inverse: input outside phi's image",
+    "psi": "psi_b: input outside psi's domain",
+    "psi-b": "psi_b: input outside psi's domain",
+    "relabel": "relabel_max_min: input outside its domain",
+}
+BAR_AND_EXTRA_PAIR = [
+    {"bar": {"color": "red", "label": 0}},
+    {"pair": {"blue": [], "red": [], "extra": True}},
+]
+
+
+def _map_capped(tmp_path, which, doc):
+    """`callan map` in a child process with 1 GB of address space and a
+    timeout, because a size taken at its word builds a range that large."""
+    src = tmp_path / "in.json"
+    src.write_text(json.dumps(doc))
+    package = str(pathlib.Path(callan.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (package, os.environ.get("PYTHONPATH")))
+    ))
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    argv = [sys.executable, "-m", "callan.cli", "map", "--which", which, "--input", str(src)]
+    done = subprocess.run(argv, env=env, preexec_fn=cap, capture_output=True, text=True,
+                          timeout=60)
+    return done.returncode, done.stdout, done.stderr
+
+
+@pytest.mark.parametrize("size", ["m", "k", "n"])
+@pytest.mark.parametrize("which", sorted(SIZE_REFUSALS))
+def test_map_refuses_a_size_the_packed_form_cannot_hold(tmp_path, which, size):
+    doc = {"m": 0, "k": 0, "n": 0, "elements": BAR_AND_EXTRA_PAIR}
+    doc[size] = 10**15
+    reason = "sizes: m, k, n must lie in 0..1048575"
+    assert _map_capped(tmp_path, which, doc) == (
+        1, "", f"map: {SIZE_REFUSALS[which]} ({reason})\n"
+    )
+
+
+def test_map_refuses_a_negative_size_by_the_same_rule(tmp_path, capsys):
+    doc = {"m": -1, "k": 0, "n": 0, "elements": BAR_AND_EXTRA_PAIR}
+    assert _map(tmp_path, capsys, "relabel", doc) == (
+        1, "", "map: relabel_max_min: input outside its domain "
+        "(sizes: m, k, n must lie in 0..1048575)\n"
+    )
+
+
+DEEP = 50_000  # far past the recursion limit of the JSON decoder
+
+
+@pytest.mark.parametrize("text", [
+    "[" * (2 * DEEP),
+    '{"m": 0, "k": 0, "n": 0, "elements": [' + "[" * DEEP + "]" * DEEP + "]}",
+], ids=["open-brackets", "deep-elements"])
+def test_map_exits_two_on_json_nested_too_deep(tmp_path, capsys, text):
+    src = tmp_path / "deep.json"
+    src.write_text(text)
+    code, out, err = run(capsys, "map", "--which", "relabel", "--input", str(src))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"map: cannot read {src}: ") and len(err.splitlines()) == 1
+
+
 def test_map_internal_error_exits_three(tmp_path, capsys, monkeypatch):
     from callan import cli
     from callan.errors import ConsistencyError
@@ -381,7 +456,7 @@ def _domain_inputs(which):
     """Wire forms of every object of weight k + n + 2m <= 5 in the domain
     of the map `which`."""
     from callan import bijections
-    from callan.combinat import enumerate_mbarred, to_json_dict
+    from callan.combinat import enumerate_mbarred, marks, to_json_dict
 
     inside = {
         "phi": bijections.phi_domain, "phi-inv": bijections.phi_image,
@@ -392,7 +467,7 @@ def _domain_inputs(which):
         s
         for k in range(6) for n in range(6 - k) for m in range((5 - k - n) // 2 + 1)
         for s in enumerate_mbarred(k, n, m)
-        if inside(s) is None
+        if inside(*marks(s)) is None
     ]
     if which == "psi-r":
         return [bijections.intermediate_to_json_dict(bijections.psi_b(s)) for s in seqs]

@@ -1,6 +1,7 @@
 import gc
 import json
 import pathlib
+from collections import Counter
 from itertools import combinations, permutations
 
 import pytest
@@ -36,11 +37,10 @@ from callan.combinat import (
     canonical_json,
     _may_follow,
     enumerate_packed,
-    has_barred_blue_singleton,
+    marks,
     pack,
-    packed_barred_singleton,
-    packed_classify,
     packed_lines,
+    packed_marks,
     unpack,
 )
 from callan.errors import DomainError
@@ -456,12 +456,38 @@ def test_packed_form_round_trips_through_objects():
     assert len(set(packed)) == len(packed) == 2192
 
 
-def test_packed_predicates_match_the_object_predicates():
-    for p in _packed_weight_at_most(6):
-        seq = unpack(p)
-        assert packed_classify(p) == classify(seq)
-        for label in range(seq.m, seq.m + seq.k + 2):
-            assert packed_barred_singleton(p, label) == has_barred_blue_singleton(seq, label)
+def _barred_singletons(seq):
+    """The blue elements that form the whole blue block of an ordinary pair
+    with a bar standing immediately before it, read from the definition."""
+    out = set()
+    for before, e in zip((None,) + seq.elements, seq.elements):
+        if isinstance(e, CallanPair) and not e.is_extra and isinstance(before, Bar):
+            if len(e.blue) == 1:
+                out |= e.blue
+    return out
+
+
+def test_marks_read_the_barred_singletons_on_both_forms():
+    # the flags of marks and packed_marks, the cell rule and the subset
+    # predicates against the definition: the maximal (minimal) blue element
+    # m + k (m + 1) is a barred singleton of a star-only sequence
+    seen = Counter()
+    for seq in _weight_at_most(6):
+        red = seq.extra.red
+        singles = set() if red else _barred_singletons(seq)
+        barred_max, barred_min = seq.m + seq.k in singles, seq.m + 1 in singles
+        assert marks(seq) == (seq.m, seq.k, red, barred_max, barred_min)
+        mask = sum(1 << x for x in red)
+        assert packed_marks(pack(seq, "test")) == (seq.m, seq.k, mask, barred_max, barred_min)
+        assert in_barred_max_subset(seq) == barred_max
+        assert in_barred_min_subset(seq) == barred_min
+        cell = CELL_RSTAR_NONEMPTY if red else CELL_BARRED_MAX if barred_max else CELL_STAR_ONLY
+        assert classify(seq) == cell
+        seen[cell, barred_max, barred_min] += 1
+    assert sum(seen.values()) == 2192
+    # every cell occurs, and each flag without the other
+    assert {cell for cell, _, _ in seen} == {CELL_RSTAR_NONEMPTY, CELL_STAR_ONLY, CELL_BARRED_MAX}
+    assert seen[CELL_BARRED_MAX, True, False] and seen[CELL_STAR_ONLY, False, True]
 
 
 def test_packed_lines_write_the_objects_text():

@@ -9,7 +9,8 @@ import pytest
 
 from callan import harness
 from callan.bijections import _phi as phi, _phi_inverse as phi_inverse, _psi_inverse as psi_inverse
-from callan.combinat import enumerate_packed
+from callan.bijections import phi_domain
+from callan.combinat import enumerate_packed, packed_marks
 from callan.harness import (
     SumTerm,
     certify_phi,
@@ -204,7 +205,7 @@ def test_certificate_catches_collision(monkeypatch):
     # needed, and in (2, 2, 0) the cap per kind still leaves room for the
     # codomain elements never hit
     for cell in [(1, 2, 0), (2, 2, 0)]:
-        first = next(s for s in enumerate_packed(*cell) if harness._phi_domain(s, False, False))
+        first = next(s for s in enumerate_packed(*cell) if phi_domain(*packed_marks(s)) is None)
         monkeypatch.setattr(harness, "phi", lambda s, first=first: phi(first))
         r = certify_phi(*cell)
         assert not r.passed
@@ -235,7 +236,7 @@ def test_certificate_catches_wrong_inverse(monkeypatch):
 def test_certificate_catches_missed_codomain_element(monkeypatch):
     # one domain element is sent outside the codomain, so one codomain
     # element is never hit although the sizes agree
-    victim = next(s for s in enumerate_packed(2, 2, 0) if harness._phi_domain(s, False, False))
+    victim = next(s for s in enumerate_packed(2, 2, 0) if phi_domain(*packed_marks(s)) is None)
     monkeypatch.setattr(harness, "phi", lambda s: s if s == victim else phi(s))
     monkeypatch.setattr(
         harness, "phi_inverse", lambda t: t if t == victim else phi_inverse(t)
@@ -254,31 +255,6 @@ def test_certificate_catches_raising_maps(monkeypatch):
     assert _kinds(certify_psi(2, 2, 0)) == {"backward-error"}
     monkeypatch.setattr(harness, "psi", refuse)
     assert _kinds(certify_psi(2, 2, 0)) == {"forward-error", "not-hit"}
-
-
-def test_packed_sets_match_the_bijections_predicates():
-    # the certificates read the sets of bijections' predicates on packed
-    # sequences and the flags of _marked
-    from callan import bijections
-    from callan.combinat import in_barred_max_subset, unpack
-
-    sets = [
-        (harness._phi_domain, bijections.phi_domain),
-        (harness._phi_image, bijections.phi_image),
-        (harness._psi_domain, bijections.psi_domain),
-        (harness._psi_image, bijections.psi_image),
-        (harness._barred_max, lambda s: None if in_barred_max_subset(s) else "out"),
-    ]
-    checked = 0
-    for k in range(7):
-        for n in range(7 - k):
-            for m in range((6 - k - n) // 2 + 1):
-                for marked in harness._marked(k, n, m):
-                    seq = unpack(marked[0])
-                    for packed_set, predicate in sets:
-                        assert packed_set(*marked) == (predicate(seq) is None)
-                    checked += 1
-    assert checked == 2192
 
 
 # The sweep behind run_claim streams each (k, n, m) cell once and feeds
@@ -314,9 +290,10 @@ def test_sweep_streams_each_cell_once(monkeypatch):
     assert streamed == Counter(cells)
 
 
-def test_sweep_scans_for_barred_singletons_at_most_twice_per_object(monkeypatch):
-    # _marked finds each object's barred-max and barred-min flags once for
-    # every check it feeds; only the partition check classifies again
+def test_sweep_scans_for_barred_singletons_about_once_per_object(monkeypatch):
+    # the sweep reads each object's marks once for every check it feeds:
+    # none for an object with a nonempty extra red block or without blue
+    # elements, one when the two extreme blue elements coincide, else two
     from callan import combinat
 
     scans = []
@@ -327,12 +304,11 @@ def test_sweep_scans_for_barred_singletons_at_most_twice_per_object(monkeypatch)
         return scan(seq, label)
 
     monkeypatch.setattr(combinat, "packed_barred_singleton", counting)
-    monkeypatch.setattr(harness, "packed_barred_singleton", counting)
     reports = run_claim("all", 8)
     assert reports and all(r.passed for r in reports)
     objects = sum(r.lhs for r in reports if r.claim_id == "partition")
     assert objects == 84639
-    assert len(scans) <= 2 * objects
+    assert len(scans) <= 1.1 * objects
 
 
 def test_all_is_the_union_of_single_claims():
@@ -391,8 +367,8 @@ _CERTIFICATES = {
 
 def _fed(make, cell, order):
     certificate = make(*cell)
-    domain = list(harness._marked(*certificate.cell))
-    codomain = list(harness._marked(*certificate.image_cell))
+    domain = [(s, packed_marks(s)) for s in enumerate_packed(*certificate.cell)]
+    codomain = [(t, packed_marks(t)) for t in enumerate_packed(*certificate.image_cell)]
     if order == "domain-first":
         feeds = [(certificate.domain, s) for s in domain]
         feeds += [(certificate.codomain, t) for t in codomain]
