@@ -290,15 +290,16 @@ def _mask(block: frozenset[int], what: str) -> int:
 
 
 def pack(obj, what: str, memo: dict | None = None) -> Packed:
-    """The packed form of a sequence or of a psi-b intermediate.  A valid
-    sequence with sizes below 2**20 always packs.  An intermediate has no
-    validator of its own,
-    and one that the packed form cannot hold is refused with DomainError,
-    named by `what`: one that does not end with the extra pair, has an
-    extra pair before its end, or has a size or block member that is
-    negative or not below 2**20.  `memo`, when given, gets each element
-    of obj under its key in _elements, so that unpacking a map's result
-    builds only the elements the map changed."""
+    """The packed form of a sequence or of a psi-b intermediate.  Block
+    members run up to m + max(k, n), so a valid sequence packs when that
+    sum is below 2**20; one whose sizes are below 2**20 but whose sum is
+    not is refused.  What the packed form cannot hold is refused with
+    DomainError, named by `what`: an object that does not end with the
+    extra pair, has an extra pair before its end, or has a size or block
+    member that is negative or not below 2**20 (an intermediate has no
+    validator of its own).  `memo`, when given, gets each element of obj
+    under its key in _elements, so that unpacking a map's result builds
+    only the elements the map changed."""
     if not 0 <= min(obj.m, obj.k, obj.n) <= max(obj.m, obj.k, obj.n) < _PACKED_LIMIT:
         raise DomainError(f"{what}: sizes m, k, n must lie in 0..{_PACKED_LIMIT - 1}")
     elements = obj.elements
@@ -339,9 +340,11 @@ def _may_follow(prev: Bar, nxt: Element) -> bool:
 def validate_mbarred(seq: MBarredSequence) -> tuple[bool, str]:
     """Check every defining rule; returns (ok, reason) where reason names
     the first violated rule.  The first rule is the packed form's size
-    limit, so that no range is built from a size that the elements do not
-    bear out.  The "last bar of a run is red" fact is a consequence of bar
-    adjacency and needs no separate check."""
+    limit.  No set or list is built from a size, and a reason names the
+    first stray or missing member, not whole sets, so the work and the
+    reason are bounded by the elements, not by the sizes they claim.  The
+    "last bar of a run is red" fact is a consequence of bar adjacency and
+    needs no separate check."""
     if not 0 <= min(seq.m, seq.k, seq.n) <= max(seq.m, seq.k, seq.n) < _PACKED_LIMIT:
         return False, f"sizes: m, k, n must lie in 0..{_PACKED_LIMIT - 1}"
     if not seq.elements:
@@ -349,10 +352,10 @@ def validate_mbarred(seq: MBarredSequence) -> tuple[bool, str]:
     bars = seq.bars()
     blue_labels = sorted(b.label for b in bars if b.color == BLUE)
     red_labels = sorted(b.label for b in bars if b.color == RED)
-    if blue_labels != list(range(1, seq.m + 1)):
-        return False, f"bar-multiset: blue labels {blue_labels} != 1..{seq.m}"
-    if red_labels != list(range(0, seq.m + 1)):
-        return False, f"bar-multiset: red labels {red_labels} != 0..{seq.m}"
+    for color, labels, first in ((BLUE, blue_labels, 1), (RED, red_labels, 0)):
+        if len(labels) != seq.m + 1 - first or labels != list(range(first, seq.m + 1)):
+            why = _range_mismatch(labels, first, seq.m + 1 - first)
+            return False, f"bar-multiset: {color} label {why}, labels {first}..{seq.m}"
     last = seq.elements[-1]
     if not isinstance(last, CallanPair):
         return False, "last-element: a bar stands at the end"
@@ -369,18 +372,30 @@ def validate_mbarred(seq: MBarredSequence) -> tuple[bool, str]:
     for p in pairs:
         if not p.is_extra and (not p.blue or not p.red):
             return False, f"empty-ordinary-block: {p}"
-    for color, base in ((BLUE, seq.blue_base()), (RED, seq.red_base())):
-        blocks = [getattr(p, color) for p in pairs]
+    for color, size in ((BLUE, seq.k), (RED, seq.n)):
         seen: set[int] = set()
-        for blk in blocks:
+        for p in pairs:
+            blk = getattr(p, color)
             if blk & seen:
                 return False, f"{color}-partition: element reused across blocks"
             seen |= blk
-        if seen != base:
-            return False, (
-                f"{color}-partition: union {sorted(seen)} != base {sorted(base)}"
-            )
+        if len(seen) != size or seen != set(range(seq.m + 1, seq.m + size + 1)):
+            why = _range_mismatch(sorted(seen), seq.m + 1, size)
+            return False, f"{color}-partition: member {why}, base {seq.m + 1}..{seq.m + size}"
     return True, "ok"
+
+
+def _range_mismatch(members: list[int], first: int, size: int) -> str:
+    """Why the sorted ints `members` are not first..first+size-1, each
+    once: the smallest member that is stray (outside that range or
+    repeated) or missing.  The work is bounded by len(members), however
+    large size is."""
+    for x, want in zip(members, range(first, first + size)):
+        if x != want:
+            return f"{x} is stray" if x < want else f"{want} is missing"
+    if len(members) > size:
+        return f"{members[size]} is stray"
+    return f"{first + len(members)} is missing"
 
 
 def _require_mbarred(
@@ -504,8 +519,17 @@ def bar_arrangements(m: int, runs: int) -> tuple[tuple[tuple[int, ...], ...], ..
     results: list[tuple[tuple[int, ...], ...]] = []
     current: list[list[int]] = [[] for _ in range(runs)]
     used = [False] * (top + 1)
+    # The unused codes as a doubly linked list between the ends 0 and
+    # top + 1: above[c] is the next unused code after c, below[c] the one
+    # before it, so above[0] is the smallest unused code.
+    above = list(range(1, top + 2)) + [top + 1]
+    below = [0] + list(range(top + 1))
 
     def rec(run_idx: int, remaining: int) -> None:
+        # A smallest unused code that is even is a blue bar, and every
+        # smaller code is placed, so nothing may ever follow it: a dead end.
+        if remaining and not above[0] & 1:
+            return
         if run_idx == runs:
             if remaining == 0:
                 results.append(tuple(map(tuple, current)))
@@ -517,9 +541,11 @@ def bar_arrangements(m: int, runs: int) -> tuple[tuple[tuple[int, ...], ...], ..
         for code in successors[last]:
             if not used[code]:
                 used[code] = True
+                above[below[code]], below[above[code]] = above[code], below[code]
                 run.append(code)
                 rec(run_idx, remaining - 1)
                 run.pop()
+                above[below[code]] = below[above[code]] = code
                 used[code] = False
 
     rec(0, top)

@@ -154,24 +154,37 @@ def _alternating_sum(n: int, value_of_j, source: str) -> tuple:
 def verify_pb_zero(n: int) -> VerificationReport:
     """Sum of (-1)^j B(n-j, -j) over 0 <= j <= n vanishes (n >= 1; the
     empty-shift case n = 0 evaluates to 1 and honestly fails)."""
-    started = time.perf_counter()
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    total, terms = _alternating_sum(
-        n, lambda j: numbers.poly_bernoulli_b(n - j, -j), "series"
-    )
-    return _finish("pb-zero", {"n": n}, total, 0, [], started, terms)
+    return _series_claim("pb-zero", [n])[0]
 
 
 def verify_thm_identity(n: int) -> VerificationReport:
     """Alternating sum of C(n-j, j) over 0 <= j <= n equals minus the
     Genocchi number of index n+2, all values from exact series."""
+    return _series_claim("thm1", [n])[0]
+
+
+def _series_claim(claim: str, ns: list[int]) -> list[VerificationReport]:
+    """The reports of pb-zero or thm1 at each n in `ns`.  Summand j at n is
+    row n - j of the column of upper index j, so each column j is built
+    once, up to max(ns) - j, by one compose and one divide, and each report
+    reads its anti-diagonal.  The build is charged to the first report."""
     started = time.perf_counter()
-    if n < 0:
+    if min(ns) < 0:
         raise ValueError("n must be nonnegative")
-    total, terms = _alternating_sum(n, lambda j: numbers.c_number(n - j, j), "series")
-    rhs = -numbers.genocchi(n + 2)
-    return _finish("thm-identity", {"n": n}, total, rhs, [], started, terms)
+    top = max(ns)
+    if claim == "pb-zero":
+        claim_id, rhs_of = "pb-zero", lambda n: 0
+        columns = [numbers.poly_bernoulli_b_column(-j, top - j) for j in range(top + 1)]
+    else:
+        genocchi = numbers.genocchi_list(top + 2)
+        claim_id, rhs_of = "thm-identity", lambda n: -genocchi[n + 2]
+        columns = [numbers.c_column(j, top - j) for j in range(top + 1)]
+    reports = []
+    for n in ns:
+        total, terms = _alternating_sum(n, lambda j: columns[j][n - j], "series")
+        reports.append(_finish(claim_id, {"n": n}, total, rhs_of(n), [], started, terms))
+        started = time.perf_counter()
+    return reports
 
 
 def verify_thm_identity2(n: int, m: int, mode: str = "enumeration") -> VerificationReport:
@@ -552,9 +565,9 @@ def run_claim(claim: str, max_weight: int = 8) -> list[VerificationReport]:
     if claim in _SWEEPS:
         return sorted(_sweep(max_weight, (claim,)), key=_cell_order)
     if claim == "pb-zero":
-        return [verify_pb_zero(n) for n in _PB_ZERO_RANGE]
+        return _series_claim(claim, list(_PB_ZERO_RANGE))
     if claim == "thm1":
-        return [verify_thm_identity(n) for n in _THM1_RANGE]
+        return _series_claim(claim, list(_THM1_RANGE))
     if claim == "thm2":
         return [verify_thm_identity2(n, m) for n, m in _nm_cells(max_weight)]
     if claim == "prop-rec":

@@ -26,8 +26,10 @@ __all__ = [
     "genocchi",
     "genocchi_list",
     "poly_bernoulli_b",
+    "poly_bernoulli_b_column",
     "poly_bernoulli_c",
     "c_number",
+    "c_column",
     "c_table",
 ]
 
@@ -70,15 +72,38 @@ def _polylog_of_w(k: int, order: int) -> tuple[TruncatedSeries, TruncatedSeries]
     return w, polylog_series(k, order).compose(w)
 
 
+# The coefficient [t^n] of a quotient does not depend on the order it is
+# truncated at, so one compose and one divide at order max_n + 1 give the
+# values n = 0..max_n of a column, where the single values pay both per n.
+# The divisors have valuation 1: one extra term pays for the division.
+
+
+def _b_quotient(k: int, order: int) -> TruncatedSeries:
+    """Li_k(1 - e^{-t}) / (1 - e^{-t}), reported at order - 1."""
+    w, numerator = _polylog_of_w(k, order)
+    return numerator.divide(w)
+
+
+def _c_quotient(k: int, order: int) -> TruncatedSeries:
+    """Li_k(1 - e^{-t}) / (e^t - 1), reported at order - 1."""
+    _, numerator = _polylog_of_w(k, order)
+    return numerator.divide(expm1_series(order))
+
+
 @lru_cache(maxsize=None)
 def poly_bernoulli_b(n: int, k: int) -> Fraction:
     """B-variant poly-Bernoulli number: n! [t^n] Li_k(1 - e^{-t}) / (1 - e^{-t})."""
     if n < 0:
         raise ValueError("poly_bernoulli_b index n must be nonnegative")
-    order = n + 1  # one extra term pays for the valuation-1 division
-    w, numerator = _polylog_of_w(k, order)
-    quotient = numerator.divide(w)  # reported at order n
-    return quotient.egf_coefficient(n)
+    return _b_quotient(k, n + 1).egf_coefficient(n)
+
+
+def poly_bernoulli_b_column(k: int, max_n: int) -> list[Fraction]:
+    """poly_bernoulli_b(n, k) for n = 0..max_n, from one compose and one divide."""
+    if max_n < 0:
+        raise ValueError("poly_bernoulli_b index n must be nonnegative")
+    quotient = _b_quotient(k, max_n + 1)
+    return [quotient.egf_coefficient(n) for n in range(max_n + 1)]
 
 
 @lru_cache(maxsize=None)
@@ -89,10 +114,7 @@ def poly_bernoulli_c(n: int, k: int) -> Fraction:
     """
     if n < 0:
         raise ValueError("poly_bernoulli_c index n must be nonnegative")
-    order = n + 1
-    _, numerator = _polylog_of_w(k, order)
-    quotient = numerator.divide(expm1_series(order))
-    return quotient.egf_coefficient(n)
+    return _c_quotient(k, n + 1).egf_coefficient(n)
 
 
 @lru_cache(maxsize=None)
@@ -115,20 +137,17 @@ def _positive_c(value: Fraction, n: int, k: int) -> int:
     return result
 
 
+def c_column(k: int, max_n: int) -> list[int]:
+    """c_number(n, k) for n = 0..max_n, from one compose and one divide."""
+    if max_n < 0 or k < 0:
+        raise ValueError("c_number indices must be nonnegative")
+    quotient = _c_quotient(-k - 1, max_n + 1)
+    return [_positive_c(quotient.egf_coefficient(n), n, k) for n in range(max_n + 1)]
+
+
 def c_table(max_n: int, max_k: int) -> list[list[int]]:
     """Rows n = 0..max_n, columns k = 0..max_k of c_number, built column
-    by column.  The coefficient [t^n] of a series does not depend on the
-    order it is truncated at, so one compose and one divide at order
-    max_n + 1 give the whole column k, where c_number pays both per cell."""
+    by column."""
     if max_n < 0 or max_k < 0:
         raise ValueError("c_table sizes must be nonnegative")
-    order = max_n + 1
-    denominator = expm1_series(order)
-    columns = []
-    for k in range(max_k + 1):
-        _, numerator = _polylog_of_w(-k - 1, order)
-        quotient = numerator.divide(denominator)
-        columns.append(
-            [_positive_c(quotient.egf_coefficient(n), n, k) for n in range(max_n + 1)]
-        )
-    return [list(row) for row in zip(*columns)]
+    return [list(row) for row in zip(*(c_column(k, max_n) for k in range(max_k + 1)))]

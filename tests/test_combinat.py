@@ -1,6 +1,7 @@
 import gc
 import json
 import pathlib
+import sys
 from collections import Counter
 from itertools import combinations, permutations
 
@@ -243,6 +244,26 @@ def test_bar_arrangements_match_backtracking_oracle(m, runs):
     assert bar_arrangements(m, runs) == backtrack_bar_arrangements(m, runs)
 
 
+def test_bar_search_cuts_dead_ends():
+    # a smallest unused bar that is blue can never be followed, so its
+    # branch is cut: 26,524 search calls at (4, 2), 80,072 without the cut
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code.co_name == "rec":
+            calls += 1
+
+    bar_arrangements.cache_clear()
+    sys.setprofile(count)
+    try:
+        found = bar_arrangements(4, 2)
+    finally:
+        sys.setprofile(None)
+    assert len(found) == 2228
+    assert calls < 30_000
+
+
 @pytest.mark.parametrize("m", range(7))
 def test_one_run_arrangements_count_genocchi(m):
     # one run of all 2m+1 bars reads as a Dumont permutation of length 2m
@@ -304,6 +325,56 @@ def test_validation_rejects_wrong_bar_multiset():
     )
     ok, why = validate_mbarred(seq)
     assert not ok and why.startswith("bar-multiset")
+
+
+def _bare(m: int, k: int, n: int) -> MBarredSequence:
+    """The bar |r0 and an empty extra pair, under the claimed sizes."""
+    return MBarredSequence(m, k, n, (Bar(RED, 0), CallanPair(frozenset(), frozenset(), True)))
+
+
+@pytest.mark.parametrize("m,k,n,rule", [
+    (0, 1048575, 0, "blue-partition"),
+    (0, 0, 1048575, "red-partition"),
+    (1048575, 0, 0, "bar-multiset"),
+])
+def test_validation_is_bounded_by_the_elements_not_the_claimed_sizes(m, k, n, rule):
+    import tracemalloc
+
+    seq = _bare(m, k, n)
+    assert len(canonical_json(seq)) < 130
+    tracemalloc.start()
+    try:
+        ok, why = validate_mbarred(seq)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not ok and why.startswith(rule)
+    assert len(why) < 200
+    assert peak < 5 * 2**20
+
+
+@pytest.mark.parametrize("bars,reason", [
+    ("b1 r0 r1 r2", "bar-multiset: blue label 2 is missing, labels 1..2"),
+    ("b1 b1 b2 r0 r1 r2", "bar-multiset: blue label 1 is stray, labels 1..2"),
+    ("b3 b1 b2 r0 r1 r2", "bar-multiset: blue label 3 is stray, labels 1..2"),
+    ("b1 b2 r0 r0 r1 r2", "bar-multiset: red label 0 is stray, labels 0..2"),
+    ("b1 b2 r1 r2", "bar-multiset: red label 0 is missing, labels 0..2"),
+])
+def test_validation_names_the_first_stray_or_missing_label(bars, reason):
+    elements = tuple(Bar(BLUE if b[0] == "b" else RED, int(b[1:])) for b in bars.split())
+    seq = MBarredSequence(2, 0, 0, elements + (CallanPair(frozenset(), frozenset(), True),))
+    assert validate_mbarred(seq) == (False, reason)
+
+
+@pytest.mark.parametrize("blue,reason", [
+    ({1, 3}, "blue-partition: member 2 is missing, base 1..2"),
+    ({1, 2, 3}, "blue-partition: member 3 is stray, base 1..2"),
+    ({1}, "blue-partition: member 2 is missing, base 1..2"),
+    ({0, 1, 2}, "blue-partition: member 0 is stray, base 1..2"),
+])
+def test_validation_names_the_first_stray_or_missing_member(blue, reason):
+    seq = MBarredSequence(0, 2, 0, (Bar(RED, 0), CallanPair(frozenset(blue), frozenset(), True)))
+    assert validate_mbarred(seq) == (False, reason)
 
 
 def test_classify_cells_partition():

@@ -7,10 +7,11 @@ from itertools import zip_longest
 
 import pytest
 
-from callan import harness
+from callan import harness, numbers
 from callan.bijections import _phi as phi, _phi_inverse as phi_inverse, _psi_inverse as psi_inverse
 from callan.bijections import phi_domain
 from callan.combinat import enumerate_packed, packed_marks
+from callan.series import TruncatedSeries
 from callan.harness import (
     SumTerm,
     certify_phi,
@@ -48,6 +49,64 @@ def test_thm_identity_small_values():
     assert [t.sign for t in r.terms] == [1, -1, 1]
     assert verify_thm_identity(4).lhs == 3
     assert verify_thm_identity(1).lhs == 0
+
+
+def _kernel_calls(monkeypatch, run) -> Counter:
+    calls = Counter()
+    for name in ("compose", "divide"):
+        kernel = getattr(TruncatedSeries, name)
+
+        def counted(self, other, kernel=kernel, name=name):
+            calls[name] += 1
+            return kernel(self, other)
+
+        monkeypatch.setattr(TruncatedSeries, name, counted)
+    run()
+    return calls
+
+
+def test_series_claims_build_one_column_per_upper_index(monkeypatch):
+    # one compose and one divide per column j = 0..n_max, where each
+    # summand used to pay both (230 + 230 and 153 + 170 with Genocchi)
+    calls = _kernel_calls(monkeypatch, lambda: run_claim("pb-zero"))
+    assert calls == {"compose": 21, "divide": 21}
+    calls = _kernel_calls(monkeypatch, lambda: run_claim("thm1"))
+    assert calls == {"compose": 17, "divide": 18}  # plus one for the Genocchi numbers
+
+
+def _without_elapsed(reports):
+    return [dataclasses.replace(r, elapsed=0.0) for r in reports]
+
+
+def test_single_series_reports_equal_the_batch():
+    for claim, verify, top in (("pb-zero", verify_pb_zero, 20), ("thm1", verify_thm_identity, 16)):
+        batch = harness._series_claim(claim, list(range(top + 1)))
+        assert _without_elapsed(batch) == _without_elapsed(verify(n) for n in range(top + 1))
+    assert _without_elapsed(run_claim("thm1")) == _without_elapsed(
+        harness._series_claim("thm1", list(range(17)))
+    )
+
+
+def test_series_columns_are_charged_to_the_first_report(monkeypatch):
+    genocchi_list = numbers.genocchi_list
+
+    def slow(max_n):
+        time.sleep(0.05)
+        return genocchi_list(max_n)
+
+    monkeypatch.setattr(numbers, "genocchi_list", slow)
+    started = time.perf_counter()
+    reports = run_claim("thm1")
+    wall = time.perf_counter() - started
+    assert reports[0].elapsed >= 0.05
+    assert all(r.elapsed < 0.05 for r in reports[1:])
+    assert sum(r.elapsed for r in reports) <= wall
+
+
+def test_series_claims_refuse_a_negative_n():
+    for verify in (verify_pb_zero, verify_thm_identity):
+        with pytest.raises(ValueError):
+            verify(-1)
 
 
 def test_thm_identity2_enumerated_point():

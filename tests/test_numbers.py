@@ -9,7 +9,9 @@ from callan.numbers import (
     genocchi,
     genocchi_list,
     poly_bernoulli_b,
+    poly_bernoulli_b_column,
     poly_bernoulli_c,
+    c_column,
     c_number,
     c_table,
 )
@@ -60,6 +62,23 @@ def test_c_table_columns_equal_c_number_cells(max_n, max_k):
     assert c_table(max_n, max_k) == [
         [c_number(n, k) for k in range(max_k + 1)] for n in range(max_n + 1)
     ]
+
+
+def test_columns_equal_the_single_values_on_the_full_triangles():
+    # the triangles the pb-zero (n <= 20) and thm1 (n <= 16) claims read
+    for j in range(21):
+        assert poly_bernoulli_b_column(-j, 20 - j) == [
+            poly_bernoulli_b(n, -j) for n in range(21 - j)
+        ], j
+    for j in range(17):
+        assert c_column(j, 16 - j) == [c_number(n, j) for n in range(17 - j)], j
+
+
+def test_columns_refuse_negative_indices():
+    for bad in (lambda: poly_bernoulli_b_column(0, -1), lambda: c_column(0, -1),
+                lambda: c_column(-1, 3)):
+        with pytest.raises(ValueError):
+            bad()
 
 
 def test_c_number_row_one():
