@@ -162,12 +162,6 @@ class MBarredSequence:
             raise DomainError("sequence does not end with the extra pair")
         return last
 
-    def blue_base(self) -> frozenset[int]:
-        return frozenset(range(self.m + 1, self.m + self.k + 1))
-
-    def red_base(self) -> frozenset[int]:
-        return frozenset(range(self.m + 1, self.m + self.n + 1))
-
     def __str__(self) -> str:
         return "".join(str(e) for e in self.elements)
 
@@ -291,15 +285,14 @@ def _mask(block: frozenset[int], what: str) -> int:
 
 def pack(obj, what: str, memo: dict | None = None) -> Packed:
     """The packed form of a sequence or of a psi-b intermediate.  Block
-    members run up to m + max(k, n), so a valid sequence packs when that
-    sum is below 2**20; one whose sizes are below 2**20 but whose sum is
-    not is refused.  What the packed form cannot hold is refused with
-    DomainError, named by `what`: an object that does not end with the
-    extra pair, has an extra pair before its end, or has a size or block
-    member that is negative or not below 2**20 (an intermediate has no
-    validator of its own).  `memo`, when given, gets each element of obj
-    under its key in _elements, so that unpacking a map's result builds
-    only the elements the map changed."""
+    members run up to m + max(k, n), which validate_mbarred keeps below
+    2**20, so every valid sequence packs.  What the packed form cannot
+    hold is refused with DomainError, named by `what`: an object that
+    does not end with the extra pair, has an extra pair before its end,
+    or has a size or block member that is negative or not below 2**20
+    (an intermediate has no validator of its own).  `memo`, when given,
+    gets each element of obj under its key in _elements, so that
+    unpacking a map's result builds only the elements the map changed."""
     if not 0 <= min(obj.m, obj.k, obj.n) <= max(obj.m, obj.k, obj.n) < _PACKED_LIMIT:
         raise DomainError(f"{what}: sizes m, k, n must lie in 0..{_PACKED_LIMIT - 1}")
     elements = obj.elements
@@ -340,13 +333,16 @@ def _may_follow(prev: Bar, nxt: Element) -> bool:
 def validate_mbarred(seq: MBarredSequence) -> tuple[bool, str]:
     """Check every defining rule; returns (ok, reason) where reason names
     the first violated rule.  The first rule is the packed form's size
-    limit.  No set or list is built from a size, and a reason names the
-    first stray or missing member, not whole sets, so the work and the
-    reason are bounded by the elements, not by the sizes they claim.  The
-    "last bar of a run is red" fact is a consequence of bar adjacency and
-    needs no separate check."""
+    limit, on each size and on m + max(k, n), the largest block member.
+    No set or list is built from a size, and a reason names the first
+    stray or missing member, not whole sets, so the work and the reason
+    are bounded by the elements, not by the sizes they claim.  The "last
+    bar of a run is red" fact is a consequence of bar adjacency and needs
+    no separate check."""
     if not 0 <= min(seq.m, seq.k, seq.n) <= max(seq.m, seq.k, seq.n) < _PACKED_LIMIT:
         return False, f"sizes: m, k, n must lie in 0..{_PACKED_LIMIT - 1}"
+    if seq.m + max(seq.k, seq.n) >= _PACKED_LIMIT:
+        return False, f"sizes: m + max(k, n) must lie in 0..{_PACKED_LIMIT - 1}"
     if not seq.elements:
         return False, "last-element: sequence is empty"
     bars = seq.bars()

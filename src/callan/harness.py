@@ -10,10 +10,11 @@ are reserved for invalid arguments.
 ``run_claim`` sweeps a claim over all parameter points within a weight
 budget (k + n + 2m for three-parameter claims, n + 2m for two-parameter
 ones) so the command-line ``verify`` subcommand can drive everything.
-The claims on m-barred objects (partition, phi, psi, relabel) share one
-sweep that streams each cell (k, n, m) once and feeds every check that
-needs it; ``verify_partition`` and ``certify_*`` run the same consumers
-on one cell.
+The claims on m-barred objects (partition, phi, psi, relabel) run on
+one driver, ``_run``, that streams each cell (k, n, m) once and feeds
+every check that needs it: the sweep of ``run_claim`` gives it every
+cell within the budget, and ``verify_partition`` and ``certify_*`` give
+it one check's cell and image cell.
 
 The public maps of ``bijections`` are the trust boundary: they validate
 what they accept and emit.  The object claims run on the packed form of
@@ -151,6 +152,17 @@ def _alternating_sum(n: int, value_of_j, source: str) -> tuple:
     return total, terms
 
 
+def _mbarred_sum(n: int, m: int) -> tuple:
+    """The alternating sum of the m-barred counts C(n-j, j; m) over
+    0 <= j <= n, by enumeration, with its summands."""
+    return _alternating_sum(n, lambda j: count_mbarred(j, n - j, m), "enumeration")
+
+
+def _genocchi_side(n: int, m: int) -> int:
+    """(-1)^(m+1) times the Genocchi number of index n+2m+2."""
+    return (-1 if (m + 1) % 2 else 1) * numbers.genocchi(n + 2 * m + 2)
+
+
 def verify_pb_zero(n: int) -> VerificationReport:
     """Sum of (-1)^j B(n-j, -j) over 0 <= j <= n vanishes (n >= 1; the
     empty-shift case n = 0 evaluates to 1 and honestly fails)."""
@@ -197,10 +209,10 @@ def verify_thm_identity2(n: int, m: int, mode: str = "enumeration") -> Verificat
         raise ValueError("n and m must be nonnegative")
     if mode != "enumeration":
         raise ValueError(f"unknown mode {mode!r}")
-    total, terms = _alternating_sum(n, lambda j: count_mbarred(j, n - j, m), "enumeration")
-    sign = -1 if (m + 1) % 2 else 1
-    rhs = sign * numbers.genocchi(n + 2 * m + 2)
-    return _finish("thm-identity2", {"n": n, "m": m}, total, rhs, [], started, terms)
+    total, terms = _mbarred_sum(n, m)
+    return _finish(
+        "thm-identity2", {"n": n, "m": m}, total, _genocchi_side(n, m), [], started, terms
+    )
 
 
 def verify_prop_rec(n: int, m: int) -> VerificationReport:
@@ -211,10 +223,8 @@ def verify_prop_rec(n: int, m: int) -> VerificationReport:
         raise ValueError("n must be at least 2")
     if m < 0:
         raise ValueError("m must be nonnegative")
-    lhs, terms = _alternating_sum(n, lambda j: count_mbarred(j, n - j, m), "enumeration")
-    inner, _ = _alternating_sum(
-        n - 2, lambda j: count_mbarred(j, n - 2 - j, m + 1), "enumeration"
-    )
+    lhs, terms = _mbarred_sum(n, m)
+    inner, _ = _mbarred_sum(n - 2, m + 1)
     return _finish("prop-rec", {"n": n, "m": m}, lhs, -inner, [], started, terms)
 
 
@@ -229,12 +239,7 @@ def verify_telescope(n: int, m: int) -> VerificationReport:
     if n < 0 or m < 0:
         raise ValueError("n and m must be nonnegative")
     half = n // 2
-    chain = [
-        _alternating_sum(
-            n - 2 * i, lambda j: count_mbarred(j, n - 2 * i - j, m + i), "enumeration"
-        )[0]
-        for i in range(half + 1)
-    ]
+    chain = [_mbarred_sum(n - 2 * i, m + i)[0] for i in range(half + 1)]
     bad = []
     for i in range(half):
         if chain[i] != -chain[i + 1]:
@@ -244,8 +249,7 @@ def verify_telescope(n: int, m: int) -> VerificationReport:
         bad.append({"bottom": chain[-1], "expected": bottom})
     sign = -1 if half % 2 else 1
     rhs = sign * bottom
-    genocchi_sign = -1 if (m + 1) % 2 else 1
-    predicted = genocchi_sign * numbers.genocchi(n + 2 * m + 2)
+    predicted = _genocchi_side(n, m)
     if rhs != predicted:
         bad.append({"genocchi": predicted, "chain-end": rhs})
     return _finish("telescope", {"n": n, "m": m}, chain[0], rhs, bad, started)
@@ -256,9 +260,7 @@ def verify_partition(k: int, n: int, m: int) -> VerificationReport:
     maximal blue element not a barred singleton / barred-max singleton)
     are disjoint and exhaustive, and their sizes add up to the total
     count obtained by the independent product-count route."""
-    check = _Partition(k, n, m)
-    _stream_cell(check.cell, [check])
-    return check.report()
+    return _alone(_Partition(k, n, m))
 
 
 class _Partition:
@@ -337,7 +339,8 @@ class _Certificate:
 
     def __init__(self, claim_id, cell, image_cell, forward, backward, in_domain, in_image):
         self.claim_id = claim_id
-        self.cell, self.image_cell = cell, image_cell
+        self.cell = cell  # an image cell with a negative size has an empty D
+        self.image_cell = image_cell if min(image_cell) >= 0 else None
         self.forward, self.backward = forward, backward
         self.in_domain, self.in_image = in_domain, in_image
         self.images, self.missed = set(), set()
@@ -393,39 +396,47 @@ class _Certificate:
         )
 
 
-def _stream_cell(cell, starting, finishing=()) -> None:
-    """Stream the sequences at `cell` once, each with its marks, read once
-    for all the checks it feeds, into domain() of each consumer in
-    `starting` and codomain() of each certificate in `finishing`; a
-    certificate whose two sides share the cell is in both.  Each consumer's
-    elapsed grows by the time its own calls take; the stream itself and
-    the marks are charged to the first consumer, whose clock read after
-    its own call covers them."""
+def _run(cells, starting_at) -> list[VerificationReport]:
+    """The one driver of the object claims: the reports of the consumers
+    that `starting_at(cell)` makes as each of `cells` comes up.  A
+    certificate is filed at once under its image cell, which is its own
+    cell or a later one.  Each cell streams once: each sequence, with its
+    marks read once, goes into domain() of the consumers made at the cell
+    and codomain() of the certificates filed under it.  A consumer reports
+    after its last cell.  Each consumer's elapsed grows by the time its
+    own calls take; the stream and the marks are charged to the first
+    consumer, whose clock read after its own call covers them."""
     clock = time.perf_counter
-    feeds = [(c, c.domain) for c in starting] + [(c, c.codomain) for c in finishing]
-    first = feeds[0][0]
-    last = clock()
-    for seq in enumerate_packed(*cell):
-        marked = packed_marks(seq)
-        for consumer, feed in feeds:
-            feed(seq, marked)
-            now = clock()
-            consumer.elapsed += now - last
-            last = now
-    first.elapsed += clock() - last
+    reports = []
+    waiting = defaultdict(list)  # image cell -> certificates its stream feeds
+    for cell in cells:
+        starting = starting_at(cell)
+        for c in starting:
+            if c.image_cell is not None:
+                waiting[c.image_cell].append(c)
+        finishing = waiting.pop(cell, [])
+        feeds = [(c, c.domain) for c in starting] + [(c, c.codomain) for c in finishing]
+        if not feeds:
+            continue
+        last = clock()
+        for seq in enumerate_packed(*cell):
+            marked = packed_marks(seq)
+            for consumer, feed in feeds:
+                feed(seq, marked)
+                now = clock()
+                consumer.elapsed += now - last
+                last = now
+        feeds[0][0].elapsed += clock() - last
+        reports += [c.report() for c in starting if c.image_cell is None]
+        reports += [c.report() for c in finishing]
+    return reports
 
 
-def _certify_map(certificate: _Certificate) -> VerificationReport:
-    """Run one certificate on its own: stream its domain cell and its image
-    cell, in one pass when they are the same cell.  An image cell with a
-    negative size comes with an empty D, and the report is vacuous."""
-    cell, image_cell = certificate.cell, certificate.image_cell
-    if image_cell == cell:
-        _stream_cell(cell, [certificate], [certificate])
-    elif min(image_cell) >= 0:
-        _stream_cell(cell, [certificate])
-        _stream_cell(image_cell, [], [certificate])
-    return certificate.report()
+def _alone(consumer) -> VerificationReport:
+    """The report of one consumer, run on its own cell and image cell."""
+    cells = dict.fromkeys(c for c in (consumer.cell, consumer.image_cell) if c is not None)
+    (report,) = _run(cells, lambda cell: [consumer] if cell == consumer.cell else [])
+    return report
 
 
 # The map names are looked up when a certificate is made, so a map patched
@@ -455,20 +466,20 @@ def certify_phi(k: int, n: int, m: int) -> VerificationReport:
     """phi: sequences with a nonempty extra red block at (k, n, m) onto
     star-only sequences at (k+1, n-1, m) minus the barred-max singletons.
     Without red elements (n = 0) the domain is empty."""
-    return _certify_map(_phi_certificate(k, n, m))
+    return _alone(_phi_certificate(k, n, m))
 
 
 def certify_psi(k: int, n: int, m: int) -> VerificationReport:
     """psi: barred-min singleton sequences at (k, n, m) onto all
     sequences at (k-1, n-1, m+1).  The domain needs an ordinary pair, so
     it is empty unless k, n >= 1."""
-    return _certify_map(_psi_certificate(k, n, m))
+    return _alone(_psi_certificate(k, n, m))
 
 
 def certify_relabel(k: int, n: int, m: int) -> VerificationReport:
     """The max/min blue relabelling carries the barred-max singleton
     subset onto the barred-min one and is an involution."""
-    return _certify_map(_relabel_certificate(k, n, m))
+    return _alone(_relabel_certificate(k, n, m))
 
 
 # ---------------------------------------------------------------------------
@@ -507,44 +518,29 @@ def _nm_cells(max_weight: int) -> list[tuple[int, int]]:
         (n, m)
         for n in range(max_weight + 1)
         for m in range((max_weight - n) // 2 + 1)
-        if n + 2 * m <= max_weight
     ]
 
 
 def _sweep(max_weight: int, claims) -> list[VerificationReport]:
     """The reports of the object claims in `claims` on every cell with
-    weight k + n + 2m <= max_weight, each cell streamed once.
+    weight k + n + 2m <= max_weight, each cell streamed once by _run.
 
-    A certificate is made when its domain cell comes up and is filed at
-    once under its image cell, so one stream per cell feeds the partition
-    check, the domain side of each certificate that starts at the cell and
-    the codomain side of each whose images land in it; relabel, whose two
-    sides share a cell, is fed both from that cell's stream.  A certificate takes its two sides
-    in any order, but an image cell must not stream before its certificate
-    is made.  Cells go by weight, then by ascending m, then by ascending k:
+    A certificate's image cell must not stream before the certificate is
+    made.  Cells go by weight, then by ascending m, then by ascending k:
     phi and psi keep the weight, phi's image cell (k+1, n-1, m) has the
     same m and a larger k, psi's (k-1, n-1, m+1) a larger m, so every
-    image cell comes later in the same weight and the images wait briefly."""
-    reports = []
-    waiting = defaultdict(list)  # image cell -> certificates its stream feeds
-    for weight in range(max_weight + 1):
-        for m in range(weight // 2 + 1):
-            for k in range(weight - 2 * m + 1):
-                cell = (k, weight - k - 2 * m, m)
-                starting = [
-                    consumer(*cell)
-                    for in_sweep, consumer in map(_SWEEPS.get, claims)
-                    if in_sweep(*cell)
-                ]
-                for c in starting:
-                    if c.image_cell is not None:
-                        waiting[c.image_cell].append(c)
-                finishing = waiting.pop(cell, [])
-                if starting or finishing:
-                    _stream_cell(cell, starting, finishing)
-                reports += [c.report() for c in starting if c.image_cell is None]
-                reports += [c.report() for c in finishing]
-    return reports
+    image cell comes later in the same weight and the images wait
+    briefly; relabel's image cell is its own."""
+    cells = [
+        (k, weight - k - 2 * m, m)
+        for weight in range(max_weight + 1)
+        for m in range(weight // 2 + 1)
+        for k in range(weight - 2 * m + 1)
+    ]
+    sweeps = [_SWEEPS[claim] for claim in claims]
+    return _run(
+        cells, lambda cell: [make(*cell) for in_sweep, make in sweeps if in_sweep(*cell)]
+    )
 
 
 def _cell_order(report: VerificationReport) -> tuple[int, int, int]:

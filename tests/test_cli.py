@@ -388,6 +388,14 @@ def test_map_refuses_a_negative_size_by_the_same_rule(tmp_path, capsys):
     )
 
 
+def test_map_refuses_a_largest_block_member_the_packed_form_cannot_hold(tmp_path, capsys):
+    doc = {"m": 1, "k": 2**20 - 1, "n": 0, "elements": BAR_AND_EXTRA_PAIR}
+    assert _map(tmp_path, capsys, "relabel", doc) == (
+        1, "", "map: relabel_max_min: input outside its domain "
+        "(sizes: m + max(k, n) must lie in 0..1048575)\n"
+    )
+
+
 DEEP = 50_000  # far past the recursion limit of the JSON decoder
 
 

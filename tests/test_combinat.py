@@ -353,6 +353,18 @@ def test_validation_is_bounded_by_the_elements_not_the_claimed_sizes(m, k, n, ru
     assert peak < 5 * 2**20
 
 
+@pytest.mark.parametrize("m,k,n", [
+    (1, 2**20 - 1, 0), (1, 0, 2**20 - 1), (2**19, 2**19, 0), (2**20 - 1, 1, 1),
+])
+def test_validation_bounds_the_largest_block_member(m, k, n):
+    # block members run up to m + max(k, n), and the packed form holds
+    # members below 2**20, so every valid sequence packs; the cases of the
+    # test above, at m + max(k, n) = 2**20 - 1, pass this rule
+    assert validate_mbarred(_bare(m, k, n)) == (
+        False, "sizes: m + max(k, n) must lie in 0..1048575"
+    )
+
+
 @pytest.mark.parametrize("bars,reason", [
     ("b1 r0 r1 r2", "bar-multiset: blue label 2 is missing, labels 1..2"),
     ("b1 b1 b2 r0 r1 r2", "bar-multiset: blue label 1 is stray, labels 1..2"),

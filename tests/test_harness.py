@@ -248,7 +248,7 @@ def test_certification_never_validates(monkeypatch, claim):
     assert sum(r.lhs for r in reports) > 0 and calls == []
 
 
-# Mutation tests for the single-pass certificate in _certify_map: each
+# Mutation tests for the single-pass certificate, _Certificate: each
 # deliberately broken map must still fail the certification, with the
 # counterexample kind that names the broken property.  The certificates
 # run the packed cores, so the mutants are maps on packed sequences.
@@ -331,22 +331,68 @@ def _timeless(reports):
     return [dataclasses.replace(r, elapsed=0.0) for r in reports]
 
 
-def test_sweep_streams_each_cell_once(monkeypatch):
-    streamed = Counter()
+def _recording_streams(monkeypatch) -> list:
+    """The cells that harness streams from now on, in order."""
+    streamed = []
 
-    def counting(k, n, m):
-        streamed[k, n, m] += 1
+    def recording(k, n, m):
+        streamed.append((k, n, m))
         return enumerate_packed(k, n, m)
 
-    monkeypatch.setattr(harness, "enumerate_packed", counting)
+    monkeypatch.setattr(harness, "enumerate_packed", recording)
+    return streamed
+
+
+# every cell of weight <= 6 in sweep order: by weight, then m, then k
+_SWEEP_ORDER_6 = [
+    (k, weight - k - 2 * m, m)
+    for weight in range(7) for m in range(weight // 2 + 1) for k in range(weight - 2 * m + 1)
+]
+
+
+def test_sweep_streams_each_cell_once(monkeypatch):
+    streamed = _recording_streams(monkeypatch)
     reports = run_claim("all", 6)
     assert reports and all(r.passed for r in reports)
-    cells = {
-        (k, n, m)
-        for k in range(7) for n in range(7) for m in range(4)
-        if k + n + 2 * m <= 6
-    }
-    assert streamed == Counter(cells)
+    assert streamed == _SWEEP_ORDER_6
+
+
+@pytest.mark.parametrize("check,cell,cells", [
+    (certify_phi, (2, 2, 0), [(2, 2, 0), (3, 1, 0)]),
+    (certify_relabel, (2, 1, 1), [(2, 1, 1)]),  # both sides from one stream
+    (certify_phi, (3, 0, 1), [(3, 0, 1)]),  # image cell (4, -1, 1)
+    (certify_psi, (0, 3, 0), [(0, 3, 0)]),  # image cell (-1, 2, 1)
+    (verify_partition, (2, 1, 0), [(2, 1, 0)]),
+])
+def test_one_cell_checks_stream_each_of_their_cells_once(monkeypatch, check, cell, cells):
+    streamed = _recording_streams(monkeypatch)
+    report = check(*cell)
+    assert report.passed and streamed == cells
+
+
+@pytest.mark.parametrize("check", [certify_phi, certify_psi, certify_relabel, verify_partition])
+def test_one_cell_checks_refuse_a_negative_size(check):
+    with pytest.raises(ValueError):
+        check(1, 0, -1)
+
+
+def test_sweep_makes_each_certificate_when_its_cell_comes_up(monkeypatch):
+    # consumers are made lazily: a certificate at a cell is made after
+    # every earlier cell has streamed and before its own cell does
+    streamed = _recording_streams(monkeypatch)
+    made = []
+
+    class Recorded(harness._Certificate):
+        def __init__(self, claim_id, cell, *rest):
+            made.append((cell, list(streamed)))
+            super().__init__(claim_id, cell, *rest)
+
+    monkeypatch.setattr(harness, "_Certificate", Recorded)
+    reports = run_claim("all", 6)
+    assert reports and all(r.passed for r in reports)
+    assert len(made) == 34 + 22 + 34  # phi, psi and relabel
+    for cell, before in made:
+        assert before == _SWEEP_ORDER_6[:_SWEEP_ORDER_6.index(cell)]
 
 
 def test_sweep_scans_for_barred_singletons_about_once_per_object(monkeypatch):
@@ -434,7 +480,7 @@ def _fed(make, cell, order):
     elif order == "codomain-first":
         feeds = [(certificate.codomain, t) for t in codomain]
         feeds += [(certificate.domain, s) for s in domain]
-    else:  # one interleaved stream, as _stream_cell feeds a shared cell
+    else:  # one interleaved stream, as harness._run feeds a shared cell
         feeds = [
             pair
             for s, t in zip_longest(domain, codomain)
