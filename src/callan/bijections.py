@@ -3,12 +3,12 @@
 The map cores work on the packed form of combinat: (m, k, n, slots),
 one slot (bar codes, blue bitmask, red bitmask) per pair, the extra pair
 last.  A core moves, merges or splits slots and replaces blocks by mask
-operations, then gives the extra pair its new red block.  The public maps
-validate the object they accept, pack it, run the core, decode the result
-and validate it (_checked); the harness runs the cores on packed sequences
-directly.  The sets that the maps run between are stated once, as
-predicates on the marks of combinat, which objects and packed sequences
-both give.
+operations, then gives the extra pair its new red block.  A public map
+packs the object it accepts, checks it with combinat.validate_packed and
+the marks, runs the core, checks the packed result the same way and
+decodes it once (_checked); the harness runs the cores on packed
+sequences directly and validates nothing.  The sets that the maps run
+between are stated once, as predicates on the marks of combinat.
 
 phi trades the maximal red element mu = m+n for a new maximal blue element
 m+k+1: it maps sequences whose extra red block is nonempty, with k blue
@@ -44,8 +44,8 @@ red elements.  It factors as psi_r after psi_b:
 
 Between the two stages lives an intermediate that already carries the new
 blue bar but still has n red elements and a nonempty extra red block.  It
-violates the bar grammar on purpose and is its own type; pack refuses
-one that the packed form cannot hold.
+violates the bar grammar on purpose and is its own type; the maps that
+take one refuse it when the cores cannot (_checked).
 
 relabel_max_min exchanges the maximal and minimal blue element labels and
 carries the barred-max-singleton subset onto the barred-min-singleton one
@@ -57,17 +57,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .combinat import (
+    _PACKED_LIMIT,
     Element,
     MBarredSequence,
     Packed,
     Slot,
     _Memo,
+    _broken_rule,
     _element,
     _from_wire,
     _require_mbarred,
+    _size_rule,
     _to_wire,
     _wire_json,
     pack,
+    packed_marks,
     unpack,
 )
 from .errors import ConsistencyError, DomainError
@@ -114,10 +118,10 @@ class PsiIntermediate:
 
 # ---------------------------------------------------------------------------
 # the sets the maps run between: each predicate takes the marks of a valid
-# sequence (combinat.marks on an object, combinat.packed_marks on a packed
-# sequence) and returns why it lies outside its set, or None.  The public
-# maps check what they accept and emit against them (_checked); the
-# harness certifies the packed cores (_phi, _psi, ...) over the same sets.
+# sequence (combinat.packed_marks) and returns why it lies outside its set,
+# or None.  The public maps check what they accept and emit against them
+# (_checked); the harness certifies the packed cores (_phi, _psi, ...) over
+# the same sets.
 # ---------------------------------------------------------------------------
 
 
@@ -167,28 +171,39 @@ def relabel_max_side(m, k, extra_red, barred_max, barred_min) -> str | None:
 
 
 def _checked(core, accepts=None, emits=None, result=MBarredSequence):
-    """The public map of `core`, a map on the packed form.  `accepts` and
-    `emits` are (what, set) pairs: an argument that is no valid sequence of
-    its set is refused with DomainError("what (reason)") before it is
-    packed, and such an output raises ConsistencyError.  None leaves that
-    side unchecked.  The map packs its argument, runs the core and decodes
-    the packed result into `result` (None passes a phi case through),
-    reusing the argument's elements where the core left them unchanged; it
-    reads the output's marks from the packed result.  An intermediate that
-    the packed form cannot hold is refused in the name of the public map."""
+    """The public map of `core`, a map on the packed form.  The map packs
+    its argument once, checks it, runs the core, checks the packed result
+    and decodes it into `result` (None passes a phi case through), reusing
+    the argument's elements where the core left them unchanged.  `accepts`
+    and `emits` are (what, set) pairs: an argument that is no valid
+    sequence of its set is refused with DomainError("what (reason)"), and
+    such a result raises ConsistencyError, but for one that breaks only the
+    size limit, whose argument lies at that limit: DomainError.  `emits`
+    None leaves the result unchecked; `accepts` None takes an intermediate,
+    which has no validator of its own, and refuses one the cores cannot
+    take (bad sizes, the extra pair not last) in the name of the map."""
     what = core.__name__[1:]
 
     def checked(arg):
-        if accepts:
-            _require_mbarred(arg, *accepts)
         memo = _Memo(_element)
-        out = core(pack(arg, what, memo))
+        seq = m, k, n, slots = pack(arg, what, memo)
+        if accepts:
+            _require_mbarred(seq, *accepts)
+        elif not 0 <= min(m, k, n) <= max(m, k, n) < _PACKED_LIMIT:
+            raise DomainError(f"{what}: sizes m, k, n must lie in 0..{_PACKED_LIMIT - 1}")
+        elif not slots or slots[-1][1] is None:
+            raise DomainError(f"{what}: intermediate must end with the extra pair")
+        elif None in [blue for _, blue, _ in slots]:
+            raise DomainError(f"{what}: intermediate has an extra pair before its end")
+        out = core(seq)
         if result is None:
             return out
-        obj = unpack(out, result, memo)
         if emits:
-            _require_mbarred(obj, *emits, ConsistencyError, packed=out)
-        return obj
+            why = _size_rule(*out[:3])
+            if why and not _broken_rule(out) and emits[1](*packed_marks(out)) is None:
+                raise DomainError(f"{what}: the image of this input breaks the size limit ({why})")
+            _require_mbarred(out, *emits, ConsistencyError)
+        return unpack(out, result, memo)
 
     checked.__name__ = checked.__qualname__ = what
     checked.__doc__ = core.__doc__
@@ -424,8 +439,8 @@ def _psi_inverse(seq: Packed) -> Packed:
 
 
 # psi_r and psi_b_inverse take an intermediate, which has no validator of
-# its own; they refuse a malformed one with DomainError, and pack refuses
-# one that the packed form cannot hold.
+# its own; they refuse a malformed one with DomainError, and _checked
+# refuses one that the cores cannot take.
 _PSI_IN = ("psi_b: input outside psi's domain", psi_domain)
 _PSI_INV_IN = ("psi_inverse: input outside psi's image", psi_image)
 _PSI_INV_OUT = ("psi_inverse: bad image", psi_domain)

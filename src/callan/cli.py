@@ -147,7 +147,9 @@ def _cmd_map(args: argparse.Namespace) -> int:
         image = fn(obj)
         case = case_fn(combinat.pack(obj, args.which)) if case_fn is not None else None
         if args.which == "psi-r":  # psi_r maps psi_b images into psi's image
-            combinat._require_mbarred(image, "psi_r: not a psi-b image", psi_image)
+            combinat._require_mbarred(
+                combinat.pack(image, "psi_r"), "psi_r: not a psi-b image", psi_image
+            )
     except (DomainError, ValueError) as exc:
         print(f"map: {exc}", file=sys.stderr)
         return 1

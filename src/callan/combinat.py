@@ -23,6 +23,7 @@ that
 Comparisons use labels only, ignoring color (equal labels can therefore
 never be adjacent).  Consequently no bar can stand last, the final element
 is the extra pair, and the last bar of every maximal bar run is red.
+validate_packed states these rules once, on the packed form below.
 
 A Dumont permutation of the first kind has even length, every even value
 starts a descent, and every odd value starts an ascent or stands last.
@@ -35,6 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 from typing import Iterable, Iterator, Union
 
 from .errors import ConsistencyError, DomainError
@@ -52,6 +54,7 @@ __all__ = [
     "CELL_STAR_ONLY",
     "CELL_BARRED_MAX",
     "validate_mbarred",
+    "validate_packed",
     "validate_dumont",
     "enumerate_callan",
     "enumerate_mbarred",
@@ -69,7 +72,6 @@ __all__ = [
     "packed_marks",
     "cell_of",
     "classify",
-    "has_barred_blue_singleton",
     "in_barred_max_subset",
     "in_barred_min_subset",
     "swap_colors",
@@ -149,12 +151,6 @@ class MBarredSequence:
     n: int
     elements: tuple[Element, ...]
 
-    def pairs(self) -> tuple[CallanPair, ...]:
-        return tuple(e for e in self.elements if isinstance(e, CallanPair))
-
-    def bars(self) -> tuple[Bar, ...]:
-        return tuple(e for e in self.elements if isinstance(e, Bar))
-
     @property
     def extra(self) -> CallanPair:
         last = self.elements[-1] if self.elements else None
@@ -207,6 +203,9 @@ class DumontPermutation:
 # last slot holds the extra pair.  The psi-b intermediate packs the same
 # way.  Objects are built from the packed form only at the boundary:
 # enumerate_mbarred, the public maps, and the counterexamples of reports.
+# pack holds an object of any shape, so that validate_packed can name the
+# rule it breaks: a slot whose blocks are None follows a pair whose extra
+# flag does not fit its place, and holds the bars after the last pair.
 
 Slot = tuple[tuple[int, ...], int, int]
 Packed = tuple[int, int, int, tuple[Slot, ...]]
@@ -284,36 +283,29 @@ def _mask(block: frozenset[int], what: str) -> int:
 
 
 def pack(obj, what: str, memo: dict | None = None) -> Packed:
-    """The packed form of a sequence or of a psi-b intermediate.  Block
-    members run up to m + max(k, n), which validate_mbarred keeps below
-    2**20, so every valid sequence packs.  What the packed form cannot
-    hold is refused with DomainError, named by `what`: an object that
-    does not end with the extra pair, has an extra pair before its end,
-    or has a size or block member that is negative or not below 2**20
-    (an intermediate has no validator of its own).  `memo`, when given,
-    gets each element of obj under its key in _elements, so that
-    unpacking a map's result builds only the elements the map changed."""
-    if not 0 <= min(obj.m, obj.k, obj.n) <= max(obj.m, obj.k, obj.n) < _PACKED_LIMIT:
-        raise DomainError(f"{what}: sizes m, k, n must lie in 0..{_PACKED_LIMIT - 1}")
-    elements = obj.elements
-    last = elements[-1] if elements else None
-    if not isinstance(last, CallanPair) or not last.is_extra:
-        raise DomainError(f"{what}: intermediate must end with the extra pair")
+    """The packed form of a sequence or of a psi-b intermediate, of any
+    shape (see above).  A block member that is negative or not below 2**20
+    has no bit that fits and is refused with DomainError, named by `what`.
+    `memo`, when given, gets each element of obj under its key in
+    _elements, so that unpacking a map's result builds only the elements
+    the map changed."""
     memo = {} if memo is None else memo
     slots = []
     run: list[int] = []
-    for i, e in enumerate(elements, 1 - len(elements)):  # i == 0 at the end
+    for i, e in enumerate(obj.elements, 1 - len(obj.elements)):  # i == 0 at the end
         if isinstance(e, Bar):
             code = 2 * e.label + (e.color == RED)
             run.append(code)
             memo[code] = e
             continue
-        if e.is_extra and i:
-            raise DomainError(f"{what}: intermediate has an extra pair before its end")
         blue, red = _mask(e.blue, what), _mask(e.red, what)
         slots.append((tuple(run), blue, red))
         memo[blue, red, e.is_extra] = e
         run = []
+        if e.is_extra == bool(i):  # an extra pair before the end, or an ordinary one at it
+            slots.append(((), None, None))
+    if run:
+        slots.append((tuple(run), None, None))
     return obj.m, obj.k, obj.n, tuple(slots)
 
 
@@ -322,63 +314,82 @@ def pack(obj, what: str, memo: dict | None = None) -> Packed:
 # ---------------------------------------------------------------------------
 
 
-def _may_follow(prev: Bar, nxt: Element) -> bool:
-    """Bar adjacency rule: blue wants a strictly smaller bar label next,
-    red wants a pair or a strictly greater bar label next."""
-    if prev.color == BLUE:
-        return isinstance(nxt, Bar) and nxt.label < prev.label
-    return isinstance(nxt, CallanPair) or nxt.label > prev.label
+def _successors(code: int, top: int) -> range:
+    """The bar codes in 1..top that may follow the bar `code` in a run: a
+    blue bar (even code) wants a smaller label next, a red bar (odd code) a
+    greater one.  Only a red bar may end a run, before its pair."""
+    return range(code + 1, top + 1) if code & 1 else range(1, code)
+
+
+def _size_rule(m: int, k: int, n: int) -> str | None:
+    """Why the sizes break the packed form's limit, or None: each size, and
+    m + max(k, n), the largest block member, must lie in 0..2**20-1."""
+    if not (0 <= m < _PACKED_LIMIT and 0 <= k < _PACKED_LIMIT and 0 <= n < _PACKED_LIMIT):
+        return f"sizes: m, k, n must lie in 0..{_PACKED_LIMIT - 1}"
+    if m + max(k, n) >= _PACKED_LIMIT:
+        return f"sizes: m + max(k, n) must lie in 0..{_PACKED_LIMIT - 1}"
+    return None
+
+
+def validate_packed(seq: Packed) -> tuple[bool, str]:
+    """Check every defining rule on the packed form, the one statement of
+    the rules; returns (ok, reason) where reason names the first rule seq
+    breaks, the size limit (_size_rule) first.  No list or mask is built
+    from a size past it, and a reason names the first stray or missing
+    member, not whole sets, so work and reason are bounded by the elements,
+    not by the sizes they claim.  A run's last bar is red by adjacency."""
+    why = _size_rule(*seq[:3]) or _broken_rule(seq)
+    return (False, why) if why else (True, "ok")
+
+
+def _broken_rule(seq: Packed) -> str | None:
+    """The first rule but the size limit that seq breaks, or None."""
+    m, k, n, slots = seq
+    if not slots:
+        return "last-element: sequence is empty"
+    runs, blues, reds = zip(*slots)
+    codes = sorted(chain.from_iterable(runs))
+    if len(codes) != 2 * m + 1 or codes != list(range(1, 2 * m + 2)):
+        for color, first in ((BLUE, 1), (RED, 0)):  # blue codes are even, red ones odd
+            labels = [code >> 1 for code in codes if code & 1 != first]
+            if len(labels) != m + 1 - first or labels != list(range(first, m + 1)):
+                why = _range_mismatch(labels, first, m + 1 - first)
+                return f"bar-multiset: {color} label {why}, labels {first}..{m}"
+    if blues[-1] is None:
+        return "last-element: " + (
+            "a bar stands at the end" if runs[-1] else "final pair is not the extra pair"
+        )
+    if None in blues:
+        return "extra-pair: exactly one extra pair required"
+    for i, run in enumerate(runs):
+        for code, nxt in zip(run, run[1:]):
+            if nxt not in _successors(code, 2 * m + 1):
+                return f"bar-adjacency: {_bar(code)} may not be followed by {_bar(nxt)}"
+        if run and not run[-1] & 1:
+            pair = _pair(blues[i], reds[i], i == len(runs) - 1)
+            return f"bar-adjacency: {_bar(run[-1])} may not be followed by {pair}"
+    for blue, red in zip(blues[:-1], reds[:-1]):
+        if not blue or not red:
+            return f"empty-ordinary-block: {_pair(blue, red, False)}"
+    for color, size, blocks in ((BLUE, k, blues), (RED, n, reds)):
+        seen = 0
+        for block in blocks:
+            if block & seen:
+                return f"{color}-partition: element reused across blocks"
+            seen |= block
+        if seen != ((1 << size) - 1) << (m + 1):
+            why = _range_mismatch(_members(seen), m + 1, size)
+            return f"{color}-partition: member {why}, base {m + 1}..{m + size}"
+    return None
 
 
 def validate_mbarred(seq: MBarredSequence) -> tuple[bool, str]:
-    """Check every defining rule; returns (ok, reason) where reason names
-    the first violated rule.  The first rule is the packed form's size
-    limit, on each size and on m + max(k, n), the largest block member.
-    No set or list is built from a size, and a reason names the first
-    stray or missing member, not whole sets, so the work and the reason
-    are bounded by the elements, not by the sizes they claim.  The "last
-    bar of a run is red" fact is a consequence of bar adjacency and needs
-    no separate check."""
-    if not 0 <= min(seq.m, seq.k, seq.n) <= max(seq.m, seq.k, seq.n) < _PACKED_LIMIT:
-        return False, f"sizes: m, k, n must lie in 0..{_PACKED_LIMIT - 1}"
-    if seq.m + max(seq.k, seq.n) >= _PACKED_LIMIT:
-        return False, f"sizes: m + max(k, n) must lie in 0..{_PACKED_LIMIT - 1}"
-    if not seq.elements:
-        return False, "last-element: sequence is empty"
-    bars = seq.bars()
-    blue_labels = sorted(b.label for b in bars if b.color == BLUE)
-    red_labels = sorted(b.label for b in bars if b.color == RED)
-    for color, labels, first in ((BLUE, blue_labels, 1), (RED, red_labels, 0)):
-        if len(labels) != seq.m + 1 - first or labels != list(range(first, seq.m + 1)):
-            why = _range_mismatch(labels, first, seq.m + 1 - first)
-            return False, f"bar-multiset: {color} label {why}, labels {first}..{seq.m}"
-    last = seq.elements[-1]
-    if not isinstance(last, CallanPair):
-        return False, "last-element: a bar stands at the end"
-    if not last.is_extra:
-        return False, "last-element: final pair is not the extra pair"
-    pairs = seq.pairs()
-    if sum(1 for p in pairs if p.is_extra) != 1:
-        return False, "extra-pair: exactly one extra pair required"
-    for i, e in enumerate(seq.elements):
-        if isinstance(e, Bar):
-            nxt = seq.elements[i + 1]  # a bar is never last here
-            if not _may_follow(e, nxt):
-                return False, f"bar-adjacency: {e} may not be followed by {nxt}"
-    for p in pairs:
-        if not p.is_extra and (not p.blue or not p.red):
-            return False, f"empty-ordinary-block: {p}"
-    for color, size in ((BLUE, seq.k), (RED, seq.n)):
-        seen: set[int] = set()
-        for p in pairs:
-            blk = getattr(p, color)
-            if blk & seen:
-                return False, f"{color}-partition: element reused across blocks"
-            seen |= blk
-        if len(seen) != size or seen != set(range(seq.m + 1, seq.m + size + 1)):
-            why = _range_mismatch(sorted(seen), seq.m + 1, size)
-            return False, f"{color}-partition: member {why}, base {seq.m + 1}..{seq.m + size}"
-    return True, "ok"
+    """validate_packed on the packed form of seq.  A block member that the
+    packed form cannot hold is refused first, as "partition: block member"."""
+    try:
+        return validate_packed(pack(seq, "partition"))
+    except DomainError as exc:  # from pack: validate_packed raises nothing
+        return False, str(exc)
 
 
 def _range_mismatch(members: list[int], first: int, size: int) -> str:
@@ -394,19 +405,15 @@ def _range_mismatch(members: list[int], first: int, size: int) -> str:
     return f"{first + len(members)} is missing"
 
 
-def _require_mbarred(
-    seq: MBarredSequence, what: str, outside=None, error=DomainError, packed=None
-) -> MBarredSequence:
-    """Return seq if it is a valid m-barred sequence in the set that
+def _require_mbarred(seq: Packed, what: str, outside=None, error=DomainError) -> Packed:
+    """Return seq, a packed sequence, if it is valid and in the set that
     `outside` describes (a set predicate of bijections: it takes the marks
     of a valid sequence and returns why it lies outside the set, or None);
-    else raise `error` with "what (reason)".  The marks are read from
-    `packed`, the packed form of seq, when the caller has it.  Callers
-    raise DomainError for what they accept and ConsistencyError for what
-    they emit."""
-    ok, why = validate_mbarred(seq)
+    else raise `error` with "what (reason)".  Callers raise DomainError for
+    what they accept and ConsistencyError for what they emit."""
+    ok, why = validate_packed(seq)
     if ok and outside is not None:
-        why = outside(*(marks(seq) if packed is None else packed_marks(packed)))
+        why = outside(*packed_marks(seq))
         ok = why is None
     if not ok:
         raise error(f"{what} ({why})")
@@ -419,14 +426,12 @@ def validate_dumont(perm: DumontPermutation) -> tuple[bool, str]:
         return False, "length must be even"
     if sorted(perm.values) != list(range(1, n + 1)):
         return False, f"values must be a permutation of 1..{n}"
+    # the values are the bar codes of one run, which the red bar n + 1 closes
+    closed = (*perm.values, n + 1)
     for i, v in enumerate(perm.values):
-        last = i == n - 1
-        if v % 2 == 0:
-            if last or perm.values[i + 1] > v:
-                return False, f"even value {v} at position {i + 1} must start a descent"
-        else:
-            if not last and perm.values[i + 1] < v:
-                return False, f"odd value {v} at position {i + 1} must start an ascent"
+        if closed[i + 1] not in _successors(v, n + 1):
+            kind, start = ("odd", "an ascent") if v % 2 else ("even", "a descent")
+            return False, f"{kind} value {v} at position {i + 1} must start {start}"
     return True, "ok"
 
 
@@ -496,9 +501,9 @@ def bar_arrangements(m: int, runs: int) -> tuple[tuple[tuple[int, ...], ...], ..
 
     Bars are bar codes, as in the packed form: a blue bar labelled i is 2i
     and a red one 2i+1, so the bars are the codes 1..2m+1, and ascending
-    codes order them by (label, blue before red).  In these terms an even
-    code must be followed by a smaller one, and an odd code by a larger one
-    or by the pair that closes the run.
+    codes order them by (label, blue before red).  The table of which code
+    may follow which is built from _successors, the rule validate_packed
+    reads.
 
     Runs are independent because a pair separates consecutive runs.
     Backtracking order: a run is closed before it is extended; candidate
@@ -509,9 +514,7 @@ def bar_arrangements(m: int, runs: int) -> tuple[tuple[tuple[int, ...], ...], ..
     top = 2 * m + 1
     # successors[c]: the codes that may follow code c; successors[0] is
     # for an empty run, which may start with any bar
-    successors = [range(1, top + 1)] + [
-        range(c + 1, top + 1) if c & 1 else range(1, c) for c in range(1, top + 1)
-    ]
+    successors = [range(1, top + 1)] + [_successors(c, top) for c in range(1, top + 1)]
     results: list[tuple[tuple[int, ...], ...]] = []
     current: list[list[int]] = [[] for _ in range(runs)]
     used = [False] * (top + 1)
@@ -581,7 +584,8 @@ def count_mbarred(k: int, n: int, m: int) -> int:
 
 def enumerate_dumont(length: int) -> Iterator[DumontPermutation]:
     """Dumont permutations of the first kind of the given even length, in
-    lexicographic order."""
+    lexicographic order: bar_arrangements(length // 2, 1) without the
+    closing red bar, streamed rather than cached."""
     if length < 0 or length % 2:
         raise ValueError("Dumont permutations have even length")
     values = list(range(1, length + 1))
@@ -594,20 +598,13 @@ def enumerate_dumont(length: int) -> Iterator[DumontPermutation]:
             if length == 0 or chosen[-1] % 2 == 1:
                 yield DumontPermutation(tuple(chosen))
             return
-        for v in values:
-            if used[v]:
-                continue
-            if chosen:
-                prev = chosen[-1]
-                if prev % 2 == 0 and v > prev:
-                    continue
-                if prev % 2 == 1 and v < prev:
-                    continue
-            used[v] = True
-            chosen.append(v)
-            yield from rec()
-            chosen.pop()
-            used[v] = False
+        for v in _successors(chosen[-1], length) if chosen else values:
+            if not used[v]:
+                used[v] = True
+                chosen.append(v)
+                yield from rec()
+                chosen.pop()
+                used[v] = False
 
     return rec()
 
@@ -618,31 +615,20 @@ def enumerate_dumont(length: int) -> Iterator[DumontPermutation]:
 #
 # The proof splits every cell (k, n, m) three ways, and the bijections map
 # between subsets of these cells.  All of them depend on five marks of a
-# sequence: m, k, the extra red block (a block or a bitmask, true iff it is
+# sequence: m, k, the extra red block (a bitmask, true iff it is
 # nonempty), and the barred-max and barred-min flags, which say that the
 # sequence is star-only and its maximal or minimal blue element is a barred
-# ordinary singleton.  marks reads them from an object and packed_marks
-# from a packed sequence; the cell rule (cell_of) and the set predicates of
-# bijections are stated once, on the marks.
+# ordinary singleton.  packed_marks reads them from a packed sequence, and
+# marks from an object through its packed form; the cell rule (cell_of) and
+# the set predicates of bijections are stated once, on the marks.
 
 CELL_RSTAR_NONEMPTY = "R*-nonempty"
 CELL_STAR_ONLY = "star-only"
 CELL_BARRED_MAX = "star-only-barred-max-singleton"
 
 
-def has_barred_blue_singleton(seq: MBarredSequence, label: int) -> bool:
-    """True if `label` forms a singleton blue block of an ordinary pair and
-    at least one bar stands immediately before that pair."""
-    before = None
-    for e in seq.elements:
-        if isinstance(e, CallanPair) and label in e.blue:  # blue blocks are disjoint
-            return not e.is_extra and len(e.blue) == 1 and isinstance(before, Bar)
-        before = e
-    return False
-
-
 def packed_barred_singleton(seq: Packed, label: int) -> bool:
-    """has_barred_blue_singleton on the packed form."""
+    """True if `label` is the whole blue block of an ordinary pair with a bar just before it."""
     bit = 1 << label
     for run, blue, _ in seq[3][:-1]:  # blue blocks are disjoint
         if blue & bit:
@@ -651,19 +637,18 @@ def packed_barred_singleton(seq: Packed, label: int) -> bool:
 
 
 def marks(seq: MBarredSequence) -> tuple:
-    """The marks (m, k, extra red block, barred-max, barred-min) of a
-    sequence object.  Both flags need a star-only sequence with a blue
-    element, and they coincide when there is one blue element."""
-    m, k, red = seq.m, seq.k, seq.extra.red
-    if k == 0 or red:
-        return m, k, red, False, False
-    barred_max = has_barred_blue_singleton(seq, m + k)
-    barred_min = barred_max if k == 1 else has_barred_blue_singleton(seq, m + 1)
-    return m, k, red, barred_max, barred_min
+    """packed_marks of a sequence object, which must end with its one extra
+    pair (a slot without a pair has no blocks to read)."""
+    packed = pack(seq, "marks")
+    if not packed[3] or None in [blue for _, blue, _ in packed[3]]:
+        raise DomainError("sequence does not end with the extra pair, its only one")
+    return packed_marks(packed)
 
 
 def packed_marks(seq: Packed) -> tuple:
-    """The marks of a packed sequence, as marks reads them from its object."""
+    """The marks (m, k, extra red block, barred-max, barred-min) of a
+    packed sequence.  Both flags need a star-only sequence with a blue
+    element, and they coincide when there is one blue element."""
     m, k, _, slots = seq
     red = slots[-1][2]
     if k == 0 or red:
@@ -719,30 +704,21 @@ def mbarred_to_barred(seq: MBarredSequence) -> BarredCallanSequence:
     """For m = 0: re-read the single red bar labelled 0 as an unlabelled bar."""
     if seq.m != 0:
         raise DomainError("only 0-barred sequences have a single-bar display form")
-    _require_mbarred(seq, "mbarred_to_barred: invalid input")
-    position = 0
-    for e in seq.elements:
-        if isinstance(e, Bar):
-            break
-        position += 1
-    pairs = seq.pairs()
-    return BarredCallanSequence(
-        CallanSequence(seq.k, seq.n, 0, pairs), bar_position=position
-    )
+    _require_mbarred(pack(seq, "mbarred_to_barred"), "mbarred_to_barred: invalid input")
+    position = seq.elements.index(Bar(RED, 0))  # the only bar
+    pairs = seq.elements[:position] + seq.elements[position + 1 :]
+    return BarredCallanSequence(CallanSequence(seq.k, seq.n, 0, pairs), position)
 
 
 def barred_to_mbarred(barred: BarredCallanSequence) -> MBarredSequence:
     """Inverse of mbarred_to_barred: label the bar |r0."""
-    pairs = barred.sequence.pairs
-    if not 0 <= barred.bar_position < len(pairs):
+    pairs, position = barred.sequence.pairs, barred.bar_position
+    if not 0 <= position < len(pairs):
         raise DomainError("bar position must precede some pair (never at the end)")
-    elements: list[Element] = []
-    for i, p in enumerate(pairs):
-        if i == barred.bar_position:
-            elements.append(Bar(RED, 0))
-        elements.append(p)
-    seq = MBarredSequence(0, barred.sequence.k, barred.sequence.n, tuple(elements))
-    return _require_mbarred(seq, "barred_to_mbarred: invalid input")
+    elements = (*pairs[:position], Bar(RED, 0), *pairs[position:])
+    seq = MBarredSequence(0, barred.sequence.k, barred.sequence.n, elements)
+    _require_mbarred(pack(seq, "barred_to_mbarred"), "barred_to_mbarred: invalid input")
+    return seq
 
 
 def mbarred_to_dumont(seq: MBarredSequence) -> DumontPermutation:
@@ -751,8 +727,8 @@ def mbarred_to_dumont(seq: MBarredSequence) -> DumontPermutation:
     codes of the packed form."""
     if seq.k != 0 or seq.n != 0:
         raise DomainError("the Dumont encoding applies to sequences without pair content")
-    _require_mbarred(seq, "mbarred_to_dumont: invalid input")
-    (run, _, _), = pack(seq, "mbarred_to_dumont")[3]
+    packed = pack(seq, "mbarred_to_dumont")
+    (run, _, _), = _require_mbarred(packed, "mbarred_to_dumont: invalid input")[3]
     return DumontPermutation(run[:-1])
 
 
@@ -762,8 +738,8 @@ def dumont_to_mbarred(perm: DumontPermutation) -> MBarredSequence:
     if not ok:
         raise DomainError(why)
     m = len(perm.values) // 2
-    seq = unpack((m, 0, 0, ((tuple(perm.values) + (2 * m + 1,), 0, 0),)))
-    return _require_mbarred(seq, "dumont_to_mbarred: bad image", error=ConsistencyError)
+    packed = (m, 0, 0, ((tuple(perm.values) + (2 * m + 1,), 0, 0),))
+    return unpack(_require_mbarred(packed, "dumont_to_mbarred: bad image", error=ConsistencyError))
 
 
 # ---------------------------------------------------------------------------

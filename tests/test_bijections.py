@@ -251,6 +251,24 @@ def test_checked_guards_both_sides_of_a_core():
     assert (phi.__name__, phi.__doc__) == ("phi", bijections._phi.__doc__)
 
 
+def test_checked_refuses_an_image_that_breaks_only_the_size_limit(monkeypatch):
+    # phi raises k by one, so at a lowered limit of 8 every image of the
+    # cell (7, 1, 0) breaks the size rule and nothing else: the argument
+    # lies outside what the map can carry (DomainError).  An image that
+    # breaks another rule as well stays a ConsistencyError.
+    from callan import combinat
+
+    monkeypatch.setattr(combinat, "_PACKED_LIMIT", 8)
+    inside = next(s for s in enumerate_mbarred(7, 1, 0) if s.extra.red)
+    with pytest.raises(DomainError, match=r"^phi: the image of this input breaks the size limit"):
+        phi(inside)
+    broken = bijections._checked(
+        lambda s: (0, 8, 0, ()), ("stub: input", phi_domain), ("stub: bad image", phi_image)
+    )
+    with pytest.raises(ConsistencyError, match=r"^stub: bad image \(sizes: "):
+        broken(inside)
+
+
 def test_psi_b_requires_barred_singleton():
     no_bar = next(
         s for s in enumerate_mbarred(2, 2, 0)

@@ -396,6 +396,47 @@ def test_map_refuses_a_largest_block_member_the_packed_form_cannot_hold(tmp_path
     )
 
 
+# At the packed limit a valid input can map past it: phi raises k by one
+# and m + max(k, n) with it, phi_inverse raises n.  The map refuses such an
+# input with exit 1, naming the size rule its image breaks.  The limit is
+# lowered to 8 so that the cells stay small; (k, n, m) are the input cells.
+LIMIT_CELLS = [
+    ("phi", (7, 1, 0), "sizes: m, k, n must lie in 0..7"),
+    ("phi", (5, 1, 2), "sizes: m + max(k, n) must lie in 0..7"),
+    ("phi-inv", (1, 7, 0), "sizes: m, k, n must lie in 0..7"),
+    ("phi-inv", (1, 5, 2), "sizes: m + max(k, n) must lie in 0..7"),
+]
+
+
+@pytest.mark.parametrize("which,cell,rule", LIMIT_CELLS)
+def test_map_refuses_an_input_whose_image_passes_the_packed_limit(
+    tmp_path, capsys, monkeypatch, which, cell, rule
+):
+    from callan import bijections, combinat
+
+    monkeypatch.setattr(combinat, "_PACKED_LIMIT", 8)
+    inside = {"phi": bijections.phi_domain, "phi-inv": bijections.phi_image}[which]
+    seq = next(s for s in combinat.enumerate_mbarred(*cell) if inside(*combinat.marks(s)) is None)
+    code, out, err = _map(tmp_path, capsys, which, combinat.to_json_dict(seq))
+    name = {"phi": "phi", "phi-inv": "phi_inverse"}[which]
+    assert (code, out) == (1, "")
+    assert err == f"map: {name}: the image of this input breaks the size limit ({rule})\n"
+
+
+def test_psi_inverse_keeps_the_packed_limit(tmp_path, capsys, monkeypatch):
+    # psi_inverse keeps m + max(k, n) and raises k and n only up to it, so
+    # at the limit it still maps, and psi carries the image back (exit 0)
+    from callan import bijections, combinat
+
+    monkeypatch.setattr(combinat, "_PACKED_LIMIT", 8)
+    for cell in [(6, 0, 1), (0, 6, 1), (3, 2, 2), (0, 0, 3)]:  # m + max(k, n) = 7
+        for seq in combinat.enumerate_mbarred(*cell):
+            image = bijections.psi_inverse(seq)
+            assert (image.m, image.k, image.n) == (cell[2] - 1, cell[0] + 1, cell[1] + 1)
+        code, out, _ = _map(tmp_path, capsys, "psi", combinat.to_json_dict(image))
+        assert code == 0 and json.loads(out)["result"] == combinat.to_json_dict(seq)
+
+
 DEEP = 50_000  # far past the recursion limit of the JSON decoder
 
 
@@ -448,13 +489,13 @@ def test_map_validates_input_and_image_once_each(
     from callan import combinat
 
     calls = []
-    validate = combinat.validate_mbarred
+    validate = combinat.validate_packed
 
     def counting(seq):
         calls.append(seq)
         return validate(seq)
 
-    monkeypatch.setattr(combinat, "validate_mbarred", counting)
+    monkeypatch.setattr(combinat, "validate_packed", counting)
     doc = json.loads((GOLDEN / f"{golden}.json").read_text())[part]
     code, _, _ = _map(tmp_path, capsys, which, doc)
     assert code == 0 and len(calls) == 2
@@ -512,7 +553,21 @@ def _mutate(doc, rng):
             return
 
 
-@pytest.mark.parametrize("which", ["phi", "phi-inv", "psi", "psi-b", "psi-r", "relabel"])
+# sha256 over one "exit code<TAB>stdout<TAB>stderr" line per mutant, in
+# the order the test draws them, recorded before the validator moved onto
+# the packed form: they pin which reason each refusal gives, not only that
+# it exits 1.
+PINNED_MUTANTS = {
+    "phi": "367b7889c31d0d773bef02380c426c2dfc3abaefd02899347e5b17a5ef2fb0d6",
+    "phi-inv": "00625d7aca381172f35cbebdc68136279b4cae763ef358216ff8ccc060264e73",
+    "psi": "d219b440f4615c18085428400bfe4851b25621f770cb66a99a21143b3dc7c9b3",
+    "psi-b": "e56fc747cd87ad46478bd92583843a2859ffb81b5b2d6728a870c3c599c36be1",
+    "psi-r": "af2db5726968e2d6120835134e7df03666b1927aa17d98dd18379f584a80da35",
+    "relabel": "3c3e1f425224f3927c8689645f2ab6b389f995275d5abb0ca5e5c951b678407d",
+}
+
+
+@pytest.mark.parametrize("which", sorted(PINNED_MUTANTS))
 def test_map_mutated_inputs_exit_one_or_round_trip(tmp_path, capsys, which):
     # every mutant is refused with exit 1 and a one-line reason, or mapped
     # to a valid image that the inverse map carries back to the mutant
@@ -536,12 +591,14 @@ def test_map_mutated_inputs_exit_one_or_round_trip(tmp_path, capsys, which):
     rng = random.Random(which)
     inputs = _domain_inputs(which)
     exits = {0: 0, 1: 0}
+    digest = hashlib.sha256()
     for _ in range(200):
         doc = json.loads(json.dumps(rng.choice(inputs)))
         _mutate(doc, rng)
         code, out, err = _map(tmp_path, capsys, which, doc)
         assert code in exits, (doc, err)
         exits[code] += 1
+        digest.update(f"{code}\t{out}\t{err}\n".encode())
         if code == 1:
             assert out == "" and err.startswith("map: ") and len(err.splitlines()) == 1
             continue
@@ -550,3 +607,4 @@ def test_map_mutated_inputs_exit_one_or_round_trip(tmp_path, capsys, which):
             assert validate_mbarred(image) == (True, "ok")
         assert inverse(image) == parse(doc)
     assert exits[0] and exits[1]
+    assert digest.hexdigest() == PINNED_MUTANTS[which]

@@ -36,7 +36,6 @@ from callan.combinat import (
     to_json_dict,
     from_json_dict,
     canonical_json,
-    _may_follow,
     enumerate_packed,
     marks,
     pack,
@@ -77,9 +76,18 @@ def brute_force_mbarred(k, n, m):
     return out
 
 
+def may_follow(prev, bar):
+    """The adjacency rule of the module docstring, on Bar objects: a blue
+    bar is followed by a bar with a strictly smaller label, a red bar by a
+    bar with a strictly greater one (or by a pair, which closes the run)."""
+    if prev.color == BLUE:
+        return bar.label < prev.label
+    return bar.label > prev.label
+
+
 def backtrack_bar_arrangements(m, runs):
     """Oracle for bar_arrangements: the same backtracking on Bar objects,
-    testing every bar of the pool with _may_follow at every step, with
+    testing every bar of the pool with may_follow at every step, with
     each arrangement written in bar codes (2 * label, plus 1 for red) at
     the end.  Same order: a run is closed before it is extended, and
     candidates are tried ascending by (label, blue before red)."""
@@ -102,7 +110,7 @@ def backtrack_bar_arrangements(m, runs):
         if not run or run[-1].color == RED:
             rec(run_idx + 1, remaining)
         for i, bar in enumerate(pool):
-            if used[i] or (run and not _may_follow(run[-1], bar)):
+            if used[i] or (run and not may_follow(run[-1], bar)):
                 continue
             used[i] = True
             run.append(bar)
@@ -402,6 +410,12 @@ def test_cell_predicates_refuse_an_empty_sequence():
     for predicate in (classify, in_barred_min_subset, in_barred_max_subset):
         with pytest.raises(DomainError, match="does not end with the extra pair"):
             predicate(seq)
+    # nor one with a second extra pair, before its end
+    extra = CallanPair(frozenset(), frozenset(), True)
+    seq = MBarredSequence(0, 1, 0, (extra, Bar(RED, 0), CallanPair(frozenset({1}), frozenset(), True)))
+    for predicate in (classify, in_barred_min_subset, in_barred_max_subset):
+        with pytest.raises(DomainError, match="does not end with the extra pair, its only one"):
+            predicate(seq)
 
 
 def test_star_only_empty_when_no_blue():
@@ -559,9 +573,9 @@ def test_marks_read_the_barred_singletons_on_both_forms():
         red = seq.extra.red
         singles = set() if red else _barred_singletons(seq)
         barred_max, barred_min = seq.m + seq.k in singles, seq.m + 1 in singles
-        assert marks(seq) == (seq.m, seq.k, red, barred_max, barred_min)
         mask = sum(1 << x for x in red)
-        assert packed_marks(pack(seq, "test")) == (seq.m, seq.k, mask, barred_max, barred_min)
+        assert marks(seq) == (seq.m, seq.k, mask, barred_max, barred_min)
+        assert packed_marks(pack(seq, "test")) == marks(seq)
         assert in_barred_max_subset(seq) == barred_max
         assert in_barred_min_subset(seq) == barred_min
         cell = CELL_RSTAR_NONEMPTY if red else CELL_BARRED_MAX if barred_max else CELL_STAR_ONLY

@@ -236,13 +236,13 @@ def test_certification_never_validates(monkeypatch, claim):
     from callan import combinat
 
     calls = []
-    validate = combinat.validate_mbarred
+    validate = combinat.validate_packed
 
     def counting(seq):
         calls.append(seq)
         return validate(seq)
 
-    monkeypatch.setattr(combinat, "validate_mbarred", counting)
+    monkeypatch.setattr(combinat, "validate_packed", counting)
     reports = run_claim(claim, 5)
     assert reports and all(r.passed for r in reports)
     assert sum(r.lhs for r in reports) > 0 and calls == []
