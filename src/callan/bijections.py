@@ -121,7 +121,8 @@ class PsiIntermediate:
 # sequence (combinat.packed_marks) and returns why it lies outside its set,
 # or None.  The public maps check what they accept and emit against them
 # (_checked); the harness certifies the packed cores (_phi, _psi, ...) over
-# the same sets.
+# the same sets.  They, and combinat.cell_of, read the extra red block only
+# through whether it is empty: the harness asks them once per marks class.
 # ---------------------------------------------------------------------------
 
 

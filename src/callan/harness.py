@@ -18,11 +18,11 @@ it one check's cell and image cell.
 
 The public maps of ``bijections`` are the trust boundary: they validate
 what they accept and emit.  The object claims run on the packed form of
-``combinat``: the sweep streams packed sequences with their marks, the
-partition check counts them by the cell rule of ``combinat``, the
-certificates run the unvalidating packed cores over the sets that
-``bijections`` states, and objects are decoded only for the
-counterexamples a report carries.
+``combinat``: the sweep streams packed sequences and routes each by the
+class of its marks, the partition check counts the classes by the cell
+rule of ``combinat``, the certificates run the unvalidating packed cores
+over the sets that ``bijections`` states, and objects are decoded only
+for the counterexamples a report carries.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ import time
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import product
 
 from . import numbers
 from .bijections import (  # the unvalidating packed cores, under their public names
@@ -158,11 +159,6 @@ def _mbarred_sum(n: int, m: int) -> tuple:
     return _alternating_sum(n, lambda j: count_mbarred(j, n - j, m), "enumeration")
 
 
-def _genocchi_side(n: int, m: int) -> int:
-    """(-1)^(m+1) times the Genocchi number of index n+2m+2."""
-    return (-1 if (m + 1) % 2 else 1) * numbers.genocchi(n + 2 * m + 2)
-
-
 def verify_pb_zero(n: int) -> VerificationReport:
     """Sum of (-1)^j B(n-j, -j) over 0 <= j <= n vanishes (n >= 1; the
     empty-shift case n = 0 evaluates to 1 and honestly fails)."""
@@ -204,15 +200,11 @@ def verify_thm_identity2(n: int, m: int, mode: str = "enumeration") -> Verificat
     (-1)^(m+1) times the Genocchi number of index n+2m+2, the counts taken
     by enumeration.  `mode` names that route and takes no other value; at
     m = 0 the series route is verify_thm_identity."""
-    started = time.perf_counter()
     if n < 0 or m < 0:
         raise ValueError("n and m must be nonnegative")
     if mode != "enumeration":
         raise ValueError(f"unknown mode {mode!r}")
-    total, terms = _mbarred_sum(n, m)
-    return _finish(
-        "thm-identity2", {"n": n, "m": m}, total, _genocchi_side(n, m), [], started, terms
-    )
+    return _genocchi_claims(("thm2",), [(n, m)])[0]
 
 
 def verify_prop_rec(n: int, m: int) -> VerificationReport:
@@ -233,26 +225,48 @@ def verify_telescope(n: int, m: int) -> VerificationReport:
     every link must flip the sign, the chain must bottom out at the
     count of pure bar sequences, and the end value must match the
     Genocchi prediction.  The weight n + 2m is constant along the chain."""
-    started = time.perf_counter()
     if n % 2 != 0:
         raise ValueError("n must be even")
     if n < 0 or m < 0:
         raise ValueError("n and m must be nonnegative")
-    half = n // 2
-    chain = [_mbarred_sum(n - 2 * i, m + i)[0] for i in range(half + 1)]
-    bad = []
-    for i in range(half):
-        if chain[i] != -chain[i + 1]:
-            bad.append({"link": i, "lhs": chain[i], "rhs": -chain[i + 1]})
-    bottom = count_mbarred(0, 0, m + half)
-    if chain[-1] != bottom:
-        bad.append({"bottom": chain[-1], "expected": bottom})
-    sign = -1 if half % 2 else 1
-    rhs = sign * bottom
-    predicted = _genocchi_side(n, m)
-    if rhs != predicted:
-        bad.append({"genocchi": predicted, "chain-end": rhs})
-    return _finish("telescope", {"n": n, "m": m}, chain[0], rhs, bad, started)
+    return _genocchi_claims(("telescope",), [(n, m)])[0]
+
+
+def _genocchi_claims(claims, points) -> list[VerificationReport]:
+    """The reports of each of `claims` (thm2, telescope) at the valid
+    points (n, m) of `points`; telescope takes those with an even n.  Both
+    compare with (-1)^(m+1) times the Genocchi number of index n+2m+2,
+    read from one list built by one series division, which is charged to
+    the first report."""
+    started = time.perf_counter()
+    genocchi = numbers.genocchi_list(max(n + 2 * m for n, m in points) + 2)
+    reports = []
+    for claim, (n, m) in product(claims, points):
+        if claim == "telescope" and n % 2:
+            continue
+        predicted = (-1 if (m + 1) % 2 else 1) * genocchi[n + 2 * m + 2]
+        if claim == "thm2":
+            total, terms = _mbarred_sum(n, m)
+            reports.append(
+                _finish("thm-identity2", {"n": n, "m": m}, total, predicted, [], started, terms)
+            )
+        else:
+            half = n // 2
+            chain = [_mbarred_sum(n - 2 * i, m + i)[0] for i in range(half + 1)]
+            bad = []
+            for i in range(half):
+                if chain[i] != -chain[i + 1]:
+                    bad.append({"link": i, "lhs": chain[i], "rhs": -chain[i + 1]})
+            bottom = count_mbarred(0, 0, m + half)
+            if chain[-1] != bottom:
+                bad.append({"bottom": chain[-1], "expected": bottom})
+            sign = -1 if half % 2 else 1
+            rhs = sign * bottom
+            if rhs != predicted:
+                bad.append({"genocchi": predicted, "chain-end": rhs})
+            reports.append(_finish("telescope", {"n": n, "m": m}, chain[0], rhs, bad, started))
+        started = time.perf_counter()
+    return reports
 
 
 def verify_partition(k: int, n: int, m: int) -> VerificationReport:
@@ -264,19 +278,19 @@ def verify_partition(k: int, n: int, m: int) -> VerificationReport:
 
 
 class _Partition:
-    """verify_partition at one cell, fed the cell's sequences one by one."""
+    """verify_partition at one cell, fed the cell's class counts."""
 
     image_cell = None  # the check ends with its own cell's stream
+    in_domain = staticmethod(lambda *marks: None)  # the domain is the whole cell
+    domain = None  # no work per object: the cell rule reads only the marks
 
     def __init__(self, k: int, n: int, m: int) -> None:
         self.cell = (k, n, m)
         self.counts = {CELL_RSTAR_NONEMPTY: 0, CELL_STAR_ONLY: 0, CELL_BARRED_MAX: 0}
         self.elapsed = 0.0
 
-    def domain(self, seq, marked: tuple) -> None:
-        """Count one packed sequence, with its marks, in its cell; the
-        partition's domain is its whole cell."""
-        self.counts[cell_of(*marked)] += 1
+    def domain_tally(self, marks: tuple, count: int) -> None:
+        self.counts[cell_of(*marks)] += count
 
     def report(self) -> VerificationReport:
         started = time.perf_counter()
@@ -297,18 +311,18 @@ class _Certificate:
     two-sided inverse.  D is the set of sequences at `cell` that `in_domain`
     accepts, C the set at `image_cell` that `in_image` accepts (each is a
     set predicate of bijections, which returns None on its members).  The
-    certificate is fed every packed sequence of `cell` through domain() and
-    every one of `image_cell` through codomain(), each with its marks, the
-    two sides in any order, even interleaved; each skips what its predicate
-    refuses, and report() gives the verdict.  The maps are assumed
-    deterministic.
+    certificate is fed every member of D through domain() and every member
+    of C through codomain(), the two sides in any order, even interleaved,
+    and the sizes |D| and |C| through domain_tally() and codomain_tally(),
+    one count per marks class; report() gives the verdict.  The maps are
+    assumed deterministic.
 
     domain(s) applies forward, adds the image to the image set I and checks
     backward(forward(s)) = s (forward-error, backward-error, roundtrip).
-    codomain(t) counts |C| and removes t from I, or, if t is not there
-    (yet), adds it to the missed set M.  A member of C met before its image
-    ends in both sets, so I - M are the images outside C (outside-codomain)
-    and M - I the members of C that no image hit (not-hit).
+    codomain(t) removes t from I, or, if t is not there (yet), adds it to
+    the missed set M.  A member of C met before its image ends in both
+    sets, so I - M are the images outside C (outside-codomain) and M - I
+    the members of C that no image hit (not-hit).
 
     Why one pass over each side suffices: suppose nothing is noted.  Then
     forward is total on D (no forward-error) and backward(forward(s)) = s
@@ -317,11 +331,13 @@ class _Certificate:
     image (I - M and M - I are empty).  So forward is a bijection D -> C,
     lhs = |D| equals rhs = |C|, and every t in C is t = forward(s) with
     backward(t) = s, so forward(backward(t)) = t: backward is a two-sided
-    inverse on C.  A second pass over C that checks forward(backward(t)) = t
-    can therefore change neither the status nor lhs nor rhs of any report;
-    it could only add counterexamples to one that already fails.  The order
-    of the two sides is as harmless: it changes the counterexamples only of
-    a non-injective forward (two images t with the member t of C between
+    inverse on C.  (A marks class lies wholly inside or outside a set, so
+    the counts of the accepted classes are the numbers of members fed.)  A
+    second pass over C that checks forward(backward(t)) = t can therefore
+    change neither the status nor lhs nor rhs of any report; it could only
+    add counterexamples to one that already fails.  The order of the two
+    sides is as harmless: it changes the counterexamples only of a
+    non-injective forward (two images t with the member t of C between
     them leave one t in I), which already fails a round trip.
 
     Why the maps need not validate: D and C are enumerated, so they have
@@ -332,11 +348,10 @@ class _Certificate:
     that already fails.  So the harness runs the cores.
 
     Memory: I keeps the images of D until C streams by, and C itself is
-    never stored.  Membership in C is decided by the set, not by
-    validate_packed plus the image predicate, which would need O(1)
-    memory: over the 38,878 phi images of weight <= 8, built beforehand,
-    the set's add and remove took 0.023-0.035 s and validate_packed with
-    phi_image 0.23-0.27 s (best of 7, GC off, shared 2-core host)."""
+    never stored.  A member of C is looked up in I rather than checked by
+    validate_packed, which needs O(1) memory but took ten times as long
+    over the 38,878 phi images of weight <= 8 (0.23-0.27 s against
+    0.023-0.035 s, best of 7, GC off, shared 2-core host)."""
 
     def __init__(self, claim_id, cell, image_cell, forward, backward, in_domain, in_image):
         self.claim_id = claim_id
@@ -355,10 +370,7 @@ class _Certificate:
             self.noted[kind] += 1
             self.bad.append({kind: payload})
 
-    def domain(self, s, marked: tuple) -> None:
-        if self.in_domain(*marked) is not None:
-            return
-        self.domain_size += 1
+    def domain(self, s) -> None:
         try:
             t = self.forward(s)
         except Exception as exc:
@@ -373,14 +385,17 @@ class _Certificate:
         if back != s:
             self.note("roundtrip", _payload(s))
 
-    def codomain(self, t, marked: tuple) -> None:
-        if self.in_image(*marked) is not None:
-            return
-        self.codomain_size += 1
+    def codomain(self, t) -> None:
         before = len(self.images)  # t is hashed once, and nothing raises
         self.images.discard(t)
         if len(self.images) == before:
             self.missed.add(t)
+
+    def domain_tally(self, marks: tuple, count: int) -> None:
+        self.domain_size += count
+
+    def codomain_tally(self, marks: tuple, count: int) -> None:
+        self.codomain_size += count
 
     def report(self) -> VerificationReport:
         started = time.perf_counter()
@@ -397,17 +412,50 @@ class _Certificate:
         )
 
 
+def _routed(stream, starting, finishing):
+    """Route one cell's stream to the domain sides of the consumers
+    `starting` at the cell and the codomain sides of the certificates
+    `finishing` there, and yield the seconds each sequence's calls took.
+    A cell fixes m and k, and the predicates read the extra red block only
+    through its emptiness, so the class (extra red block nonempty,
+    barred-max, barred-min) decides every verdict: each predicate is asked
+    once per class, a sequence goes to the per-object calls of the sides
+    that accept its class, each charged to its consumer, and after the
+    stream those sides get the class counts."""
+    clock = time.perf_counter
+    sides = [(c, c.in_domain, c.domain, c.domain_tally) for c in starting]
+    sides += [(c, c.in_image, c.codomain, c.codomain_tally) for c in finishing]
+    classes = {}  # class -> [count, marks, accepting sides, their calls]
+    for seq in stream:
+        marked = packed_marks(seq)
+        key = (bool(marked[2]), marked[3], marked[4])
+        entry = classes.get(key)
+        if entry is None:
+            accepting = [side for side in sides if side[1](*marked) is None]
+            calls = [(c, call) for c, _, call, _ in accepting if call]
+            entry = classes[key] = [0, marked, accepting, calls]
+        entry[0] += 1
+        spent = 0.0
+        for consumer, call in entry[3]:
+            started = clock()
+            call(seq)
+            took = clock() - started
+            consumer.elapsed += took
+            spent += took
+        yield spent
+    for count, marked, accepting, _ in classes.values():
+        for *_, tally in accepting:
+            tally(marked, count)
+
+
 def _run(cells, starting_at) -> list[VerificationReport]:
     """The one driver of the object claims: the reports of the consumers
     that `starting_at(cell)` makes as each of `cells` comes up.  A
     certificate is filed at once under its image cell, which is its own
-    cell or a later one.  Each cell streams once: each sequence, with its
-    marks read once, goes into domain() of the consumers made at the cell
-    and codomain() of the certificates filed under it.  A consumer reports
-    after its last cell.  Each consumer's elapsed grows by the time its
-    own calls take; the stream and the marks are charged to the first
-    consumer, whose clock read after its own call covers them."""
-    clock = time.perf_counter
+    cell or a later one.  Each cell streams once, _routed to the consumers
+    made at the cell and the certificates filed under it, the first of
+    which is charged the stream, the marks, the class lookups and tallies.
+    A consumer reports after its last cell."""
     reports = []
     waiting = defaultdict(list)  # image cell -> certificates its stream feeds
     for cell in cells:
@@ -416,18 +464,11 @@ def _run(cells, starting_at) -> list[VerificationReport]:
             if c.image_cell is not None:
                 waiting[c.image_cell].append(c)
         finishing = waiting.pop(cell, [])
-        feeds = [(c, c.domain) for c in starting] + [(c, c.codomain) for c in finishing]
-        if not feeds:
+        if not starting and not finishing:
             continue
-        last = clock()
-        for seq in enumerate_packed(*cell):
-            marked = packed_marks(seq)
-            for consumer, feed in feeds:
-                feed(seq, marked)
-                now = clock()
-                consumer.elapsed += now - last
-                last = now
-        feeds[0][0].elapsed += clock() - last
+        started = time.perf_counter()
+        spent = sum(_routed(enumerate_packed(*cell), starting, finishing))
+        (starting + finishing)[0].elapsed += time.perf_counter() - started - spent
         reports += [c.report() for c in starting if c.image_cell is None]
         reports += [c.report() for c in finishing]
     return reports
@@ -501,8 +542,7 @@ CLAIM_NAMES = (
 
 # Eq-style identities proven by series run over fixed ranges (they are
 # cheap and not enumeration-bounded); everything else honours the budget.
-_PB_ZERO_RANGE = range(1, 21)
-_THM1_RANGE = range(0, 17)
+_SERIES_RANGES = {"pb-zero": range(1, 21), "thm1": range(0, 17)}
 
 # The claims checked on m-barred objects: the cells (k, n, m) each one
 # sweeps, and its consumer at a cell.
@@ -553,26 +593,19 @@ def run_claim(claim: str, max_weight: int = 8) -> list[VerificationReport]:
     if max_weight < 0:
         raise ValueError("max weight must be nonnegative")
     if claim == "all":
-        reports = [
-            r for name in CLAIM_NAMES if name not in _SWEEPS
-            for r in run_claim(name, max_weight)
-        ]
+        reports = run_claim("pb-zero", max_weight) + run_claim("thm1", max_weight)
+        reports += _genocchi_claims(("thm2", "telescope"), _nm_cells(max_weight))
+        reports += run_claim("prop-rec", max_weight)
         reports += _sweep(max_weight, tuple(_SWEEPS))
         return sorted(reports, key=report_sort_key)
     if claim in _SWEEPS:
         return sorted(_sweep(max_weight, (claim,)), key=_cell_order)
-    if claim == "pb-zero":
-        return _series_claim(claim, list(_PB_ZERO_RANGE))
-    if claim == "thm1":
-        return _series_claim(claim, list(_THM1_RANGE))
-    if claim == "thm2":
-        return [verify_thm_identity2(n, m) for n, m in _nm_cells(max_weight)]
+    if claim in _SERIES_RANGES:
+        return _series_claim(claim, list(_SERIES_RANGES[claim]))
+    if claim in ("thm2", "telescope"):
+        return _genocchi_claims((claim,), _nm_cells(max_weight))
     if claim == "prop-rec":
         return [verify_prop_rec(n, m) for n, m in _nm_cells(max_weight) if n >= 2]
-    if claim == "telescope":
-        return [
-            verify_telescope(n, m) for n, m in _nm_cells(max_weight) if n % 2 == 0
-        ]
     raise ValueError(f"unknown claim {claim!r}")
 
 

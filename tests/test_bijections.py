@@ -45,6 +45,9 @@ from callan.combinat import (
     pack,
     to_json_dict,
     canonical_json,
+    cell_of,
+    enumerate_packed,
+    packed_marks,
 )
 from callan.errors import ConsistencyError, DomainError
 
@@ -167,6 +170,30 @@ def test_domain_and_image_predicates_match_the_cells():
             assert (psi_image(*marked) is None) == (m >= 1)
             assert (relabel_domain(*marked) is None) == extreme
             assert (relabel_max_side(*marked) is None) == in_barred_max_subset(s)
+
+
+def test_set_predicates_read_the_extra_red_block_only_through_its_emptiness():
+    # the harness decides every set once per marks class, which keeps only
+    # whether the extra red block is empty: another nonzero mask in its
+    # place must give each set predicate and the cell rule the same verdict
+    predicates = (
+        phi_domain, phi_image, psi_domain, psi_image, relabel_domain, relabel_max_side, cell_of
+    )
+    checked = 0
+    for weight in range(7):
+        for m in range(weight // 2 + 1):
+            for k in range(weight - 2 * m + 1):
+                for s in enumerate_packed(k, weight - k - 2 * m, m):
+                    m_, k_, red, barred_max, barred_min = packed_marks(s)
+                    if not red:
+                        continue
+                    checked += 1
+                    for other in (1, 1 << 40):
+                        for predicate in predicates:
+                            assert predicate(m_, k_, other, barred_max, barred_min) == predicate(
+                                m_, k_, red, barred_max, barred_min
+                            )
+    assert checked > 0
 
 
 def test_phi_rejects_star_only_input():

@@ -3,7 +3,7 @@ import hashlib
 import json
 import time
 from collections import Counter
-from itertools import zip_longest
+from itertools import chain, zip_longest
 
 import pytest
 
@@ -416,6 +416,60 @@ def test_sweep_scans_for_barred_singletons_about_once_per_object(monkeypatch):
     assert len(scans) <= 1.1 * objects
 
 
+def test_sweep_decides_each_side_once_per_marks_class(monkeypatch):
+    # each side's predicate is asked at most once per marks class of each
+    # cell it streams, the maps see exactly their members (lhs of them on
+    # the domain side, rhs on the codomain side), and the partition reads
+    # the cell rule at most once per class of its cell
+    asked, fed = Counter(), Counter()
+
+    def counted(key, accepts):
+        def ask(m, k, red, barred_max, barred_min):
+            asked[key, (bool(red), barred_max, barred_min)] += 1
+            return accepts(m, k, red, barred_max, barred_min)
+        return ask
+
+    class Counted(harness._Certificate):
+        def __init__(self, claim_id, cell, image_cell, forward, backward, in_domain, in_image):
+            in_domain = counted((claim_id, cell, 0), in_domain)
+            in_image = counted((claim_id, cell, 1), in_image)
+            super().__init__(claim_id, cell, image_cell, forward, backward, in_domain, in_image)
+
+        def domain(self, *args):
+            fed[self.claim_id, self.cell, 0] += 1
+            super().domain(*args)
+
+        def codomain(self, *args):
+            fed[self.claim_id, self.cell, 1] += 1
+            super().codomain(*args)
+
+    ruled = []
+    cell_of = harness.cell_of
+    monkeypatch.setattr(harness, "cell_of", lambda *marks: ruled.append(marks) or cell_of(*marks))
+    monkeypatch.setattr(harness, "_Certificate", Counted)
+    reports = run_claim("all", 7)
+    assert len(reports) == 283 and all(r.passed for r in reports)
+    assert len(asked) > 0 and max(asked.values()) == 1
+    certified = [r for r in reports if r.claim_id in ("phi", "psi", "relabel")]
+    for r in certified:
+        cell = (r.parameters["k"], r.parameters["n"], r.parameters["m"])
+        assert (fed[r.claim_id, cell, 0], fed[r.claim_id, cell, 1]) == (r.lhs, r.rhs)
+    assert sum(fed.values()) == sum(r.lhs + r.rhs for r in certified)
+    assert 0 < len(ruled) <= 5 * sum(r.claim_id == "partition" for r in reports)
+
+
+def test_thm2_and_telescope_read_one_list_of_genocchi_numbers(monkeypatch):
+    # thm1 divides once for its own range, and thm2 and telescope share one
+    # division up to the largest index of the sweep
+    orders = []
+    egf = numbers._genocchi_egf
+    monkeypatch.setattr(numbers, "_genocchi_egf", lambda order: orders.append(order) or egf(order))
+    numbers.genocchi.cache_clear()  # cold, so that one division per index would show
+    reports = run_claim("all", 7)
+    assert len(reports) == 283 and all(r.passed for r in reports)
+    assert sorted(orders) == [9, 18]
+
+
 def test_all_is_the_union_of_single_claims():
     union = [r for name in harness.CLAIM_NAMES for r in run_claim(name, 6)]
     assert _timeless(run_claim("all", 6)) == _timeless(
@@ -471,24 +525,19 @@ _CERTIFICATES = {
 
 
 def _fed(make, cell, order):
+    # each side streams through harness._routed, which selects its members
+    # and counts its size as in harness._run
     certificate = make(*cell)
-    domain = [(s, packed_marks(s)) for s in enumerate_packed(*certificate.cell)]
-    codomain = [(t, packed_marks(t)) for t in enumerate_packed(*certificate.image_cell)]
+    sources = harness._routed(enumerate_packed(*certificate.cell), [certificate], [])
+    targets = harness._routed(enumerate_packed(*certificate.image_cell), [], [certificate])
     if order == "domain-first":
-        feeds = [(certificate.domain, s) for s in domain]
-        feeds += [(certificate.codomain, t) for t in codomain]
+        steps = chain(sources, targets)
     elif order == "codomain-first":
-        feeds = [(certificate.codomain, t) for t in codomain]
-        feeds += [(certificate.domain, s) for s in domain]
+        steps = chain(targets, sources)
     else:  # one interleaved stream, as harness._run feeds a shared cell
-        feeds = [
-            pair
-            for s, t in zip_longest(domain, codomain)
-            for pair in ((certificate.domain, s), (certificate.codomain, t))
-            if pair[1] is not None
-        ]
-    for feed, marked in feeds:
-        feed(*marked)
+        steps = zip_longest(sources, targets)
+    for _ in steps:
+        pass
     return dataclasses.replace(certificate.report(), elapsed=0.0)
 
 
