@@ -54,6 +54,7 @@ carries the barred-max-singleton subset onto the barred-min-singleton one
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 
 from .combinat import (
@@ -68,7 +69,6 @@ from .combinat import (
     _from_wire,
     _require_mbarred,
     _size_rule,
-    _to_wire,
     _wire_json,
     pack,
     packed_marks,
@@ -118,11 +118,11 @@ class PsiIntermediate:
 
 # ---------------------------------------------------------------------------
 # the sets the maps run between: each predicate takes the marks of a valid
-# sequence (combinat.packed_marks) and returns why it lies outside its set,
-# or None.  The public maps check what they accept and emit against them
-# (_checked); the harness certifies the packed cores (_phi, _psi, ...) over
-# the same sets.  They, and combinat.cell_of, read the extra red block only
-# through whether it is empty: the harness asks them once per marks class.
+# sequence (combinat.packed_marks: m, k, whether the extra red block is
+# nonempty, and the barred-max and barred-min flags) and returns why it lies
+# outside its set, or None.  The public maps check what they accept and emit
+# against them (_checked); the harness certifies the packed cores (_phi,
+# _psi, ...) over the same sets.
 # ---------------------------------------------------------------------------
 
 
@@ -459,7 +459,7 @@ psi_inverse = _checked(_psi_inverse, _PSI_INV_IN, _PSI_INV_OUT)
 
 
 def intermediate_to_json_dict(inter: PsiIntermediate) -> dict:
-    return _to_wire(inter, intermediate=True)
+    return json.loads(canonical_intermediate_json(inter))
 
 
 def intermediate_from_json_dict(data: dict) -> PsiIntermediate:

@@ -24,8 +24,8 @@ from . import combinat, harness, numbers
 from .bijections import (
     _phi_case,
     _phi_inverse_case,
+    canonical_intermediate_json,
     intermediate_from_json_dict,
-    intermediate_to_json_dict,
     phi,
     phi_inverse,
     psi,
@@ -98,12 +98,11 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
             return 0
         for cs in items:
             if args.json:
-                obj = {
-                    "k": cs.k,
-                    "n": cs.n,
-                    "shift": cs.shift,
-                    "pairs": [combinat._element_to_json(p)["pair"] for p in cs.pairs],
-                }
+                pairs = [
+                    {"blue": sorted(p.blue), "red": sorted(p.red), "extra": p.is_extra}
+                    for p in cs.pairs
+                ]
+                obj = {"k": cs.k, "n": cs.n, "shift": cs.shift, "pairs": pairs}
                 print(json.dumps(obj, separators=(",", ":")))
             else:
                 print(cs)
@@ -153,11 +152,8 @@ def _cmd_map(args: argparse.Namespace) -> int:
     except (DomainError, ValueError) as exc:
         print(f"map: {exc}", file=sys.stderr)
         return 1
-    if args.which == "psi-b":
-        result = intermediate_to_json_dict(image)
-    else:
-        result = combinat.to_json_dict(image)
-    print(json.dumps({"case": case, "result": result}, separators=(",", ":")))
+    text = canonical_intermediate_json if args.which == "psi-b" else combinat.canonical_json
+    print(f'{{"case":{json.dumps(case)},"result":{text(image)}}}')
     return 0
 
 

@@ -34,6 +34,7 @@ connects the two families.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
@@ -497,7 +498,14 @@ def enumerate_callan(k: int, n: int, shift: int = 0) -> Iterator[CallanSequence]
 def bar_arrangements(m: int, runs: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
     """All ways to distribute the 2m+1 labelled bars of an m-barred sequence
     into `runs` ordered runs (one run immediately before each pair), each run
-    internally satisfying the adjacency rules and ending with a red bar.
+    internally satisfying the adjacency rules and ending with a red bar:
+    the arrangements of _bar_runs, kept.  This is the only cache of bar
+    placements."""
+    return tuple(_bar_runs(m, runs))
+
+
+def _bar_runs(m: int, runs: int) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """The arrangements of bar_arrangements(m, runs), streamed.
 
     Bars are bar codes, as in the packed form: a blue bar labelled i is 2i
     and a red one 2i+1, so the bars are the codes 1..2m+1, and ascending
@@ -507,7 +515,7 @@ def bar_arrangements(m: int, runs: int) -> tuple[tuple[tuple[int, ...], ...], ..
 
     Runs are independent because a pair separates consecutive runs.
     Backtracking order: a run is closed before it is extended; candidate
-    bars are tried ascending.  This is the only cache of bar placements.
+    bars are tried ascending.
     """
     if m < 0 or runs < 0:
         raise ValueError("m and runs must be nonnegative")
@@ -515,7 +523,6 @@ def bar_arrangements(m: int, runs: int) -> tuple[tuple[tuple[int, ...], ...], ..
     # successors[c]: the codes that may follow code c; successors[0] is
     # for an empty run, which may start with any bar
     successors = [range(1, top + 1)] + [_successors(c, top) for c in range(1, top + 1)]
-    results: list[tuple[tuple[int, ...], ...]] = []
     current: list[list[int]] = [[] for _ in range(runs)]
     used = [False] * (top + 1)
     # The unused codes as a doubly linked list between the ends 0 and
@@ -524,31 +531,30 @@ def bar_arrangements(m: int, runs: int) -> tuple[tuple[tuple[int, ...], ...], ..
     above = list(range(1, top + 2)) + [top + 1]
     below = [0] + list(range(top + 1))
 
-    def rec(run_idx: int, remaining: int) -> None:
-        # A smallest unused code that is even is a blue bar, and every
-        # smaller code is placed, so nothing may ever follow it: a dead end.
-        if remaining and not above[0] & 1:
-            return
-        if run_idx == runs:
-            if remaining == 0:
-                results.append(tuple(map(tuple, current)))
-            return
+    def rec(run_idx: int, remaining: int) -> Iterator[tuple[tuple[int, ...], ...]]:
         run = current[run_idx]
         last = run[-1] if run else 0
-        if last & 1 or not last:  # a run ends empty or with a red bar
-            rec(run_idx + 1, remaining)
+        # A smallest unused code that is even is a blue bar, and every
+        # smaller code is placed, so nothing may ever follow it: a dead end.
+        if not above[0] & 1:
+            return
+        if (last & 1 or not last) and run_idx + 1 < runs:  # a run ends empty or with a red bar
+            yield from rec(run_idx + 1, remaining)
         for code in successors[last]:
             if not used[code]:
                 used[code] = True
                 above[below[code]], below[above[code]] = above[code], below[code]
                 run.append(code)
-                rec(run_idx, remaining - 1)
+                if remaining > 1:
+                    yield from rec(run_idx, remaining - 1)
+                elif code & 1:  # the last bar closes this run, and the later runs stay empty
+                    yield tuple(map(tuple, current))
                 run.pop()
                 above[below[code]] = below[above[code]] = code
                 used[code] = False
 
-    rec(0, top)
-    return tuple(results)
+    if runs:  # without a run, the bars have no place
+        yield from rec(0, top)
 
 
 def enumerate_packed(k: int, n: int, m: int) -> Iterator[Packed]:
@@ -588,25 +594,7 @@ def enumerate_dumont(length: int) -> Iterator[DumontPermutation]:
     closing red bar, streamed rather than cached."""
     if length < 0 or length % 2:
         raise ValueError("Dumont permutations have even length")
-    values = list(range(1, length + 1))
-    chosen: list[int] = []
-    used = [False] * (length + 1)
-
-    def rec() -> Iterator[DumontPermutation]:
-        i = len(chosen)
-        if i == length:
-            if length == 0 or chosen[-1] % 2 == 1:
-                yield DumontPermutation(tuple(chosen))
-            return
-        for v in _successors(chosen[-1], length) if chosen else values:
-            if not used[v]:
-                used[v] = True
-                chosen.append(v)
-                yield from rec()
-                chosen.pop()
-                used[v] = False
-
-    return rec()
+    return (DumontPermutation(run[:-1]) for (run,) in _bar_runs(length // 2, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -615,12 +603,12 @@ def enumerate_dumont(length: int) -> Iterator[DumontPermutation]:
 #
 # The proof splits every cell (k, n, m) three ways, and the bijections map
 # between subsets of these cells.  All of them depend on five marks of a
-# sequence: m, k, the extra red block (a bitmask, true iff it is
-# nonempty), and the barred-max and barred-min flags, which say that the
-# sequence is star-only and its maximal or minimal blue element is a barred
-# ordinary singleton.  packed_marks reads them from a packed sequence, and
-# marks from an object through its packed form; the cell rule (cell_of) and
-# the set predicates of bijections are stated once, on the marks.
+# sequence: m, k, whether the extra red block is nonempty, and the
+# barred-max and barred-min flags, which say that the sequence is star-only
+# and its maximal or minimal blue element is a barred ordinary singleton.
+# packed_marks reads them from a packed sequence, and marks from an object
+# through its packed form; the cell rule (cell_of) and the set predicates of
+# bijections are stated once, on the marks.
 
 CELL_RSTAR_NONEMPTY = "R*-nonempty"
 CELL_STAR_ONLY = "star-only"
@@ -646,11 +634,11 @@ def marks(seq: MBarredSequence) -> tuple:
 
 
 def packed_marks(seq: Packed) -> tuple:
-    """The marks (m, k, extra red block, barred-max, barred-min) of a
-    packed sequence.  Both flags need a star-only sequence with a blue
+    """The marks (m, k, extra red block nonempty, barred-max, barred-min)
+    of a packed sequence.  Both flags need a star-only sequence with a blue
     element, and they coincide when there is one blue element."""
     m, k, _, slots = seq
-    red = slots[-1][2]
+    red = bool(slots[-1][2])
     if k == 0 or red:
         return m, k, red, False, False
     barred_max = packed_barred_singleton(seq, m + k)
@@ -658,7 +646,7 @@ def packed_marks(seq: Packed) -> tuple:
     return m, k, red, barred_max, barred_min
 
 
-def cell_of(m: int, k: int, extra_red, barred_max: bool, barred_min: bool) -> str:
+def cell_of(m: int, k: int, extra_red: bool, barred_max: bool, barred_min: bool) -> str:
     """The cell rule: nonempty extra red block / star-only / star-only with
     the maximal blue element a barred ordinary singleton.  The cells are
     disjoint and exhaustive."""
@@ -749,23 +737,14 @@ def dumont_to_mbarred(perm: DumontPermutation) -> MBarredSequence:
 # One codec serves MBarredSequence and the psi-b intermediate of
 # bijections: both are (m, k, n, elements), and an intermediate carries the
 # marker "intermediate": true between n and elements.  The key order is part
-# of the format, because the canonical form is compared byte for byte.
+# of the format, because the canonical form is compared byte for byte.  The
+# text writers (_element_wire, _wire_json, packed_lines) are the only
+# writers of the format; the dict form (to_json_dict) is the parse of their
+# text.
 
 _SEQUENCE_KEYS = frozenset({"m", "k", "n", "elements"})
 _INTERMEDIATE_KEYS = _SEQUENCE_KEYS | {"intermediate"}
 _INT = frozenset({int})
-
-
-def _element_to_json(e: Element) -> dict:
-    if isinstance(e, Bar):
-        return {"bar": {"color": e.color, "label": e.label}}
-    return {
-        "pair": {
-            "blue": sorted(e.blue),
-            "red": sorted(e.red),
-            "extra": e.is_extra,
-        }
-    }
 
 
 def _element_from_json(d) -> Element:
@@ -797,18 +776,11 @@ def _element_from_json(d) -> Element:
     )
 
 
-def _to_wire(obj, intermediate: bool) -> dict:
-    out = {"m": obj.m, "k": obj.k, "n": obj.n}
-    if intermediate:
-        out["intermediate"] = True
-    out["elements"] = [_element_to_json(e) for e in obj.elements]
-    return out
-
-
 def _element_wire(e: Element) -> str:
-    """The canonical text of _element_to_json(e).  Labels and block members
-    are ints and the colors are BLUE or RED, so none of them needs
-    escaping."""
+    """The canonical text of one element, {"bar": {"color", "label"}} or
+    {"pair": {"blue", "red", "extra"}} with blocks ascending.  Labels and
+    block members are ints and the colors are BLUE or RED, so none of them
+    needs escaping."""
     if isinstance(e, Bar):
         return f'{{"bar":{{"color":"{e.color}","label":{e.label}}}}}'
     blue = ",".join(map(str, sorted(e.blue)))
@@ -823,9 +795,9 @@ def _wire_head(m: int, k: int, n: int, intermediate: bool) -> str:
 
 
 def _wire_json(obj, intermediate: bool) -> str:
-    """The canonical text of `_to_wire(obj, intermediate)`, written directly:
-    the same bytes as json.dumps of that dict with separators (",", ":"),
-    without building the dict."""
+    """The canonical text of a sequence or, with `intermediate`, of a psi-b
+    intermediate: the keys m, k, n, the marker, then elements, without
+    whitespace."""
     body = ",".join(map(_element_wire, obj.elements))
     return f"{_wire_head(obj.m, obj.k, obj.n, intermediate)}{body}]}}"
 
@@ -882,7 +854,7 @@ def _from_wire(data, intermediate: bool) -> tuple[int, int, int, tuple[Element, 
 
 
 def to_json_dict(seq: MBarredSequence) -> dict:
-    return _to_wire(seq, intermediate=False)
+    return json.loads(canonical_json(seq))
 
 
 def from_json_dict(data: dict) -> MBarredSequence:

@@ -20,7 +20,8 @@ The public maps of ``bijections`` are the trust boundary: they validate
 what they accept and emit.  The object claims run on the packed form of
 ``combinat``: the sweep streams packed sequences and routes each by the
 class of its marks, the partition check counts the classes by the cell
-rule of ``combinat``, the certificates run the unvalidating packed cores
+rule of ``combinat`` and checks that rule against the sets of
+``bijections``, the certificates run the unvalidating packed cores
 over the sets that ``bijections`` states, and objects are decoded only
 for the counterexamples a report carries.
 """
@@ -273,7 +274,9 @@ def verify_partition(k: int, n: int, m: int) -> VerificationReport:
     """The three cells (nonempty extra red block / star-only with the
     maximal blue element not a barred singleton / barred-max singleton)
     are disjoint and exhaustive, and their sizes add up to the total
-    count obtained by the independent product-count route."""
+    count obtained by the independent product-count route.  A marks class
+    whose cell disagrees with phi's domain (the first cell) or relabel's
+    barred-max side (the last) is a counterexample."""
     return _alone(_Partition(k, n, m))
 
 
@@ -287,10 +290,15 @@ class _Partition:
     def __init__(self, k: int, n: int, m: int) -> None:
         self.cell = (k, n, m)
         self.counts = {CELL_RSTAR_NONEMPTY: 0, CELL_STAR_ONLY: 0, CELL_BARRED_MAX: 0}
+        self.bad = []
         self.elapsed = 0.0
 
     def domain_tally(self, marks: tuple, count: int) -> None:
-        self.counts[cell_of(*marks)] += count
+        cell = cell_of(*marks)
+        self.counts[cell] += count
+        by_sets = (phi_domain(*marks) is None, relabel_max_side(*marks) is None)
+        if (cell == CELL_RSTAR_NONEMPTY, cell == CELL_BARRED_MAX) != by_sets:
+            self.bad.append({"cell-rule": {"marks": list(marks), "cell": cell, "objects": count}})
 
     def report(self) -> VerificationReport:
         started = time.perf_counter()
@@ -298,7 +306,7 @@ class _Partition:
         lhs = sum(self.counts.values())
         rhs = count_mbarred(k, n, m)
         params = {"k": k, "n": n, "m": m}
-        return _finish("partition", params, lhs, rhs, [], started, spent=self.elapsed)
+        return _finish("partition", params, lhs, rhs, self.bad, started, spent=self.elapsed)
 
 
 # ---------------------------------------------------------------------------
@@ -416,34 +424,31 @@ def _routed(stream, starting, finishing):
     """Route one cell's stream to the domain sides of the consumers
     `starting` at the cell and the codomain sides of the certificates
     `finishing` there, and yield the seconds each sequence's calls took.
-    A cell fixes m and k, and the predicates read the extra red block only
-    through its emptiness, so the class (extra red block nonempty,
-    barred-max, barred-min) decides every verdict: each predicate is asked
-    once per class, a sequence goes to the per-object calls of the sides
-    that accept its class, each charged to its consumer, and after the
-    stream those sides get the class counts."""
+    The marks of a sequence are its class, and they decide every verdict:
+    each predicate is asked once per class, a sequence goes to the
+    per-object calls of the sides that accept its class, each charged to
+    its consumer, and after the stream those sides get the class counts."""
     clock = time.perf_counter
     sides = [(c, c.in_domain, c.domain, c.domain_tally) for c in starting]
     sides += [(c, c.in_image, c.codomain, c.codomain_tally) for c in finishing]
-    classes = {}  # class -> [count, marks, accepting sides, their calls]
+    classes = {}  # marks -> [count, accepting sides, their calls]
     for seq in stream:
         marked = packed_marks(seq)
-        key = (bool(marked[2]), marked[3], marked[4])
-        entry = classes.get(key)
+        entry = classes.get(marked)
         if entry is None:
             accepting = [side for side in sides if side[1](*marked) is None]
             calls = [(c, call) for c, _, call, _ in accepting if call]
-            entry = classes[key] = [0, marked, accepting, calls]
+            entry = classes[marked] = [0, accepting, calls]
         entry[0] += 1
         spent = 0.0
-        for consumer, call in entry[3]:
+        for consumer, call in entry[2]:
             started = clock()
             call(seq)
             took = clock() - started
             consumer.elapsed += took
             spent += took
         yield spent
-    for count, marked, accepting, _ in classes.values():
+    for marked, (count, accepting, _) in classes.items():
         for *_, tally in accepting:
             tally(marked, count)
 

@@ -135,6 +135,30 @@ def test_enumerate_dumont_odd_rejected(capsys):
     assert code == 2 and "even" in err
 
 
+# The --json bytes of the two enumerations that bypass the m-barred text
+# writer, recorded while the wire format still had a dict writer besides
+# the text one: the Callan pairs, and the Dumont permutations (17 of them,
+# lexicographic).
+PINNED_CALLAN_JSON = """\
+{"k":2,"n":1,"shift":0,"pairs":[{"blue":[1,2],"red":[1],"extra":true}]}
+{"k":2,"n":1,"shift":0,"pairs":[{"blue":[1],"red":[1],"extra":false},{"blue":[2],"red":[],"extra":true}]}
+{"k":2,"n":1,"shift":0,"pairs":[{"blue":[1,2],"red":[1],"extra":false},{"blue":[],"red":[],"extra":true}]}
+{"k":2,"n":1,"shift":0,"pairs":[{"blue":[2],"red":[1],"extra":false},{"blue":[1],"red":[],"extra":true}]}
+"""
+PINNED_DUMONT_6_JSON = "dc4532955ed6fd0746386e59d1f82af47c383eab588882d8cc10c193152480dc"
+
+
+def test_enumerate_callan_json_reproduces_pinned_bytes(capsys):
+    code, out, _ = run(capsys, "enumerate", "--kind", "callan", "--k", "2", "--n", "1", "--json")
+    assert code == 0 and out == PINNED_CALLAN_JSON
+
+
+def test_enumerate_dumont_json_reproduces_pinned_digest(capsys):
+    code, out, _ = run(capsys, "enumerate", "--kind", "dumont", "--n", "6", "--json")
+    assert code == 0 and len(out.splitlines()) == 17 and out.startswith("[2, 1, 4, 3, 6, 5]\n")
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_DUMONT_6_JSON
+
+
 def test_map_phi_golden(tmp_path, capsys):
     doc = json.loads((GOLDEN / "phi_a1.json").read_text())
     src = tmp_path / "in.json"

@@ -164,6 +164,22 @@ def test_partition_no_blue_cell():
     assert verify_partition(0, 2, 0).passed
 
 
+def test_partition_fails_on_a_wrong_cell_rule(monkeypatch):
+    # a rule that puts every object in the star-only cell disagrees with
+    # phi's domain wherever an extra red block can be nonempty (n >= 1);
+    # without red elements every object is star-only and not barred-max
+    monkeypatch.setattr(harness, "cell_of", lambda *marks: harness.CELL_STAR_ONLY)
+    reports = run_claim("partition", 7)
+    assert len(reports) == 70
+    failed = [r for r in reports if not r.passed]
+    assert {(r.parameters["n"] >= 1) for r in failed} == {True}
+    assert all(r.passed for r in reports if r.parameters["n"] == 0)
+    assert len(failed) == sum(r.parameters["n"] >= 1 for r in reports)
+    for r in failed:
+        assert r.lhs == r.rhs and r.counterexamples
+        assert all(set(bad) == {"cell-rule"} for bad in r.counterexamples)
+
+
 def test_certify_phi_small():
     r = certify_phi(2, 1, 0)
     assert r.passed, r.counterexamples
