@@ -67,6 +67,7 @@ from .combinat import (
     _broken_rule,
     _element,
     _from_wire,
+    _keys,
     _require_mbarred,
     _size_rule,
     _wire_json,
@@ -186,8 +187,7 @@ def _checked(core, accepts=None, emits=None, result=MBarredSequence):
     what = core.__name__[1:]
 
     def checked(arg):
-        memo = _Memo(_element)
-        seq = m, k, n, slots = pack(arg, what, memo)
+        seq = m, k, n, slots = pack(arg, what)
         if accepts:
             _require_mbarred(seq, *accepts)
         elif not 0 <= min(m, k, n) <= max(m, k, n) < _PACKED_LIMIT:
@@ -204,6 +204,8 @@ def _checked(core, accepts=None, emits=None, result=MBarredSequence):
             if why and not _broken_rule(out) and emits[1](*packed_marks(out)) is None:
                 raise DomainError(f"{what}: the image of this input breaks the size limit ({why})")
             _require_mbarred(out, *emits, ConsistencyError)
+        memo = _Memo(_element)
+        memo.update(zip(_keys(slots), arg.elements))  # accepted: no slot is None
         return unpack(out, result, memo)
 
     checked.__name__ = checked.__qualname__ = what
@@ -227,19 +229,24 @@ def _phi_case(seq: Packed) -> str:
     """Which of the four phi moves applies: A1/A2 when the maximal red
     element sits in the extra block (alone with the star / accompanied),
     B1/B2 when it sits in an ordinary block (as a singleton / with others)."""
+    return _phi_move(seq)[0]
+
+
+def _phi_move(seq: Packed) -> tuple[str, int]:
+    """phi's case and the index of the slot whose red block holds mu."""
     m, _, n, slots = seq
     mu = 1 << (m + n)
     extra_red = slots[-1][2]
     if extra_red & mu:
-        return "A1" if extra_red == mu else "A2"
-    red = next(red for _, _, red in slots if red & mu)  # an ordinary pair's
-    return "B1" if red == mu else "B2"
+        return ("A1" if extra_red == mu else "A2"), len(slots) - 1
+    i = next(j for j, (_, _, red) in enumerate(slots) if red & mu)  # an ordinary pair's
+    return ("B1" if slots[i][2] == mu else "B2"), i
 
 
 def _phi(seq: Packed) -> Packed:
     """Remove the maximal red element mu = m+n, add the new maximal blue
     element m+k+1, and rearrange so the move is invertible."""
-    case = _phi_case(seq)
+    case, i = _phi_move(seq)
     m, k, n, slots = seq
     mu = 1 << (m + n)
     new_blue = 1 << (m + k + 1)
@@ -251,7 +258,6 @@ def _phi(seq: Packed) -> Packed:
     elif case == "A2":
         slots.insert(0, ((), new_blue, extra_red ^ mu))
     else:
-        i = next(j for j, (_, _, red) in enumerate(slots) if red & mu)
         run, blue, red = slots[i]
         if case == "B1":
             del slots[i]
@@ -267,24 +273,29 @@ def _phi_inverse_case(seq: Packed) -> str:
     """Recover the phi move from an image element: the new maximal blue
     element sits in the first pair iff the move was A1/A2 and forms an
     ordinary singleton iff the move was A2/B2."""
+    return _phi_inverse_move(seq)[0]
+
+
+def _phi_inverse_move(seq: Packed) -> tuple[str, int]:
+    """phi_inverse's case and the index q_i of the slot whose blue block
+    holds the maximal blue element."""
     m, k, _, slots = seq
     top = 1 << (m + k)
     q_i = next(j for j, (_, blue, _) in enumerate(slots) if blue & top)
     alone = slots[q_i][1] == top and q_i < len(slots) - 1
     if q_i == 0:
-        return "A2" if alone else "A1"
-    return "B2" if alone else "B1"
+        return ("A2" if alone else "A1"), q_i
+    return ("B2" if alone else "B1"), q_i
 
 
 def _phi_inverse(seq: Packed) -> Packed:
     """Undo phi: remove the maximal blue element, restore mu = m+n of the
     preimage, and put any launched slot back in place."""
-    case = _phi_inverse_case(seq)
+    case, q_i = _phi_inverse_move(seq)
     m, k, n, slots = seq
     top = 1 << (m + k)
     mu = 1 << (m + n + 1)
     slots = list(slots)
-    q_i = next(j for j, (_, blue, _) in enumerate(slots) if blue & top)
     run, q_blue, q_red = slots[q_i]
     if case in ("A1", "B1"):
         slots[q_i] = (run, q_blue ^ top, q_red)

@@ -247,22 +247,25 @@ def _element(key) -> Element:
     return _bar(key) if isinstance(key, int) else _pair(*key)
 
 
+def _keys(slots: tuple[Slot, ...]) -> Iterator:
+    """The _element keys of packed slots in element order: each run's bar
+    codes, then its pair's (blue, red, is_extra), the extra pair last."""
+    last = len(slots) - 1
+    for i, (run, blue, red) in enumerate(slots):
+        yield from run
+        yield blue, red, i == last
+
+
 def _elements(slots: tuple[Slot, ...], memo: _Memo) -> tuple[Element, ...]:
     """Flatten packed slots into elements, each looked up in `memo`, a
     _Memo of _element, so a caller that keeps it builds each once."""
-    element = memo.__getitem__
-    out: list[Element] = []
-    last = len(slots) - 1
-    for i, (run, blue, red) in enumerate(slots):
-        out += map(element, run)
-        out.append(element((blue, red, i == last)))
-    return tuple(out)
+    return tuple(map(memo.__getitem__, _keys(slots)))
 
 
 def unpack(packed: Packed, cls=MBarredSequence, memo: _Memo | None = None):
     """The object of a packed sequence, or of a packed intermediate when
     `cls` is the intermediate's class.  `memo` is as for _elements; one
-    that pack filled reuses the elements of the packed object."""
+    seeded with an object's elements under their keys reuses them."""
     m, k, n, slots = packed
     return cls(m, k, n, _elements(slots, _Memo(_element) if memo is None else memo))
 
@@ -283,25 +286,17 @@ def _mask(block: frozenset[int], what: str) -> int:
     return mask
 
 
-def pack(obj, what: str, memo: dict | None = None) -> Packed:
+def pack(obj, what: str) -> Packed:
     """The packed form of a sequence or of a psi-b intermediate, of any
     shape (see above).  A block member that is negative or not below 2**20
-    has no bit that fits and is refused with DomainError, named by `what`.
-    `memo`, when given, gets each element of obj under its key in
-    _elements, so that unpacking a map's result builds only the elements
-    the map changed."""
-    memo = {} if memo is None else memo
+    has no bit that fits and is refused with DomainError, named by `what`."""
     slots = []
     run: list[int] = []
     for i, e in enumerate(obj.elements, 1 - len(obj.elements)):  # i == 0 at the end
         if isinstance(e, Bar):
-            code = 2 * e.label + (e.color == RED)
-            run.append(code)
-            memo[code] = e
+            run.append(2 * e.label + (e.color == RED))
             continue
-        blue, red = _mask(e.blue, what), _mask(e.red, what)
-        slots.append((tuple(run), blue, red))
-        memo[blue, red, e.is_extra] = e
+        slots.append((tuple(run), _mask(e.blue, what), _mask(e.red, what)))
         run = []
         if e.is_extra == bool(i):  # an extra pair before the end, or an ordinary one at it
             slots.append(((), None, None))

@@ -1,12 +1,13 @@
 """Truncated formal power series over exact rationals.
 
 A series is a fixed-length window of coefficients c_0..c_N (N = the order).
-All arithmetic is exact; nothing is ever rounded.  Coefficients are stored
-and returned as fractions.Fraction, but the product, quotient and
-composition kernels run their inner loops on Python ints: each operand is
-rewritten as integer numerators over one common denominator (the lcm of its
-coefficient denominators), and a Fraction is built, once, per output
-coefficient.  Binary operations require both operands to share the same
+All arithmetic is exact; nothing is ever rounded.  A series is stored in
+the form its kernels compute on: a tuple of integer numerators over one
+positive denominator, in lowest terms (the denominator is the lcm of the
+reduced coefficient denominators, so equal series have equal storage).
+Sums, products, quotients and compositions run on these ints and reduce
+their result once; a fractions.Fraction is built only where a coefficient
+is read.  Binary operations require both operands to share the same
 order so that truncation effects stay explicit at call sites.
 """
 
@@ -28,57 +29,56 @@ __all__ = [
 Scalar = Union[int, Fraction]
 
 
-def _as_fraction_tuple(coefficients: Iterable[Scalar]) -> tuple[Fraction, ...]:
-    return tuple(Fraction(c) for c in coefficients)
-
-
-def _over_common_denominator(coefficients: tuple[Fraction, ...]) -> tuple[list[int], int]:
-    """Integer numerators over the lcm of the denominators: c_i = nums[i] / den."""
-    den = 1
-    for c in coefficients:  # a loop, not lcm(*...): no argument tuple per call
-        if den % c.denominator:
-            den = lcm(den, c.denominator)
-    return [c.numerator * (den // c.denominator) for c in coefficients], den
-
-
 class TruncatedSeries:
-    """Coefficients c_0..c_order of a formal power series, exact rationals."""
+    """Coefficients c_0..c_order of a formal power series, exact rationals:
+    c_i = _nums[i] / _den."""
 
-    __slots__ = ("coefficients",)
+    __slots__ = ("_nums", "_den")
 
     def __init__(self, coefficients: Iterable[Scalar]):
-        coeffs = _as_fraction_tuple(coefficients)
+        coeffs = tuple(coefficients)
         if not coeffs:
             raise ValueError("a truncated series needs at least the constant coefficient")
-        object.__setattr__(self, "coefficients", coeffs)
+        den = lcm(*(c.denominator for c in coeffs))
+        self._nums = tuple(c.numerator * (den // c.denominator) for c in coeffs)
+        self._den = den
 
     @classmethod
-    def _exact(cls, fractions: Iterable[Fraction]) -> "TruncatedSeries":
-        """A series from Fractions as they are, skipping the conversion."""
+    def _over(cls, nums: list[int], den: int) -> "TruncatedSeries":
+        """The series nums[i] / den (den > 0), reduced to lowest terms once."""
+        g = gcd(den, *nums)
         series = object.__new__(cls)
-        object.__setattr__(series, "coefficients", tuple(fractions))
+        series._nums, series._den = tuple(x // g for x in nums), den // g
         return series
 
     # -- basic structure ---------------------------------------------------
 
     @property
     def order(self) -> int:
-        return len(self.coefficients) - 1
+        return len(self._nums) - 1
+
+    @property
+    def coefficients(self) -> tuple[Fraction, ...]:
+        den = self._den
+        return tuple(Fraction(x, den) for x in self._nums)
 
     def coefficient(self, i: int) -> Fraction:
+        self._require_index(i)
+        return Fraction(self._nums[i], self._den)
+
+    def _require_index(self, i: int) -> None:
         if not 0 <= i <= self.order:
             raise IndexError(f"coefficient index {i} outside truncation order {self.order}")
-        return self.coefficients[i]
 
     def valuation(self) -> int:
         """Index of the first nonzero coefficient; order+1 if identically zero."""
-        for i, c in enumerate(self.coefficients):
-            if c:
+        for i, x in enumerate(self._nums):
+            if x:
                 return i
         return self.order + 1
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coefficients)
+        return not any(self._nums)
 
     @classmethod
     def zero(cls, order: int) -> "TruncatedSeries":
@@ -93,8 +93,8 @@ class TruncatedSeries:
         """coefficient * t**power, truncated at `order` (0 <= power <= order)."""
         if not 0 <= power <= order:
             raise ValueError(f"monomial power {power} outside order {order}")
-        coeffs = [Fraction(0)] * (order + 1)
-        coeffs[power] = Fraction(coefficient)
+        coeffs = [0] * (order + 1)
+        coeffs[power] = coefficient
         return cls(coeffs)
 
     def _require_same_order(self, other: "TruncatedSeries", op: str) -> None:
@@ -109,31 +109,35 @@ class TruncatedSeries:
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         self._require_same_order(other, "add")
-        return TruncatedSeries(a + b for a, b in zip(self.coefficients, other.coefficients))
+        return self._plus(other, 1)
 
     def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         self._require_same_order(other, "sub")
-        return TruncatedSeries(a - b for a, b in zip(self.coefficients, other.coefficients))
+        return self._plus(other, -1)
+
+    def _plus(self, other: "TruncatedSeries", sign: int) -> "TruncatedSeries":
+        """self + sign * other, over the lcm of the two denominators."""
+        den = lcm(self._den, other._den)
+        a, b = den // self._den, sign * (den // other._den)
+        return TruncatedSeries._over([x * a + y * b for x, y in zip(self._nums, other._nums)], den)
 
     def __neg__(self) -> "TruncatedSeries":
-        return TruncatedSeries(-c for c in self.coefficients)
+        return TruncatedSeries._over([-x for x in self._nums], self._den)
 
     def __mul__(self, other: Union["TruncatedSeries", Scalar]) -> "TruncatedSeries":
         if isinstance(other, (int, Fraction)):
-            return TruncatedSeries(c * other for c in self.coefficients)
+            p, q = other.numerator, other.denominator
+            return TruncatedSeries._over([x * p for x in self._nums], self._den * q)
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         self._require_same_order(other, "mul")
         n = self.order
-        a, a_den = _over_common_denominator(self.coefficients)
-        b, b_den = _over_common_denominator(other.coefficients)
-        b_rev = b[::-1]
-        den = a_den * b_den
+        a, b_rev = self._nums, other._nums[::-1]
         # c_k = sum_{i<=k} a_i b_{k-i}: zip a against the last k+1 of b reversed
-        return TruncatedSeries._exact(
-            Fraction(sum(map(mul, a, b_rev[n - k:])), den) for k in range(n + 1)
+        return TruncatedSeries._over(
+            [sum(map(mul, a, b_rev[n - k:])) for k in range(n + 1)], self._den * other._den
         )
 
     __rmul__ = __mul__
@@ -157,78 +161,70 @@ class TruncatedSeries:
                 f"divide: dividend valuation {self.valuation()} below divisor valuation {v}"
             )
         n = self.order - v
-        num, num_den = _over_common_denominator(self.coefficients[v:])
-        den, den_den = _over_common_denominator(divisor.coefficients[v:])
+        num, num_den = self._nums[v:], self._den
+        den, den_den = divisor._nums[v:], divisor._den
         lead, den_rev = den[0], den[::-1]
         # q_j = q_nums[j] / q_den for j < i, q_den the lcm of their denominators;
         # with d_l = den[l] / den_den and a_i = num[i] / num_den,
-        # q_i = (a_i - sum_{j<i} q_j d_{i-j}) / d_0 in one normalising Fraction.
+        # q_i = (a_i - sum_{j<i} q_j d_{i-j}) / d_0 = top / bottom, reduced.
         # Reducing every q_i keeps powers of d_0 out of the running numbers.
-        q: list[Fraction] = []
         q_nums: list[int] = []
         q_den = 1
         for i in range(n + 1):
             s = sum(map(mul, q_nums, den_rev[n - i:n]))
-            qi = Fraction(num[i] * q_den * den_den - s * num_den, num_den * q_den * lead)
-            q.append(qi)
-            if q_den % qi.denominator:
-                grown = lcm(q_den, qi.denominator)
+            top = num[i] * q_den * den_den - s * num_den
+            bottom = num_den * q_den * lead
+            g = gcd(top, bottom) if bottom > 0 else -gcd(top, bottom)
+            top, bottom = top // g, bottom // g
+            if q_den % bottom:
+                grown = lcm(q_den, bottom)
                 scale = grown // q_den
                 q_nums = [x * scale for x in q_nums]
                 q_den = grown
-            q_nums.append(qi.numerator * (q_den // qi.denominator))
-        return TruncatedSeries._exact(q)
+            q_nums.append(top * (q_den // bottom))
+        return TruncatedSeries._over(q_nums, q_den)
 
     def compose(self, inner: "TruncatedSeries") -> "TruncatedSeries":
         """self(inner(t)), truncated; inner must have zero constant term."""
         if not isinstance(inner, TruncatedSeries):
             raise TypeError("compose expects a TruncatedSeries argument")
         self._require_same_order(inner, "compose")
-        if inner.coefficients[0] != 0:
+        if inner._nums[0] != 0:
             raise ValueError("compose: inner series must have zero constant term")
         n = self.order
-        outer = self.coefficients
-        inner_nums, inner_den = _over_common_denominator(inner.coefficients)
-        inner_rev = inner_nums[::-1]
-        # Integer Horner: acc_i = c_i + inner * acc_{i+1}, kept as numerators
-        # `acc` over `den`.  acc_i is later multiplied by inner**i, whose
+        outer = self._nums
+        inner_den, inner_rev = inner._den, inner._nums[::-1]
+        # Integer Horner on the outer numerators: acc_i = o_i + inner * acc_{i+1},
+        # kept as numerators `acc` over `den`; the outer denominator is folded
+        # in once at the end.  acc_i is later multiplied by inner**i, whose
         # valuation is >= i, so only its coefficients up to t**(n-i) matter.
-        acc, den = [outer[n].numerator], outer[n].denominator
+        acc, den = [outer[n]], 1
         for i in range(n - 1, -1, -1):
             # [t^j] inner * acc = sum_{l=1..j} inner_l acc_{j-l}; inner_0 = 0
             step = [0] + [sum(map(mul, acc, inner_rev[n - j:n])) for j in range(1, n - i + 1)]
             den *= inner_den
-            c = outer[i]
-            if den % c.denominator:
-                grown = lcm(den, c.denominator)
-                scale = grown // den
-                step = [x * scale for x in step]
-                den = grown
-            step[0] = c.numerator * (den // c.denominator)
-            g = den
-            for x in step:
-                if g == 1:
-                    break
-                g = gcd(g, x)
+            step[0] = outer[i] * den
+            g = gcd(den, *step)
             if g > 1:
                 step = [x // g for x in step]
                 den //= g
             acc = step
-        return TruncatedSeries._exact(Fraction(x, den) for x in acc)
+        return TruncatedSeries._over(acc, den * self._den)
 
     def egf_coefficient(self, n: int) -> Fraction:
         """n! * c_n, the value whose EGF this series is."""
-        return self.coefficient(n) * factorial(n)
+        self._require_index(n)
+        return Fraction(self._nums[n] * factorial(n), self._den)
 
     # -- plumbing ----------------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        return self.coefficients == other.coefficients
+        return self._den == other._den and self._nums == other._nums
 
     def __hash__(self) -> int:
-        return hash(self.coefficients)
+        return hash((self._nums, self._den))
 
     def __iter__(self) -> Iterator[Fraction]:
         return iter(self.coefficients)
@@ -239,34 +235,31 @@ class TruncatedSeries:
 
 
 def exp_series(order: int) -> TruncatedSeries:
-    """e^t truncated at `order`."""
-    return TruncatedSeries(Fraction(1, factorial(i)) for i in range(order + 1))
+    """e^t truncated at `order`: the integers order!/i! over order!."""
+    top = factorial(order)
+    return TruncatedSeries._over([top // factorial(i) for i in range(order + 1)], top)
 
 
 def expm1_series(order: int) -> TruncatedSeries:
     """e^t - 1 truncated at `order` (valuation 1)."""
-    coeffs = [Fraction(0)] + [Fraction(1, factorial(i)) for i in range(1, order + 1)]
-    return TruncatedSeries(coeffs)
+    top = factorial(order)
+    return TruncatedSeries._over([0] + [top // factorial(i) for i in range(1, order + 1)], top)
 
 
 def one_minus_exp_neg(order: int) -> TruncatedSeries:
     """1 - e^{-t} truncated at `order` (valuation 1)."""
-    coeffs = [Fraction(0)] + [
-        Fraction(-((-1) ** i), factorial(i)) for i in range(1, order + 1)
-    ]
-    return TruncatedSeries(coeffs)
+    top = factorial(order)
+    nums = [0] + [(-1) ** (i + 1) * (top // factorial(i)) for i in range(1, order + 1)]
+    return TruncatedSeries._over(nums, top)
 
 
 def polylog_series(k: int, order: int) -> TruncatedSeries:
     """The polylogarithm Li_k(z) = sum_{m>=1} z^m / m^k as a series in z.
 
     For k <= 0 the coefficients are the integers m^(-k); for k >= 1 they are
-    exact unit fractions 1/m^k.
+    exact unit fractions 1/m^k, stored over lcm(1..order)^k.
     """
-    coeffs = [Fraction(0)]
-    for m in range(1, order + 1):
-        if k >= 0:
-            coeffs.append(Fraction(1, m**k))
-        else:
-            coeffs.append(Fraction(m ** (-k)))
-    return TruncatedSeries(coeffs)
+    if k <= 0:
+        return TruncatedSeries._over([0] + [m ** (-k) for m in range(1, order + 1)], 1)
+    top = lcm(*range(1, order + 1)) ** k
+    return TruncatedSeries._over([0] + [top // m**k for m in range(1, order + 1)], top)

@@ -419,3 +419,22 @@ def test_maps_reproduce_pinned_images(name):
                 for s in enumerate_mbarred(k, n, m):
                     digest.update(f"{canonical_json(s)}\t{_shown(fn, s)}\n".encode())
     assert digest.hexdigest() == PINNED_IMAGES[name]
+
+
+def test_maps_reuse_the_argument_elements_they_leave_unchanged():
+    # an accepted argument's elements seed the decoding of its image, so an
+    # element the map left unchanged is the argument's own object
+    reused = 0
+    for fn in (phi, phi_inverse, relabel_max_min, psi, psi_inverse, psi_b):
+        for k, n, m in [(2, 2, 0), (1, 2, 1), (2, 1, 1), (3, 1, 0), (1, 1, 2)]:
+            for s in enumerate_mbarred(k, n, m):
+                try:
+                    image = fn(s)
+                except DomainError:
+                    continue
+                own = {e: e for e in s.elements}
+                for e in image.elements:
+                    if e in own:
+                        assert e is own[e], (fn.__name__, canonical_json(s))
+                        reused += 1
+    assert reused > 0

@@ -246,3 +246,43 @@ def test_divide_by_exp_plus_one_at_order_80():
     one = list(exp_series(n))
     assert list(series(one).divide(series(den))) == oracle_divide(one, den)
 
+
+
+def test_series_builds_one_fraction_per_coefficient_read(monkeypatch):
+    # the kernels and the constructors work on integer numerators; only a
+    # read of a coefficient builds a Fraction
+    import callan.series
+    from callan.numbers import c_column
+
+    built = []
+
+    class Counted(Fraction):
+        def __new__(cls, *args, **kwargs):
+            built.append(args)
+            return super().__new__(cls, *args, **kwargs)
+
+    monkeypatch.setattr(callan.series, "Fraction", Counted)
+    column = c_column(5, 20)  # 21 values, one egf_coefficient read each
+    assert column[:5] == [1, 63, 1267, 16275, 164731]
+    assert len(built) <= len(column)
+
+
+@settings(max_examples=60)
+@given(st.data())
+def test_equal_series_have_equal_storage_whatever_built_them(data):
+    n = data.draw(orders)
+    a = series(data.draw(rational_series(n)))
+    b = series(data.draw(rational_series(n)))
+    unit = series([data.draw(nonzero_rationals)] + data.draw(rational_series(n - 1)))
+    routes = [
+        TruncatedSeries(a.coefficients),
+        TruncatedSeries(c.numerator if c.denominator == 1 else c for c in a),
+        (a * unit).divide(unit),
+        (a + b) - b,
+        -(-a),
+        (a * 6) * F(1, 6),
+    ]
+    for route in routes:
+        assert route == a
+        assert hash(route) == hash(a)
+        assert TruncatedSeries(route.coefficients) == route
