@@ -6,9 +6,9 @@ last.  A core moves, merges or splits slots and replaces blocks by mask
 operations, then gives the extra pair its new red block.  A public map
 packs the object it accepts, checks it with combinat.validate_packed and
 the marks, runs the core, checks the packed result the same way and
-decodes it once (_checked); the harness runs the cores on packed
+decodes it once (combinat._checked); the harness runs the cores on packed
 sequences directly and validates nothing.  The sets that the maps run
-between are stated once, as predicates on the marks of combinat.
+between are stated once here, as predicates on the marks of combinat.
 
 phi trades the maximal red element mu = m+n for a new maximal blue element
 m+k+1: it maps sequences whose extra red block is nonempty, with k blue
@@ -44,8 +44,9 @@ red elements.  It factors as psi_r after psi_b:
 
 Between the two stages lives an intermediate that already carries the new
 blue bar but still has n red elements and a nonempty extra red block.  It
-violates the bar grammar on purpose and is its own type; the maps that
-take one refuse it when the cores cannot (_checked).
+violates the bar grammar on purpose and is its own type, a sequence's
+shape and codec but no MBarredSequence (combinat.PsiIntermediate); the
+maps that take one refuse it when the cores cannot (_checked).
 
 relabel_max_min exchanges the maximal and minimal blue element labels and
 carries the barred-max-singleton subset onto the barred-min-singleton one
@@ -54,28 +55,16 @@ carries the barred-max-singleton subset onto the barred-min-singleton one
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
-
 from .combinat import (
-    _PACKED_LIMIT,
-    Element,
-    MBarredSequence,
     Packed,
+    PsiIntermediate,
     Slot,
-    _Memo,
-    _broken_rule,
-    _element,
-    _from_wire,
-    _keys,
-    _require_mbarred,
-    _size_rule,
-    _wire_json,
-    pack,
-    packed_marks,
-    unpack,
+    _checked,
+    canonical_intermediate_json,
+    intermediate_from_json_dict,
+    intermediate_to_json_dict,
 )
-from .errors import ConsistencyError, DomainError
+from .errors import DomainError
 
 __all__ = [
     "phi_domain",
@@ -100,21 +89,6 @@ __all__ = [
     "intermediate_from_json_dict",
     "canonical_intermediate_json",
 ]
-
-
-@dataclass(frozen=True)
-class PsiIntermediate:
-    """Output of psi_b / input of psi_r.  Carries the original sizes
-    (m, k, n) of the psi domain; the element list already contains the new
-    blue bar labelled m+1 and a nonempty extra red block."""
-
-    m: int
-    k: int
-    n: int
-    elements: tuple[Element, ...]
-
-    def __str__(self) -> str:
-        return "".join(str(e) for e in self.elements)
 
 
 # ---------------------------------------------------------------------------
@@ -170,47 +144,6 @@ def relabel_max_side(m, k, extra_red, barred_max, barred_min) -> str | None:
     if barred_max:
         return None
     return "the maximal blue element is no barred singleton of a star-only sequence"
-
-
-def _checked(core, accepts=None, emits=None, result=MBarredSequence):
-    """The public map of `core`, a map on the packed form.  The map packs
-    its argument once, checks it, runs the core, checks the packed result
-    and decodes it into `result` (None passes a phi case through), reusing
-    the argument's elements where the core left them unchanged.  `accepts`
-    and `emits` are (what, set) pairs: an argument that is no valid
-    sequence of its set is refused with DomainError("what (reason)"), and
-    such a result raises ConsistencyError, but for one that breaks only the
-    size limit, whose argument lies at that limit: DomainError.  `emits`
-    None leaves the result unchecked; `accepts` None takes an intermediate,
-    which has no validator of its own, and refuses one the cores cannot
-    take (bad sizes, the extra pair not last) in the name of the map."""
-    what = core.__name__[1:]
-
-    def checked(arg):
-        seq = m, k, n, slots = pack(arg, what)
-        if accepts:
-            _require_mbarred(seq, *accepts)
-        elif not 0 <= min(m, k, n) <= max(m, k, n) < _PACKED_LIMIT:
-            raise DomainError(f"{what}: sizes m, k, n must lie in 0..{_PACKED_LIMIT - 1}")
-        elif not slots or slots[-1][1] is None:
-            raise DomainError(f"{what}: intermediate must end with the extra pair")
-        elif None in [blue for _, blue, _ in slots]:
-            raise DomainError(f"{what}: intermediate has an extra pair before its end")
-        out = core(seq)
-        if result is None:
-            return out
-        if emits:
-            why = _size_rule(*out[:3])
-            if why and not _broken_rule(out) and emits[1](*packed_marks(out)) is None:
-                raise DomainError(f"{what}: the image of this input breaks the size limit ({why})")
-            _require_mbarred(out, *emits, ConsistencyError)
-        memo = _Memo(_element)
-        memo.update(zip(_keys(slots), arg.elements))  # accepted: no slot is None
-        return unpack(out, result, memo)
-
-    checked.__name__ = checked.__qualname__ = what
-    checked.__doc__ = core.__doc__
-    return checked
 
 
 def _with_extra_red(slots: list[Slot], red: int) -> tuple[Slot, ...]:
@@ -463,19 +396,3 @@ psi_r_inverse = _checked(_psi_r_inverse, _PSI_INV_IN, result=PsiIntermediate)
 psi_b_inverse = _checked(_psi_b_inverse, None, _PSI_INV_OUT)
 psi_inverse = _checked(_psi_inverse, _PSI_INV_IN, _PSI_INV_OUT)
 
-
-# ---------------------------------------------------------------------------
-# intermediate serialization (CLI support)
-# ---------------------------------------------------------------------------
-
-
-def intermediate_to_json_dict(inter: PsiIntermediate) -> dict:
-    return json.loads(canonical_intermediate_json(inter))
-
-
-def intermediate_from_json_dict(data: dict) -> PsiIntermediate:
-    return PsiIntermediate(*_from_wire(data, intermediate=True))
-
-
-def canonical_intermediate_json(inter: PsiIntermediate) -> str:
-    return _wire_json(inter, intermediate=True)

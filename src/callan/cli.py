@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from functools import cache
 
@@ -24,7 +25,6 @@ from . import combinat, harness, numbers
 from .bijections import (
     _phi_case,
     _phi_inverse_case,
-    canonical_intermediate_json,
     intermediate_from_json_dict,
     phi,
     phi_inverse,
@@ -152,8 +152,7 @@ def _cmd_map(args: argparse.Namespace) -> int:
     except (DomainError, ValueError) as exc:
         print(f"map: {exc}", file=sys.stderr)
         return 1
-    text = canonical_intermediate_json if args.which == "psi-b" else combinat.canonical_json
-    print(f'{{"case":{json.dumps(case)},"result":{text(image)}}}')
+    print(f'{{"case":{json.dumps(case)},"result":{combinat.canonical_json(image)}}}')
     return 0
 
 
@@ -225,7 +224,12 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        status = args.fn(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+        return status
+    except BrokenPipeError:  # the reader closed stdout early, as `| head -1` does
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # for the flush at exit
+        return 141  # 128 + SIGPIPE, as a shell reports a tool that SIGPIPE killed
     except ValueError as exc:  # a bad argument; map exits 1 on bad input itself
         print(f"{args.command}: {exc}", file=sys.stderr)
         return 2

@@ -23,7 +23,8 @@ that
 Comparisons use labels only, ignoring color (equal labels can therefore
 never be adjacent).  Consequently no bar can stand last, the final element
 is the extra pair, and the last bar of every maximal bar run is red.
-validate_packed states these rules once, on the packed form below.
+validate_packed states these rules once, on the packed form below, which
+this module alone turns into objects and back (pack, unpack, _checked).
 
 A Dumont permutation of the first kind has even length, every even value
 starts a descent, and every odd value starts an ascent or stands last.
@@ -49,6 +50,7 @@ __all__ = [
     "CallanPair",
     "CallanSequence",
     "MBarredSequence",
+    "PsiIntermediate",
     "BarredCallanSequence",
     "DumontPermutation",
     "CELL_RSTAR_NONEMPTY",
@@ -144,13 +146,21 @@ class CallanSequence:
 
 
 @dataclass(frozen=True)
-class MBarredSequence:
-    """An m-barred Callan sequence with k blue and n red elements."""
+class _Barred:
+    """The shape of an m-barred sequence and of a psi-b intermediate, which
+    never equal each other: equality compares the class too."""
 
     m: int
     k: int
     n: int
     elements: tuple[Element, ...]
+
+    def __str__(self) -> str:
+        return "".join(str(e) for e in self.elements)
+
+
+class MBarredSequence(_Barred):
+    """An m-barred Callan sequence with k blue and n red elements."""
 
     @property
     def extra(self) -> CallanPair:
@@ -159,8 +169,11 @@ class MBarredSequence:
             raise DomainError("sequence does not end with the extra pair")
         return last
 
-    def __str__(self) -> str:
-        return "".join(str(e) for e in self.elements)
+
+class PsiIntermediate(_Barred):
+    """Output of psi_b / input of psi_r.  Carries the original sizes
+    (m, k, n) of the psi domain; the element list already contains the new
+    blue bar labelled m+1 and a nonempty extra red block."""
 
 
 @dataclass(frozen=True)
@@ -203,7 +216,8 @@ class DumontPermutation:
 # blue and red are the pair's blocks as bitmasks (bit x for member x).  The
 # last slot holds the extra pair.  The psi-b intermediate packs the same
 # way.  Objects are built from the packed form only at the boundary:
-# enumerate_mbarred, the public maps, and the counterexamples of reports.
+# enumerate_mbarred, the public maps (_checked), and the counterexamples of
+# reports.
 # pack holds an object of any shape, so that validate_packed can name the
 # rule it breaks: a slot whose blocks are None follows a pair whose extra
 # flag does not fit its place, and holds the bars after the last pair.
@@ -256,18 +270,14 @@ def _keys(slots: tuple[Slot, ...]) -> Iterator:
         yield blue, red, i == last
 
 
-def _elements(slots: tuple[Slot, ...], memo: _Memo) -> tuple[Element, ...]:
-    """Flatten packed slots into elements, each looked up in `memo`, a
-    _Memo of _element, so a caller that keeps it builds each once."""
-    return tuple(map(memo.__getitem__, _keys(slots)))
-
-
 def unpack(packed: Packed, cls=MBarredSequence, memo: _Memo | None = None):
     """The object of a packed sequence, or of a packed intermediate when
-    `cls` is the intermediate's class.  `memo` is as for _elements; one
-    seeded with an object's elements under their keys reuses them."""
+    `cls` is PsiIntermediate.  Each element is looked up in `memo`, a _Memo
+    of _element, so a caller that keeps it builds each once; one seeded
+    with an object's elements under their keys reuses them."""
     m, k, n, slots = packed
-    return cls(m, k, n, _elements(slots, _Memo(_element) if memo is None else memo))
+    memo = _Memo(_element) if memo is None else memo
+    return cls(m, k, n, tuple(map(memo.__getitem__, _keys(slots))))
 
 
 # Sizes and block members of a packed object stay below this, so that no
@@ -414,6 +424,47 @@ def _require_mbarred(seq: Packed, what: str, outside=None, error=DomainError) ->
     if not ok:
         raise error(f"{what} ({why})")
     return seq
+
+
+def _checked(core, accepts=None, emits=None, result=MBarredSequence):
+    """The public map of `core`, a map on the packed form.  The map packs
+    its argument once, checks it, runs the core, checks the packed result
+    and decodes it into `result` (None passes a phi case through), reusing
+    the argument's elements where the core left them unchanged.  `accepts`
+    and `emits` are (what, set) pairs: an argument that is no valid
+    sequence of its set is refused with DomainError("what (reason)"), and
+    such a result raises ConsistencyError, but for one that breaks only the
+    size limit, whose argument lies at that limit: DomainError.  `emits`
+    None leaves the result unchecked; `accepts` None takes an intermediate,
+    which has no validator of its own, and refuses one the cores cannot
+    take (bad sizes, the extra pair not last) in the name of the map."""
+    what = core.__name__[1:]
+
+    def checked(arg):
+        seq = m, k, n, slots = pack(arg, what)
+        if accepts:
+            _require_mbarred(seq, *accepts)
+        elif not 0 <= min(m, k, n) <= max(m, k, n) < _PACKED_LIMIT:
+            raise DomainError(f"{what}: sizes m, k, n must lie in 0..{_PACKED_LIMIT - 1}")
+        elif not slots or slots[-1][1] is None:
+            raise DomainError(f"{what}: intermediate must end with the extra pair")
+        elif None in [blue for _, blue, _ in slots]:
+            raise DomainError(f"{what}: intermediate has an extra pair before its end")
+        out = core(seq)
+        if result is None:
+            return out
+        if emits:
+            why = _size_rule(*out[:3])
+            if why and not _broken_rule(out) and emits[1](*packed_marks(out)) is None:
+                raise DomainError(f"{what}: the image of this input breaks the size limit ({why})")
+            _require_mbarred(out, *emits, ConsistencyError)
+        memo = _Memo(_element)
+        memo.update(zip(_keys(slots), arg.elements))  # accepted: no slot is None
+        return unpack(out, result, memo)
+
+    checked.__name__ = checked.__qualname__ = what
+    checked.__doc__ = core.__doc__
+    return checked
 
 
 def validate_dumont(perm: DumontPermutation) -> tuple[bool, str]:
@@ -570,7 +621,7 @@ def enumerate_mbarred(k: int, n: int, m: int) -> Iterator[MBarredSequence]:
     once per call."""
     memo = _Memo(_element)
     for packed in enumerate_packed(k, n, m):
-        yield MBarredSequence(m, k, n, _elements(packed[3], memo))
+        yield unpack(packed, MBarredSequence, memo)
 
 
 @lru_cache(maxsize=None)
@@ -676,6 +727,7 @@ def swap_colors(seq: MBarredSequence) -> MBarredSequence:
     """Exchange blue and red blocks in every pair (bars untouched).  The
     red base of the input is the blue base of the output, so labels carry
     over unchanged; sizes k and n trade places.  An involution."""
+    _require_mbarred(pack(seq, "swap_colors"), "swap_colors: invalid input")
     elements = tuple(
         CallanPair(e.red, e.blue, e.is_extra) if isinstance(e, CallanPair) else e
         for e in seq.elements
@@ -729,9 +781,11 @@ def dumont_to_mbarred(perm: DumontPermutation) -> MBarredSequence:
 # JSON wire format
 # ---------------------------------------------------------------------------
 #
-# One codec serves MBarredSequence and the psi-b intermediate of
-# bijections: both are (m, k, n, elements), and an intermediate carries the
-# marker "intermediate": true between n and elements.  The key order is part
+# One codec serves MBarredSequence and PsiIntermediate: both are (m, k, n,
+# elements), and an intermediate carries the marker "intermediate": true
+# between n and elements.  The writers read the marker from the class, and
+# the readers build the class they are asked for; the intermediate's names
+# below, which bijections exports, are the same codec.  The key order is part
 # of the format, because the canonical form is compared byte for byte.  The
 # text writers (_element_wire, _wire_json, packed_lines) are the only
 # writers of the format; the dict form (to_json_dict) is the parse of their
@@ -789,12 +843,12 @@ def _wire_head(m: int, k: int, n: int, intermediate: bool) -> str:
     return f'{{"m":{m},"k":{k},"n":{n},{marker}"elements":['
 
 
-def _wire_json(obj, intermediate: bool) -> str:
-    """The canonical text of a sequence or, with `intermediate`, of a psi-b
-    intermediate: the keys m, k, n, the marker, then elements, without
+def _wire_json(obj: _Barred) -> str:
+    """The canonical text of a sequence or of a psi-b intermediate: the
+    keys m, k, n, the marker for an intermediate, then elements, without
     whitespace."""
     body = ",".join(map(_element_wire, obj.elements))
-    return f"{_wire_head(obj.m, obj.k, obj.n, intermediate)}{body}]}}"
+    return f"{_wire_head(obj.m, obj.k, obj.n, isinstance(obj, PsiIntermediate))}{body}]}}"
 
 
 def packed_lines(stream: Iterable[Packed], as_json: bool) -> Iterator[str]:
@@ -822,10 +876,11 @@ def packed_lines(stream: Iterable[Packed], as_json: bool) -> Iterator[str]:
         yield "".join(parts)
 
 
-def _from_wire(data, intermediate: bool) -> tuple[int, int, int, tuple[Element, ...]]:
-    """Parse the wire form strictly into (m, k, n, elements).  These are
-    shape checks only: the maps validate the combinatorial rules on what
-    they accept or emit."""
+def _from_wire(data, cls: type[_Barred]) -> _Barred:
+    """Parse the wire form strictly into a `cls`, MBarredSequence or
+    PsiIntermediate.  These are shape checks only: the maps validate the
+    combinatorial rules on what they accept or emit."""
+    intermediate = cls is PsiIntermediate
     what = "intermediate object" if intermediate else "sequence object"
     if not isinstance(data, dict):
         raise ValueError(f"{what} must be a JSON object, not {type(data).__name__}")
@@ -845,7 +900,7 @@ def _from_wire(data, intermediate: bool) -> tuple[int, int, int, tuple[Element, 
     elements = data["elements"]
     if not isinstance(elements, list):
         raise ValueError(f"elements must be an array, not {elements!r}")
-    return data["m"], data["k"], data["n"], tuple(map(_element_from_json, elements))
+    return cls(data["m"], data["k"], data["n"], tuple(map(_element_from_json, elements)))
 
 
 def to_json_dict(seq: MBarredSequence) -> dict:
@@ -853,11 +908,23 @@ def to_json_dict(seq: MBarredSequence) -> dict:
 
 
 def from_json_dict(data: dict) -> MBarredSequence:
-    return MBarredSequence(*_from_wire(data, intermediate=False))
+    return _from_wire(data, MBarredSequence)
 
 
 def canonical_json(seq: MBarredSequence) -> str:
     """Bit-exact canonical serialization: fixed key order, no whitespace,
     blocks ascending.  Equal to json.dumps(to_json_dict(seq),
     separators=(",", ":"))."""
-    return _wire_json(seq, intermediate=False)
+    return _wire_json(seq)
+
+
+def intermediate_to_json_dict(inter: PsiIntermediate) -> dict:
+    return json.loads(canonical_intermediate_json(inter))
+
+
+def intermediate_from_json_dict(data: dict) -> PsiIntermediate:
+    return _from_wire(data, PsiIntermediate)
+
+
+def canonical_intermediate_json(inter: PsiIntermediate) -> str:
+    return _wire_json(inter)

@@ -4,7 +4,7 @@ import pathlib
 
 import pytest
 
-from callan import bijections
+from callan import bijections, combinat
 from callan.bijections import (
     PsiIntermediate,
     phi_domain,
@@ -283,8 +283,6 @@ def test_checked_refuses_an_image_that_breaks_only_the_size_limit(monkeypatch):
     # cell (7, 1, 0) breaks the size rule and nothing else: the argument
     # lies outside what the map can carry (DomainError).  An image that
     # breaks another rule as well stays a ConsistencyError.
-    from callan import combinat
-
     monkeypatch.setattr(combinat, "_PACKED_LIMIT", 8)
     inside = next(s for s in enumerate_mbarred(7, 1, 0) if s.extra.red)
     with pytest.raises(DomainError, match=r"^phi: the image of this input breaks the size limit"):
@@ -349,6 +347,28 @@ def test_canonical_intermediate_json_is_json_dumps_of_the_dict_form():
     assert images
     for inter in images:
         assert canonical_intermediate_json(inter) == _compact(intermediate_to_json_dict(inter))
+
+
+def test_one_codec_writes_and_reads_an_intermediate_by_its_class():
+    # the writer reads the marker from the class, so canonical_json of a
+    # psi_b image is the intermediate's text, which the sequence reader
+    # refuses; the intermediate's codec keeps its own functions
+    images = [
+        psi_b(s)
+        for k in range(6)
+        for n in range(6 - k)
+        for m in range((5 - k - n) // 2 + 1)
+        for s in enumerate_mbarred(k, n, m)
+        if psi_domain(*marks(s)) is None
+    ]
+    assert images
+    for inter in images:
+        assert not isinstance(inter, MBarredSequence)
+        assert canonical_json(inter) == canonical_intermediate_json(inter)
+        with pytest.raises(ValueError, match="is a psi-b intermediate"):
+            from_json_dict(to_json_dict(inter))
+    assert bijections.PsiIntermediate is combinat.PsiIntermediate
+    assert bijections.canonical_intermediate_json is not combinat.canonical_json
 
 
 def test_psi_b_inverse_refuses_intermediates_without_final_extra_pair():

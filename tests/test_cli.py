@@ -374,15 +374,20 @@ BAR_AND_EXTRA_PAIR = [
 ]
 
 
+def _child_env():
+    """The environment of a child `python -m callan.cli`: this callan first."""
+    package = str(pathlib.Path(callan.__file__).parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (package, os.environ.get("PYTHONPATH")))
+    ))
+
+
 def _map_capped(tmp_path, which, doc):
     """`callan map` in a child process with 1 GB of address space and a
     timeout, because a size taken at its word builds a range that large."""
     src = tmp_path / "in.json"
     src.write_text(json.dumps(doc))
-    package = str(pathlib.Path(callan.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, (package, os.environ.get("PYTHONPATH")))
-    ))
+    env = _child_env()
 
     def cap():
         resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
@@ -391,6 +396,23 @@ def _map_capped(tmp_path, which, doc):
     done = subprocess.run(argv, env=env, preexec_fn=cap, capture_output=True, text=True,
                           timeout=60)
     return done.returncode, done.stdout, done.stderr
+
+
+def test_a_reader_that_closes_early_ends_the_writer_with_status_141():
+    # README's pipeline `enumerate ... --json | head -1`: the 140 KB of
+    # output are more than a pipe and the reader's buffer hold, so the
+    # child is still writing when the reader goes.  It stops without a
+    # traceback, with 128 + SIGPIPE, what a shell reports for a killed tool.
+    argv = [sys.executable, "-m", "callan.cli", "enumerate", "--kind", "mbarred",
+            "--k", "2", "--n", "2", "--m", "2", "--json"]
+    with subprocess.Popen(argv, env=_child_env(), stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE) as child:
+        first = child.stdout.readline()
+        child.stdout.close()
+        err = child.stderr.read()
+        status = child.wait(timeout=60)
+    assert first.startswith(b'{"m":2,"k":2,"n":2,"elements":[')
+    assert (status, err) == (141, b"")
 
 
 @pytest.mark.parametrize("size", ["m", "k", "n"])

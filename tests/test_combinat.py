@@ -444,6 +444,14 @@ def test_swap_colors_involution_and_image():
         assert [swap_colors(s) for s in swapped] == pool
 
 
+def test_swap_colors_refuses_an_invalid_input():
+    # no red bar 0 stands anywhere; swapped, the sequence would still lack it
+    seq = MBarredSequence(0, 1, 1, (CallanPair(frozenset({5}), frozenset(), True),))
+    assert validate_mbarred(seq) == (False, "bar-multiset: red label 0 is missing, labels 0..0")
+    with pytest.raises(DomainError, match=r"^swap_colors: invalid input \(bar-multiset: red"):
+        swap_colors(seq)
+
+
 def test_dumont_encoding_bijective():
     # pure bar sequences with m bars of each color encode permutations of 1..2m
     for m in range(0, 4):
