@@ -276,11 +276,9 @@ def _relabel_max_min(seq: Packed) -> Packed:
     )
 
 
-relabel_max_min = _checked(
-    _relabel_max_min,
-    ("relabel_max_min: input outside its domain", relabel_domain),
-    ("relabel_max_min: bad image", relabel_domain),
-)
+_RELABEL_IN = ("relabel_max_min: input outside its domain", relabel_domain)
+_RELABEL_OUT = ("relabel_max_min: bad image", relabel_domain)
+relabel_max_min = _checked(_relabel_max_min, _RELABEL_IN, _RELABEL_OUT)
 
 
 # ---------------------------------------------------------------------------

@@ -159,6 +159,7 @@ class _Barred:
         return "".join(str(e) for e in self.elements)
 
 
+@dataclass(frozen=True)
 class MBarredSequence(_Barred):
     """An m-barred Callan sequence with k blue and n red elements."""
 
@@ -170,6 +171,7 @@ class MBarredSequence(_Barred):
         return last
 
 
+@dataclass(frozen=True)
 class PsiIntermediate(_Barred):
     """Output of psi_b / input of psi_r.  Carries the original sizes
     (m, k, n) of the psi domain; the element list already contains the new

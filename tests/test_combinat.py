@@ -3,6 +3,7 @@ import json
 import pathlib
 import sys
 from collections import Counter
+from dataclasses import FrozenInstanceError
 from itertools import combinations, permutations
 
 import pytest
@@ -15,6 +16,7 @@ from callan.combinat import (
     CallanPair,
     bar_arrangements,
     MBarredSequence,
+    PsiIntermediate,
     DumontPermutation,
     validate_mbarred,
     validate_dumont,
@@ -450,6 +452,16 @@ def test_swap_colors_refuses_an_invalid_input():
     assert validate_mbarred(seq) == (False, "bar-multiset: red label 0 is missing, labels 0..0")
     with pytest.raises(DomainError, match=r"^swap_colors: invalid input \(bar-multiset: red"):
         swap_colors(seq)
+
+
+@pytest.mark.parametrize("cls", [MBarredSequence, PsiIntermediate])
+def test_both_object_classes_stay_frozen(cls):
+    # each class is a frozen dataclass of its own, so its __setattr__
+    # refuses any name, not just the fields of the shared base
+    obj = cls(0, 0, 0, (CallanPair(frozenset(), frozenset(), True),))
+    for name in ("m", "anything"):
+        with pytest.raises(FrozenInstanceError):
+            setattr(obj, name, 1)
 
 
 def test_dumont_encoding_bijective():
