@@ -41,8 +41,7 @@ __all__ = ["main"]
 
 def _cmd_genocchi(args: argparse.Namespace) -> int:
     if args.max < 0:
-        print("genocchi: --max must be nonnegative", file=sys.stderr)
-        return 2
+        raise ValueError("--max must be nonnegative")
     for n, value in enumerate(numbers.genocchi_list(args.max)):
         print(f"{n} {value}")
     return 0
@@ -58,62 +57,39 @@ def _cmd_number(args: argparse.Namespace) -> int:
             print(f"{n}," + ",".join(str(v) for v in row))
         return 0
     if args.n is None or args.k is None:
-        print("number: --n and --k are required for families b and c", file=sys.stderr)
-        return 2
+        raise ValueError("--n and --k are required for families b and c")
     fn = numbers.poly_bernoulli_b if args.family == "b" else numbers.poly_bernoulli_c
-    value = fn(args.n, args.k)
-    if value.denominator == 1:
-        value = value.numerator
-    print(value)
+    print(fn(args.n, args.k))  # a Fraction prints as an integer when it is one
     return 0
 
 
+def _callan_json(cs) -> str:
+    pairs = [{"blue": sorted(p.blue), "red": sorted(p.red), "extra": p.is_extra} for p in cs.pairs]
+    obj = {"k": cs.k, "n": cs.n, "shift": cs.shift, "pairs": pairs}
+    return json.dumps(obj, separators=(",", ":"))
+
+
 def _cmd_enumerate(args: argparse.Namespace) -> int:
-    kind = args.kind
-    if kind == "dumont":
-        if args.n is None or args.n < 0 or args.n % 2 != 0:
-            print("enumerate: dumont needs an even --n (the permutation length)",
-                  file=sys.stderr)
-            return 2
-        items = combinat.enumerate_dumont(args.n)
-        if args.count_only:
-            print(sum(1 for _ in items))
-            return 0
-        for p in items:
-            print(json.dumps(list(p.values)) if args.json else str(p))
-        return 0
-
-    if args.k is None or args.n is None:
-        print(f"enumerate: {kind} needs --k and --n", file=sys.stderr)
-        return 2
-    m = args.m if args.m is not None else 0
-    if args.k < 0 or args.n < 0 or m < 0:
-        print("enumerate: sizes must be nonnegative", file=sys.stderr)
-        return 2
-
-    if kind == "callan":
-        items = combinat.enumerate_callan(args.k, args.n, m)
-        if args.count_only:
-            print(sum(1 for _ in items))
-            return 0
-        for cs in items:
-            if args.json:
-                pairs = [
-                    {"blue": sorted(p.blue), "red": sorted(p.red), "extra": p.is_extra}
-                    for p in cs.pairs
-                ]
-                obj = {"k": cs.k, "n": cs.n, "shift": cs.shift, "pairs": pairs}
-                print(json.dumps(obj, separators=(",", ":")))
-            else:
-                print(cs)
-        return 0
-
-    # kind == "mbarred"
+    k, n, m = args.k, args.n, 0 if args.m is None else args.m
+    if args.kind == "dumont":
+        if n is None or n < 0 or n % 2 != 0:
+            raise ValueError("dumont needs an even --n (the permutation length)")
+        items = combinat.enumerate_dumont(n)
+        lines = (json.dumps(list(p.values)) if args.json else str(p) for p in items)
+    elif k is None or n is None:
+        raise ValueError(f"{args.kind} needs --k and --n")
+    elif k < 0 or n < 0 or m < 0:
+        raise ValueError("sizes must be nonnegative")
+    elif args.kind == "callan":
+        items = combinat.enumerate_callan(k, n, m)
+        lines = (_callan_json(cs) if args.json else str(cs) for cs in items)
+    else:  # mbarred: counted by product, written straight from the packed stream
+        items = combinat.enumerate_packed(k, n, m)
+        lines = combinat.packed_lines(items, args.json)
     if args.count_only:
-        print(combinat.count_mbarred(args.k, args.n, m))
-        return 0
-    stream = combinat.enumerate_packed(args.k, args.n, m)
-    sys.stdout.writelines(f"{line}\n" for line in combinat.packed_lines(stream, args.json))
+        print(combinat.count_mbarred(k, n, m) if args.kind == "mbarred" else sum(1 for _ in items))
+    else:
+        sys.stdout.writelines(f"{line}\n" for line in lines)
     return 0
 
 
@@ -135,8 +111,7 @@ def _cmd_map(args: argparse.Namespace) -> int:
             data = json.load(fh)
     except (OSError, json.JSONDecodeError, RecursionError) as exc:
         # RecursionError: JSON nested too deep for the decoder
-        print(f"map: cannot read {args.input}: {exc}", file=sys.stderr)
-        return 2
+        raise ValueError(f"cannot read {args.input}: {exc}") from exc
     fn, case_fn = _MAPS[args.which]
     try:
         if args.which == "psi-r":

@@ -10,6 +10,8 @@ are reserved for invalid arguments.
 ``run_claim`` sweeps a claim over all parameter points within a weight
 budget (k + n + 2m for three-parameter claims, n + 2m for two-parameter
 ones) so the command-line ``verify`` subcommand can drive everything.
+The claims on the alternating m-barred sums (thm2, prop-rec, telescope)
+run on one driver, ``_sum_claims``, that takes each sum once per call.
 The claims on m-barred objects (partition, phi, psi, relabel) run on
 one driver, ``_run``, that streams each cell (k, n, m) once and feeds
 every check that needs it: the sweep of ``run_claim`` gives it every
@@ -32,6 +34,7 @@ import time
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from itertools import product
 
 from . import numbers
@@ -205,67 +208,65 @@ def verify_thm_identity2(n: int, m: int, mode: str = "enumeration") -> Verificat
         raise ValueError("n and m must be nonnegative")
     if mode != "enumeration":
         raise ValueError(f"unknown mode {mode!r}")
-    return _genocchi_claims(("thm2",), [(n, m)])[0]
+    return _sum_claims(("thm2",), [(n, m)])[0]
 
 
 def verify_prop_rec(n: int, m: int) -> VerificationReport:
     """The alternating m-barred sum at (n, m) equals minus the one at
     (n-2, m+1), both sides by enumeration."""
-    started = time.perf_counter()
     if n < 2:
         raise ValueError("n must be at least 2")
     if m < 0:
         raise ValueError("m must be nonnegative")
-    lhs, terms = _mbarred_sum(n, m)
-    inner, _ = _mbarred_sum(n - 2, m + 1)
-    return _finish("prop-rec", {"n": n, "m": m}, lhs, -inner, [], started, terms)
+    return _sum_claims(("prop-rec",), [(n, m)])[0]
 
 
 def verify_telescope(n: int, m: int) -> VerificationReport:
     """Iterate the two-step reduction from (n, m) down to (0, m + n/2):
-    every link must flip the sign, the chain must bottom out at the
-    count of pure bar sequences, and the end value must match the
-    Genocchi prediction.  The weight n + 2m is constant along the chain."""
+    every link must flip the sign, and the end value, the count of pure
+    bar sequences, must match the Genocchi prediction.  The weight n + 2m
+    is constant along the chain."""
     if n % 2 != 0:
         raise ValueError("n must be even")
     if n < 0 or m < 0:
         raise ValueError("n and m must be nonnegative")
-    return _genocchi_claims(("telescope",), [(n, m)])[0]
+    return _sum_claims(("telescope",), [(n, m)])[0]
 
 
-def _genocchi_claims(claims, points) -> list[VerificationReport]:
-    """The reports of each of `claims` (thm2, telescope) at the valid
-    points (n, m) of `points`; telescope takes those with an even n.  Both
-    compare with (-1)^(m+1) times the Genocchi number of index n+2m+2,
-    read from one list built by one series division, which is charged to
-    the first report."""
+def _sum_claims(claims, points) -> list[VerificationReport]:
+    """The reports of each of `claims` (thm2, prop-rec, telescope) at the
+    valid points (n, m) of `points`: n >= 2 for prop-rec, an even n for
+    telescope.  Each sum S(n, m) of _mbarred_sum is taken once per call,
+    through a memo that the call drops.  thm2 and telescope compare with
+    (-1)^(m+1) times the Genocchi number of index n+2m+2, read from one
+    list built by one series division, only for them, and charged to the
+    first report.  Telescope's chain runs from its lhs S(n, m) down to
+    S(0, m + n/2), the count of pure bar sequences."""
     started = time.perf_counter()
-    genocchi = numbers.genocchi_list(max(n + 2 * m for n, m in points) + 2)
+    table = cache(_mbarred_sum)
+    if set(claims) - {"prop-rec"}:
+        genocchi = numbers.genocchi_list(max(n + 2 * m for n, m in points) + 2)
     reports = []
     for claim, (n, m) in product(claims, points):
-        if claim == "telescope" and n % 2:
+        if claim == "prop-rec" and n < 2 or claim == "telescope" and n % 2:
             continue
-        predicted = (-1 if (m + 1) % 2 else 1) * genocchi[n + 2 * m + 2]
-        if claim == "thm2":
-            total, terms = _mbarred_sum(n, m)
-            reports.append(
-                _finish("thm-identity2", {"n": n, "m": m}, total, predicted, [], started, terms)
-            )
+        total, terms = table(n, m)
+        bad = []
+        if claim == "prop-rec":
+            rhs = -table(n - 2, m + 1)[0]
         else:
-            half = n // 2
-            chain = [_mbarred_sum(n - 2 * i, m + i)[0] for i in range(half + 1)]
-            bad = []
+            rhs = (-1 if (m + 1) % 2 else 1) * genocchi[n + 2 * m + 2]
+        if claim == "telescope":
+            half, predicted, terms = n // 2, rhs, ()
+            chain = [table(n - 2 * i, m + i)[0] for i in range(half + 1)]
             for i in range(half):
                 if chain[i] != -chain[i + 1]:
                     bad.append({"link": i, "lhs": chain[i], "rhs": -chain[i + 1]})
-            bottom = count_mbarred(0, 0, m + half)
-            if chain[-1] != bottom:
-                bad.append({"bottom": chain[-1], "expected": bottom})
-            sign = -1 if half % 2 else 1
-            rhs = sign * bottom
+            rhs = (-1 if half % 2 else 1) * chain[-1]
             if rhs != predicted:
                 bad.append({"genocchi": predicted, "chain-end": rhs})
-            reports.append(_finish("telescope", {"n": n, "m": m}, chain[0], rhs, bad, started))
+        claim_id = "thm-identity2" if claim == "thm2" else claim
+        reports.append(_finish(claim_id, {"n": n, "m": m}, total, rhs, bad, started, terms))
         started = time.perf_counter()
     return reports
 
@@ -549,6 +550,8 @@ CLAIM_NAMES = (
 # cheap and not enumeration-bounded); everything else honours the budget.
 _SERIES_RANGES = {"pb-zero": range(1, 21), "thm1": range(0, 17)}
 
+_SUM_CLAIMS = ("thm2", "prop-rec", "telescope")  # the claims of _sum_claims
+
 # The claims checked on m-barred objects: the cells (k, n, m) each one
 # sweeps, and its consumer at a cell.
 _SWEEPS = {
@@ -599,18 +602,15 @@ def run_claim(claim: str, max_weight: int = 8) -> list[VerificationReport]:
         raise ValueError("max weight must be nonnegative")
     if claim == "all":
         reports = run_claim("pb-zero", max_weight) + run_claim("thm1", max_weight)
-        reports += _genocchi_claims(("thm2", "telescope"), _nm_cells(max_weight))
-        reports += run_claim("prop-rec", max_weight)
+        reports += _sum_claims(_SUM_CLAIMS, _nm_cells(max_weight))
         reports += _sweep(max_weight, tuple(_SWEEPS))
         return sorted(reports, key=report_sort_key)
     if claim in _SWEEPS:
         return sorted(_sweep(max_weight, (claim,)), key=_cell_order)
     if claim in _SERIES_RANGES:
         return _series_claim(claim, list(_SERIES_RANGES[claim]))
-    if claim in ("thm2", "telescope"):
-        return _genocchi_claims((claim,), _nm_cells(max_weight))
-    if claim == "prop-rec":
-        return [verify_prop_rec(n, m) for n, m in _nm_cells(max_weight) if n >= 2]
+    if claim in _SUM_CLAIMS:
+        return _sum_claims((claim,), _nm_cells(max_weight))
     raise ValueError(f"unknown claim {claim!r}")
 
 

@@ -400,6 +400,26 @@ def test_intermediates_the_packed_form_cannot_hold_are_refused():
                 fn(bad)
 
 
+def test_psi_b_inverse_refuses_an_intermediate_it_cannot_split():
+    inter = intermediate_from_json_dict(_golden("psi_b")["output"])
+    label = inter.m + 1
+    bar = Bar(BLUE, label)
+    body = [e for e in inter.elements if e != bar]
+    extra = body[-1]
+    last = max(i for i, e in enumerate(body) if isinstance(e, Bar))  # ends the bar's run
+    for elements, reason in [
+        (body, f"no blue bar labelled {label}"),
+        ((*body[: last + 1], bar, *body[last + 1 :]), "the blue bar must be followed by a bar"),
+        (
+            (*inter.elements[:-1], CallanPair(extra.blue, frozenset(), True)),
+            "intermediate extra red block is empty",
+        ),
+    ]:
+        bad = PsiIntermediate(inter.m, inter.k, inter.n, tuple(elements))
+        with pytest.raises(DomainError, match=f"^psi_inverse: {reason}$"):
+            psi_b_inverse(bad)
+
+
 # sha256 over one line "input<TAB>image or error" per object of weight
 # k + n + 2m <= 5, in enumeration order, recorded before the maps were
 # rewritten on slots.  Bijectivity alone does not fix which bijection the

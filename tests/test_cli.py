@@ -159,6 +159,41 @@ def test_enumerate_dumont_json_reproduces_pinned_digest(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_DUMONT_6_JSON
 
 
+def test_enumerate_dumont_count_only(capsys):
+    code, out, _ = run(capsys, "enumerate", "--kind", "dumont", "--n", "6", "--count-only")
+    assert (code, out) == (0, "17\n")
+
+
+def test_enumerate_callan_text_lines(capsys):
+    code, out, _ = run(capsys, "enumerate", "--kind", "callan", "--k", "2", "--n", "1")
+    assert code == 0
+    assert out == (
+        "({1,2,*},{1,*})\n({1},{1})({2,*},{*})\n({1,2},{1})({*},{*})\n({2},{1})({1,*},{*})\n"
+    )
+
+
+@pytest.mark.parametrize("argv,reason", [
+    (("--k", "1"), "mbarred needs --k and --n"),
+    (("--k", "1", "--n", "1", "--m", "-1"), "sizes must be nonnegative"),
+])
+def test_enumerate_mbarred_refuses_missing_or_negative_sizes(capsys, argv, reason):
+    code, out, err = run(capsys, "enumerate", "--kind", "mbarred", *argv)
+    assert (code, out, err) == (2, "", f"enumerate: {reason}\n")
+
+
+def test_readme_map_example_prints_its_case(tmp_path, capsys):
+    # the README's `map --which phi` example, run on the first line of the
+    # enumeration that it pipes into seq.json; "[...]" elides the elements
+    readme = (pathlib.Path(__file__).parent.parent / "README.md").read_text()
+    shown = readme.split("$ callan map --which phi --input seq.json\n", 1)[1].split("\n", 1)[0]
+    code, out, _ = run(capsys, "enumerate", "--kind", "mbarred", "--k", "1", "--n", "2", "--json")
+    src = tmp_path / "seq.json"
+    src.write_text(out.splitlines()[0] + "\n")
+    code, out, _ = run(capsys, "map", "--which", "phi", "--input", str(src))
+    head, tail = shown.split("[...]")
+    assert code == 0 and out.startswith(head) and out.endswith(tail + "\n")
+
+
 def test_map_phi_golden(tmp_path, capsys):
     doc = json.loads((GOLDEN / "phi_a1.json").read_text())
     src = tmp_path / "in.json"
@@ -216,6 +251,20 @@ def test_verify_json_lines(capsys):
         report = json.loads(line)
         assert report["status"] == "pass"
         assert report["claim_id"] == "prop-rec"
+
+
+def test_verify_human_output_of_a_failing_report(capsys, monkeypatch):
+    from callan import harness
+
+    monkeypatch.setattr(harness, "phi_inverse", lambda t: t)
+    code, out, _ = run(capsys, "verify", "--claim", "phi", "--max-weight", "2")
+    lines = out.splitlines()
+    assert code == 1 and lines[-1] == "3 reports, 0 passed, 3 failed"
+    assert [line.split()[0] for line in lines[:-1]] == ["fail", "counterexample:"] * 3
+    for line in lines[1:-1:2]:
+        prefix, payload = line.split(": ", 1)
+        assert prefix == "      counterexample"
+        assert list(json.loads(payload)) == ["roundtrip"]
 
 
 def test_verify_pb_zero_claim(capsys):

@@ -205,6 +205,9 @@ def test_dumont_validation():
     assert not bad and "ascent" in reason
     bad, reason = validate_dumont(DumontPermutation((2, 1, 3)))
     assert not bad and "even" in reason
+    assert validate_dumont(DumontPermutation((2, 1, 4, 4))) == (
+        False, "values must be a permutation of 1..4"
+    )
 
 
 def test_pure_bar_counts():
@@ -382,10 +385,18 @@ def test_validation_bounds_the_largest_block_member(m, k, n):
     ("b3 b1 b2 r0 r1 r2", "bar-multiset: blue label 3 is stray, labels 1..2"),
     ("b1 b2 r0 r0 r1 r2", "bar-multiset: red label 0 is stray, labels 0..2"),
     ("b1 b2 r1 r2", "bar-multiset: red label 0 is missing, labels 0..2"),
+    # the bars are right; "*" is a second empty extra pair, "()" an empty ordinary one
+    ("b2 b1 r0 * r1 r2", "extra-pair: exactly one extra pair required"),
+    ("b2 b1 r0 () r1 r2", "empty-ordinary-block: ({},{})"),
 ])
 def test_validation_names_the_first_stray_or_missing_label(bars, reason):
-    elements = tuple(Bar(BLUE if b[0] == "b" else RED, int(b[1:])) for b in bars.split())
-    seq = MBarredSequence(2, 0, 0, elements + (CallanPair(frozenset(), frozenset(), True),))
+    empty = frozenset()
+    pairs = {"*": CallanPair(empty, empty, True), "()": CallanPair(empty, empty)}
+    elements = tuple(
+        pairs[b] if b in pairs else Bar(BLUE if b[0] == "b" else RED, int(b[1:]))
+        for b in bars.split()
+    )
+    seq = MBarredSequence(2, 0, 0, elements + (pairs["*"],))
     assert validate_mbarred(seq) == (False, reason)
 
 
@@ -398,6 +409,11 @@ def test_validation_names_the_first_stray_or_missing_label(bars, reason):
 def test_validation_names_the_first_stray_or_missing_member(blue, reason):
     seq = MBarredSequence(0, 2, 0, (Bar(RED, 0), CallanPair(frozenset(blue), frozenset(), True)))
     assert validate_mbarred(seq) == (False, reason)
+
+
+def test_validation_refuses_a_block_member_the_packed_form_cannot_hold():
+    seq = MBarredSequence(0, 1, 0, (Bar(RED, 0), CallanPair(frozenset({-1}), frozenset(), True)))
+    assert validate_mbarred(seq) == (False, "partition: block member -1 is negative")
 
 
 def test_classify_cells_partition():

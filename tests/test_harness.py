@@ -155,6 +155,22 @@ def test_telescope_chains():
         verify_telescope(3, 0)
 
 
+def test_telescope_names_a_broken_link_and_a_wrong_chain_end(monkeypatch):
+    # one pure bar sequence too many at m = 2: the chain (2, 1) -> (0, 2)
+    # ends at 4, so its link no longer flips the sign and its end misses
+    # the Genocchi prediction
+    count = harness.count_mbarred
+    monkeypatch.setattr(
+        harness, "count_mbarred", lambda k, n, m: count(k, n, m) + ((k, n, m) == (0, 0, 2))
+    )
+    r = verify_telescope(2, 1)
+    assert not r.passed and (r.lhs, r.rhs) == (-3, -4)
+    assert r.counterexamples == [
+        {"link": 0, "lhs": -3, "rhs": -4},
+        {"genocchi": -3, "chain-end": -4},
+    ]
+
+
 def test_partition_example_cell():
     r = verify_partition(2, 1, 0)
     assert r.passed and r.lhs == 7 == r.rhs
@@ -484,6 +500,23 @@ def test_thm2_and_telescope_read_one_list_of_genocchi_numbers(monkeypatch):
     reports = run_claim("all", 7)
     assert len(reports) == 283 and all(r.passed for r in reports)
     assert sorted(orders) == [9, 18]
+
+
+def test_each_alternating_sum_is_summed_once_per_sweep(monkeypatch):
+    # thm2, prop-rec and telescope read one table of the sums S(n, m): the
+    # 20 points of weight n + 2m <= 7 are each summed once under `all`,
+    # and prop-rec on its own builds no Genocchi list
+    summed, listed = Counter(), []
+    mbarred_sum = harness._mbarred_sum
+    monkeypatch.setattr(
+        harness, "_mbarred_sum", lambda n, m: summed.update([(n, m)]) or mbarred_sum(n, m)
+    )
+    reports = run_claim("all", 7)
+    assert len(reports) == 283 and all(r.passed for r in reports)
+    assert len(summed) == 20 and sum(summed.values()) == 20
+    genocchi_list = numbers.genocchi_list
+    monkeypatch.setattr(numbers, "genocchi_list", lambda n: listed.append(n) or genocchi_list(n))
+    assert all(r.passed for r in run_claim("prop-rec", 7)) and listed == []
 
 
 def test_all_is_the_union_of_single_claims():
