@@ -93,15 +93,16 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     return 0
 
 
-# (map, case): the case function, a packed core, reads the move from an
-# input that the map has already validated.
+# (map, case): the map's with_packed, which packs its input once and
+# returns the packed forms beside the image; the case function, a packed
+# core, reads the move from the packed input that the map has validated.
 _MAPS = {
-    "phi": (phi, _phi_case),
-    "phi-inv": (phi_inverse, _phi_inverse_case),
-    "psi": (psi, None),
-    "psi-b": (psi_b, None),
-    "psi-r": (psi_r, None),
-    "relabel": (relabel_max_min, None),
+    "phi": (phi.with_packed, _phi_case),
+    "phi-inv": (phi_inverse.with_packed, _phi_inverse_case),
+    "psi": (psi.with_packed, None),
+    "psi-b": (psi_b.with_packed, None),
+    "psi-r": (psi_r.with_packed, None),
+    "relabel": (relabel_max_min.with_packed, None),
 }
 
 
@@ -118,12 +119,10 @@ def _cmd_map(args: argparse.Namespace) -> int:
             obj = intermediate_from_json_dict(data)
         else:
             obj = combinat.from_json_dict(data)
-        image = fn(obj)
-        case = case_fn(combinat.pack(obj, args.which)) if case_fn is not None else None
+        seq, out, image = fn(obj)  # the one pack of this call
+        case = case_fn(seq) if case_fn is not None else None
         if args.which == "psi-r":  # psi_r maps psi_b images into psi's image
-            combinat._require_mbarred(
-                combinat.pack(image, "psi_r"), "psi_r: not a psi-b image", psi_image
-            )
+            combinat._require_mbarred(out, "psi_r: not a psi-b image", psi_image)
     except (DomainError, ValueError) as exc:
         print(f"map: {exc}", file=sys.stderr)
         return 1

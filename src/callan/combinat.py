@@ -439,10 +439,12 @@ def _checked(core, accepts=None, emits=None, result=MBarredSequence):
     size limit, whose argument lies at that limit: DomainError.  `emits`
     None leaves the result unchecked; `accepts` None takes an intermediate,
     which has no validator of its own, and refuses one the cores cannot
-    take (bad sizes, the extra pair not last) in the name of the map."""
+    take (bad sizes, the extra pair not last) in the name of the map.  The
+    map's `with_packed` does the same and returns (packed argument, packed
+    result, result), for a caller that reads the packed forms too."""
     what = core.__name__[1:]
 
-    def checked(arg):
+    def with_packed(arg):
         seq = m, k, n, slots = pack(arg, what)
         if accepts:
             _require_mbarred(seq, *accepts)
@@ -454,7 +456,7 @@ def _checked(core, accepts=None, emits=None, result=MBarredSequence):
             raise DomainError(f"{what}: intermediate has an extra pair before its end")
         out = core(seq)
         if result is None:
-            return out
+            return seq, out, out
         if emits:
             why = _size_rule(*out[:3])
             if why and not _broken_rule(out) and emits[1](*packed_marks(out)) is None:
@@ -462,10 +464,14 @@ def _checked(core, accepts=None, emits=None, result=MBarredSequence):
             _require_mbarred(out, *emits, ConsistencyError)
         memo = _Memo(_element)
         memo.update(zip(_keys(slots), arg.elements))  # accepted: no slot is None
-        return unpack(out, result, memo)
+        return seq, out, unpack(out, result, memo)
+
+    def checked(arg):
+        return with_packed(arg)[2]
 
     checked.__name__ = checked.__qualname__ = what
     checked.__doc__ = core.__doc__
+    checked.with_packed = with_packed
     return checked
 
 

@@ -11,7 +11,6 @@ ConsistencyError is raised on failure.  No rounding happens anywhere.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 
 from .errors import ConsistencyError
 from .series import (
@@ -42,28 +41,11 @@ def _require_integer(value: Fraction, what: str) -> int:
 
 def _genocchi_egf(order: int) -> TruncatedSeries:
     """2t / (e^t + 1) truncated at `order`, from one series division."""
-    if order < 0:
-        raise ValueError("genocchi index must be nonnegative")
     numerator = (
         TruncatedSeries.monomial(2, 1, order) if order >= 1 else TruncatedSeries.zero(0)
     )
     denominator = exp_series(order) + TruncatedSeries.constant(1, order)
     return numerator.divide(denominator)
-
-
-@lru_cache(maxsize=None)
-def genocchi(n: int) -> int:
-    """The n-th Genocchi number, from the EGF 2t / (e^t + 1)."""
-    return _require_integer(_genocchi_egf(n).egf_coefficient(n), f"genocchi({n})")
-
-
-def genocchi_list(max_n: int) -> list[int]:
-    """Genocchi numbers 0..max_n, computed in one series division."""
-    quotient = _genocchi_egf(max_n)
-    return [
-        _require_integer(quotient.egf_coefficient(i), f"genocchi({i})")
-        for i in range(max_n + 1)
-    ]
 
 
 def _polylog_of_w(k: int, order: int) -> tuple[TruncatedSeries, TruncatedSeries]:
@@ -72,41 +54,76 @@ def _polylog_of_w(k: int, order: int) -> tuple[TruncatedSeries, TruncatedSeries]
     return w, polylog_series(k, order).compose(w)
 
 
-# The coefficient [t^n] of a quotient does not depend on the order it is
-# truncated at, so one compose and one divide at order max_n + 1 give the
-# values n = 0..max_n of a column, where the single values pay both per n.
-# The divisors have valuation 1: one extra term pays for the division.
+# The divisors below have valuation 1: one extra term pays for the division.
 
 
 def _b_quotient(k: int, order: int) -> TruncatedSeries:
-    """Li_k(1 - e^{-t}) / (1 - e^{-t}), reported at order - 1."""
-    w, numerator = _polylog_of_w(k, order)
+    """Li_k(1 - e^{-t}) / (1 - e^{-t}) truncated at `order`."""
+    w, numerator = _polylog_of_w(k, order + 1)
     return numerator.divide(w)
 
 
 def _c_quotient(k: int, order: int) -> TruncatedSeries:
-    """Li_k(1 - e^{-t}) / (e^t - 1), reported at order - 1."""
-    _, numerator = _polylog_of_w(k, order)
-    return numerator.divide(expm1_series(order))
+    """Li_k(1 - e^{-t}) / (e^t - 1) truncated at `order`."""
+    _, numerator = _polylog_of_w(k, order + 1)
+    return numerator.divide(expm1_series(order + 1))
 
 
-@lru_cache(maxsize=None)
+# The coefficient [t^n] of a quotient does not depend on the order it is
+# truncated at.  So one store keeps one quotient per series, the one built
+# at the largest order asked so far, under ("g",), ("b", k) or ("c", k) for
+# the upper index k; c_number(n, k) reads ("c", -k-1).  A value or a column
+# whose order the stored quotient covers reads it.  Any other builds the
+# quotient at exactly its own order, n or max_n, and that replaces the
+# stored one: a column n = 0..max_n costs one compose and one divide, and
+# single values in shuffled order build once per new largest n.
+_BUILDERS = {"g": _genocchi_egf, "b": _b_quotient, "c": _c_quotient}
+_quotients: dict[tuple, TruncatedSeries] = {}
+
+
+def _quotient(order: int, family: str, *k: int) -> TruncatedSeries:
+    """The stored quotient of the series (family, *k), covering `order`."""
+    key = (family, *k)
+    quotient = _quotients.get(key)
+    if quotient is None or quotient.order < order:
+        quotient = _quotients[key] = _BUILDERS[family](*k, order)
+    return quotient
+
+
+def genocchi(n: int) -> int:
+    """The n-th Genocchi number, from the EGF 2t / (e^t + 1)."""
+    if n < 0:
+        raise ValueError("genocchi index must be nonnegative")
+    return _genocchi_value(_quotient(n, "g"), n)
+
+
+def _genocchi_value(quotient: TruncatedSeries, n: int) -> int:
+    return _require_integer(quotient.egf_coefficient(n), f"genocchi({n})")
+
+
+def genocchi_list(max_n: int) -> list[int]:
+    """Genocchi numbers 0..max_n, read from one series division."""
+    if max_n < 0:
+        raise ValueError("genocchi index must be nonnegative")
+    quotient = _quotient(max_n, "g")
+    return [_genocchi_value(quotient, i) for i in range(max_n + 1)]
+
+
 def poly_bernoulli_b(n: int, k: int) -> Fraction:
     """B-variant poly-Bernoulli number: n! [t^n] Li_k(1 - e^{-t}) / (1 - e^{-t})."""
     if n < 0:
         raise ValueError("poly_bernoulli_b index n must be nonnegative")
-    return _b_quotient(k, n + 1).egf_coefficient(n)
+    return _quotient(n, "b", k).egf_coefficient(n)
 
 
 def poly_bernoulli_b_column(k: int, max_n: int) -> list[Fraction]:
-    """poly_bernoulli_b(n, k) for n = 0..max_n, from one compose and one divide."""
+    """poly_bernoulli_b(n, k) for n = 0..max_n, read from one quotient."""
     if max_n < 0:
         raise ValueError("poly_bernoulli_b index n must be nonnegative")
-    quotient = _b_quotient(k, max_n + 1)
+    quotient = _quotient(max_n, "b", k)
     return [quotient.egf_coefficient(n) for n in range(max_n + 1)]
 
 
-@lru_cache(maxsize=None)
 def poly_bernoulli_c(n: int, k: int) -> Fraction:
     """C-variant poly-Bernoulli number: n! [t^n] Li_k(1 - e^{-t}) / (e^t - 1).
 
@@ -114,10 +131,9 @@ def poly_bernoulli_c(n: int, k: int) -> Fraction:
     """
     if n < 0:
         raise ValueError("poly_bernoulli_c index n must be nonnegative")
-    return _c_quotient(k, n + 1).egf_coefficient(n)
+    return _quotient(n, "c", k).egf_coefficient(n)
 
 
-@lru_cache(maxsize=None)
 def c_number(n: int, k: int) -> int:
     """The positive integer C_n^k = C-variant poly-Bernoulli at upper index -k-1.
 
@@ -126,7 +142,7 @@ def c_number(n: int, k: int) -> int:
     """
     if n < 0 or k < 0:
         raise ValueError("c_number indices must be nonnegative")
-    return _positive_c(poly_bernoulli_c(n, -k - 1), n, k)
+    return _positive_c(_quotient(n, "c", -k - 1).egf_coefficient(n), n, k)
 
 
 def _positive_c(value: Fraction, n: int, k: int) -> int:
@@ -138,10 +154,10 @@ def _positive_c(value: Fraction, n: int, k: int) -> int:
 
 
 def c_column(k: int, max_n: int) -> list[int]:
-    """c_number(n, k) for n = 0..max_n, from one compose and one divide."""
+    """c_number(n, k) for n = 0..max_n, read from one quotient."""
     if max_n < 0 or k < 0:
         raise ValueError("c_number indices must be nonnegative")
-    quotient = _c_quotient(-k - 1, max_n + 1)
+    quotient = _quotient(max_n, "c", -k - 1)
     return [_positive_c(quotient.egf_coefficient(n), n, k) for n in range(max_n + 1)]
 
 

@@ -1,0 +1,29 @@
+from collections import Counter
+
+import pytest
+
+from callan import numbers
+from callan.series import TruncatedSeries
+
+
+@pytest.fixture(autouse=True)
+def _cold_quotient_store():
+    """Each test starts with no stored quotient, so a count of series
+    kernel calls does not depend on which tests ran before it."""
+    numbers._quotients.clear()
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch) -> Counter:
+    """The TruncatedSeries.compose and .divide calls made from now on, by
+    name; the test may clear() it between phases."""
+    calls = Counter()
+    for name in ("compose", "divide"):
+        kernel = getattr(TruncatedSeries, name)
+
+        def counted(self, other, kernel=kernel, name=name):
+            calls[name] += 1
+            return kernel(self, other)
+
+        monkeypatch.setattr(TruncatedSeries, name, counted)
+    return calls

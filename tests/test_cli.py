@@ -596,6 +596,35 @@ def test_map_validates_input_and_image_once_each(
     assert code == 0 and len(calls) == 2
 
 
+@pytest.mark.parametrize("golden", ["phi_a1", "phi_a2", "phi_b1", "phi_b2", "psi_b"])
+def test_map_golden_images_byte_for_byte(tmp_path, capsys, golden):
+    doc = json.loads((GOLDEN / f"{golden}.json").read_text())
+    code, out, err = _map(tmp_path, capsys, doc["map"], doc["input"])
+    result = json.dumps(doc["output"], separators=(",", ":"))
+    assert (code, out, err) == (0, f'{{"case":{json.dumps(doc["case"])},"result":{result}}}\n', "")
+
+
+@pytest.mark.parametrize("which,golden,part,status", [
+    ("phi", "phi_b2", "input", 0),
+    ("phi-inv", "phi_b2", "output", 0),
+    ("psi", "psi_b", "input", 0),
+    ("psi-b", "psi_b", "input", 0),
+    ("psi-r", "psi_b", "output", 0),
+    ("psi-r", "psi_r_extra", "input", 1),  # no psi-b image: refused after the map
+])
+def test_map_packs_its_input_once(tmp_path, capsys, monkeypatch, which, golden, part, status):
+    # the map, the phi case and psi-r's check of its image all read the
+    # one packed form of the input
+    from callan import combinat
+
+    packed = []
+    pack = combinat.pack
+    monkeypatch.setattr(combinat, "pack", lambda obj, what: packed.append(what) or pack(obj, what))
+    doc = json.loads((GOLDEN / f"{golden}.json").read_text())[part]
+    code, _, _ = _map(tmp_path, capsys, which, doc)
+    assert code == status and len(packed) == 1
+
+
 def _domain_inputs(which):
     """Wire forms of every object of weight k + n + 2m <= 5 in the domain
     of the map `which`."""

@@ -11,7 +11,6 @@ from callan import harness, numbers
 from callan.bijections import _phi as phi, _phi_inverse as phi_inverse, _psi_inverse as psi_inverse
 from callan.bijections import phi_domain
 from callan.combinat import enumerate_packed, packed_marks
-from callan.series import TruncatedSeries
 from callan.harness import (
     SumTerm,
     certify_phi,
@@ -51,27 +50,14 @@ def test_thm_identity_small_values():
     assert verify_thm_identity(1).lhs == 0
 
 
-def _kernel_calls(monkeypatch, run) -> Counter:
-    calls = Counter()
-    for name in ("compose", "divide"):
-        kernel = getattr(TruncatedSeries, name)
-
-        def counted(self, other, kernel=kernel, name=name):
-            calls[name] += 1
-            return kernel(self, other)
-
-        monkeypatch.setattr(TruncatedSeries, name, counted)
-    run()
-    return calls
-
-
-def test_series_claims_build_one_column_per_upper_index(monkeypatch):
+def test_series_claims_build_one_column_per_upper_index(kernel_calls):
     # one compose and one divide per column j = 0..n_max, where each
     # summand used to pay both (230 + 230 and 153 + 170 with Genocchi)
-    calls = _kernel_calls(monkeypatch, lambda: run_claim("pb-zero"))
-    assert calls == {"compose": 21, "divide": 21}
-    calls = _kernel_calls(monkeypatch, lambda: run_claim("thm1"))
-    assert calls == {"compose": 17, "divide": 18}  # plus one for the Genocchi numbers
+    run_claim("pb-zero")
+    assert kernel_calls == {"compose": 21, "divide": 21}
+    kernel_calls.clear()
+    run_claim("thm1")
+    assert kernel_calls == {"compose": 17, "divide": 18}  # plus one for the Genocchi numbers
 
 
 def _without_elapsed(reports):
@@ -491,15 +477,17 @@ def test_sweep_decides_each_side_once_per_marks_class(monkeypatch):
 
 
 def test_thm2_and_telescope_read_one_list_of_genocchi_numbers(monkeypatch):
-    # thm1 divides once for its own range, and thm2 and telescope share one
-    # division up to the largest index of the sweep
+    # thm1 divides once for its own range, up to index 18, and thm2 and
+    # telescope read their smaller range from the stored quotient; the
+    # store starts cold (conftest), so one division per index would show
     orders = []
     egf = numbers._genocchi_egf
-    monkeypatch.setattr(numbers, "_genocchi_egf", lambda order: orders.append(order) or egf(order))
-    numbers.genocchi.cache_clear()  # cold, so that one division per index would show
+    monkeypatch.setitem(
+        numbers._BUILDERS, "g", lambda order: orders.append(order) or egf(order)
+    )
     reports = run_claim("all", 7)
     assert len(reports) == 283 and all(r.passed for r in reports)
-    assert sorted(orders) == [9, 18]
+    assert orders == [18]
 
 
 def test_each_alternating_sum_is_summed_once_per_sweep(monkeypatch):

@@ -1,10 +1,12 @@
 import math
+import random
 from fractions import Fraction
 from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from callan import numbers
 from callan.numbers import (
     genocchi,
     genocchi_list,
@@ -15,6 +17,7 @@ from callan.numbers import (
     c_number,
     c_table,
 )
+from callan.series import TruncatedSeries
 
 GENOCCHI_FIRST = [0, 1, -1, 0, 1, 0, -3, 0, 17, 0, -155]
 
@@ -57,21 +60,89 @@ def test_c_table_transpose_symmetric():
 
 @pytest.mark.parametrize("max_n,max_k", [(0, 0), (0, 4), (9, 2), (3, 11)])
 def test_c_table_columns_equal_c_number_cells(max_n, max_k):
-    # c_table builds each column from one series division; c_number
-    # divides once per cell
-    assert c_table(max_n, max_k) == [
-        [c_number(n, k) for k in range(max_k + 1)] for n in range(max_n + 1)
-    ]
+    # c_table builds each column from one series division; with the store
+    # emptied, c_number then divides once per new largest n of a column,
+    # row by row, so each cell comes from its own truncation order
+    table = c_table(max_n, max_k)
+    numbers._quotients.clear()
+    assert table == [[c_number(n, k) for k in range(max_k + 1)] for n in range(max_n + 1)]
 
 
 def test_columns_equal_the_single_values_on_the_full_triangles():
     # the triangles the pb-zero (n <= 20) and thm1 (n <= 16) claims read
+    # (the store is emptied after each column, so that each single value
+    # is read from a quotient built at its own order)
     for j in range(21):
-        assert poly_bernoulli_b_column(-j, 20 - j) == [
-            poly_bernoulli_b(n, -j) for n in range(21 - j)
-        ], j
+        column = poly_bernoulli_b_column(-j, 20 - j)
+        numbers._quotients.clear()
+        assert column == [poly_bernoulli_b(n, -j) for n in range(21 - j)], j
     for j in range(17):
-        assert c_column(j, 16 - j) == [c_number(n, j) for n in range(17 - j)], j
+        column = c_column(j, 16 - j)
+        numbers._quotients.clear()
+        assert column == [c_number(n, j) for n in range(17 - j)], j
+
+
+def test_shuffled_genocchi_divides_once_per_new_largest_index(kernel_calls):
+    # the numbers benchmark asks for genocchi(0..80) in shuffled order
+    order = list(range(81))
+    random.Random(3).shuffle(order)
+    maxima = sum(n > max(order[:i], default=-1) for i, n in enumerate(order))
+    values = {n: genocchi(n) for n in order}
+    assert kernel_calls == {"divide": maxima} and maxima < 81
+    assert [values[n] for n in range(81)] == genocchi_list(80)
+    assert kernel_calls == {"divide": maxima}  # the list reads the stored quotient
+
+
+def test_lookups_below_the_stored_order_build_nothing(kernel_calls):
+    genocchi_list(20)
+    poly_bernoulli_b_column(-2, 12)
+    poly_bernoulli_b(12, 3)
+    poly_bernoulli_c(12, 2)
+    c_column(3, 12)
+    kernel_calls.clear()
+    lookups = (
+        genocchi, genocchi_list, lambda n: poly_bernoulli_b(n, -2),
+        lambda n: poly_bernoulli_b(n, 3), lambda n: poly_bernoulli_b_column(-2, n),
+        lambda n: poly_bernoulli_c(n, 2), lambda n: c_number(n, 3), lambda n: c_column(3, n),
+    )
+    for n in range(13):
+        for lookup in lookups:
+            lookup(n)
+    assert kernel_calls == {}
+
+
+def test_c_number_and_poly_bernoulli_c_share_one_quotient(kernel_calls):
+    assert c_number(7, 2) == poly_bernoulli_c(7, -3)
+    assert poly_bernoulli_c(9, -5) == c_number(9, 4)
+    assert poly_bernoulli_c(8, -5) == c_column(4, 9)[8]
+    assert kernel_calls == {"compose": 2, "divide": 2}
+
+
+def test_single_lookups_build_at_their_own_order(monkeypatch):
+    # a value at index n builds its quotient at order n, from operands of
+    # order at most n + 1 (one extra term for a divisor of valuation 1)
+    operands = []
+    for name in ("compose", "divide"):
+        kernel = getattr(TruncatedSeries, name)
+        monkeypatch.setattr(
+            TruncatedSeries, name,
+            lambda self, other, kernel=kernel: operands.append(self.order) or kernel(self, other),
+        )
+    lookups = {
+        ("g",): genocchi,
+        ("b", -3): lambda n: poly_bernoulli_b(n, -3),
+        ("b", 2): lambda n: poly_bernoulli_b(n, 2),
+        ("c", 1): lambda n: poly_bernoulli_c(n, 1),
+        ("c", -5): lambda n: c_number(n, 4),
+    }
+    for key, lookup in lookups.items():
+        largest = -1
+        for n in (0, 1, 6, 2, 17, 30):
+            operands.clear()
+            lookup(n)
+            largest = max(largest, n)
+            assert numbers._quotients[key].order == largest, (key, n)
+            assert all(order <= n + 1 for order in operands), (key, n)
 
 
 def test_columns_refuse_negative_indices():
