@@ -14,6 +14,7 @@ from fractions import Fraction
 
 from .errors import ConsistencyError
 from .series import (
+    PowerTable,
     TruncatedSeries,
     exp_series,
     expm1_series,
@@ -48,10 +49,15 @@ def _genocchi_egf(order: int) -> TruncatedSeries:
     return numerator.divide(denominator)
 
 
+def _powers_of_w(order: int) -> PowerTable:
+    """w, w², …, w^order with w = 1 - e^{-t}, truncated at `order`."""
+    return PowerTable(one_minus_exp_neg(order))
+
+
 def _polylog_of_w(k: int, order: int) -> tuple[TruncatedSeries, TruncatedSeries]:
-    """(w, Li_k(w)) with w = 1 - e^{-t}, both truncated at `order`."""
-    w = one_minus_exp_neg(order)
-    return w, polylog_series(k, order).compose(w)
+    """(w, Li_k(w)) with w = 1 - e^{-t}, both truncated at `order`:
+    Li_k(w) = sum_j j^{-k} w^j, read from the stored powers of w."""
+    return one_minus_exp_neg(order), _quotient(order, "w").evaluate(polylog_series(k, order))
 
 
 # The divisors below have valuation 1: one extra term pays for the division.
@@ -75,14 +81,19 @@ def _c_quotient(k: int, order: int) -> TruncatedSeries:
 # the upper index k; c_number(n, k) reads ("c", -k-1).  A value or a column
 # whose order the stored quotient covers reads it.  Any other builds the
 # quotient at exactly its own order, n or max_n, and that replaces the
-# stored one: a column n = 0..max_n costs one compose and one divide, and
-# single values in shuffled order build once per new largest n.
-_BUILDERS = {"g": _genocchi_egf, "b": _b_quotient, "c": _c_quotient}
-_quotients: dict[tuple, TruncatedSeries] = {}
+# stored one.  Every B and C column takes its numerator Li_k(w) from the
+# powers of w stored under ("w",) by the same policy: [t^i] w^j does not
+# depend on the order either, so a lower order reads a prefix of the
+# stored table.  A column n = 0..max_n then costs one linear combination
+# of those powers and one divide, and single values in shuffled order
+# build once per new largest n.
+_BUILDERS = {"g": _genocchi_egf, "b": _b_quotient, "c": _c_quotient, "w": _powers_of_w}
+_quotients: dict[tuple, TruncatedSeries | PowerTable] = {}
 
 
-def _quotient(order: int, family: str, *k: int) -> TruncatedSeries:
-    """The stored quotient of the series (family, *k), covering `order`."""
+def _quotient(order: int, family: str, *k: int) -> TruncatedSeries | PowerTable:
+    """The stored quotient of the series (family, *k), or the stored powers
+    of w, covering `order`."""
     key = (family, *k)
     quotient = _quotients.get(key)
     if quotient is None or quotient.order < order:

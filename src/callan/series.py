@@ -19,6 +19,7 @@ from operator import mul
 from typing import Iterable, Iterator, Union
 
 __all__ = [
+    "PowerTable",
     "TruncatedSeries",
     "exp_series",
     "expm1_series",
@@ -232,6 +233,44 @@ class TruncatedSeries:
     def __repr__(self) -> str:
         body = ", ".join(str(c) for c in self.coefficients)
         return f"TruncatedSeries([{body}])"
+
+
+class PowerTable:
+    """The powers inner**0 .. inner**order of one series with zero constant
+    term, as integer numerators over one common denominator.  Evaluating an
+    outer series at inner is then one integer linear combination of the
+    powers, O(order²) where compose is O(order³).  [t^i] inner**j does not
+    depend on the truncation order and is 0 for j > i, so the table also
+    evaluates at every lower order, from a prefix: _cols[i] holds
+    [t^i] inner**j for j = 0..i."""
+
+    __slots__ = ("_cols", "_den")
+
+    def __init__(self, inner: TruncatedSeries):
+        if inner._nums[0] != 0:
+            raise ValueError("power table: inner series must have zero constant term")
+        powers = [TruncatedSeries.constant(1, inner.order)]
+        for _ in range(inner.order):
+            powers.append(powers[-1] * inner)
+        den = lcm(*(p._den for p in powers))
+        rows = [[x * (den // p._den) for x in p._nums] for p in powers]
+        self._cols = tuple(tuple(row[i] for row in rows[:i + 1]) for i in range(len(rows)))
+        self._den = den
+
+    @property
+    def order(self) -> int:
+        return len(self._cols) - 1
+
+    def evaluate(self, outer: TruncatedSeries) -> TruncatedSeries:
+        """outer(inner(t)) truncated at outer.order, which the table must
+        cover; equal to outer.compose(inner) at that order."""
+        n = outer.order
+        if n > self.order:
+            raise ValueError(f"power table of order {self.order} cannot evaluate at order {n}")
+        o = outer._nums
+        return TruncatedSeries._over(
+            [sum(map(mul, o, col)) for col in self._cols[:n + 1]], self._den * outer._den
+        )
 
 
 def exp_series(order: int) -> TruncatedSeries:

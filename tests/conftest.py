@@ -3,7 +3,7 @@ from collections import Counter
 import pytest
 
 from callan import numbers
-from callan.series import TruncatedSeries
+from callan.series import PowerTable, TruncatedSeries
 
 
 @pytest.fixture(autouse=True)
@@ -15,15 +15,20 @@ def _cold_quotient_store():
 
 @pytest.fixture
 def kernel_calls(monkeypatch) -> Counter:
-    """The TruncatedSeries.compose and .divide calls made from now on, by
-    name; the test may clear() it between phases."""
+    """The TruncatedSeries.compose and .divide calls and the PowerTable
+    builds ("table") made from now on, by name; the test may clear() it
+    between phases."""
     calls = Counter()
-    for name in ("compose", "divide"):
-        kernel = getattr(TruncatedSeries, name)
+    for owner, attr, name in (
+        (TruncatedSeries, "compose", "compose"),
+        (TruncatedSeries, "divide", "divide"),
+        (PowerTable, "__init__", "table"),
+    ):
+        kernel = getattr(owner, attr)
 
         def counted(self, other, kernel=kernel, name=name):
             calls[name] += 1
             return kernel(self, other)
 
-        monkeypatch.setattr(TruncatedSeries, name, counted)
+        monkeypatch.setattr(owner, attr, counted)
     return calls

@@ -51,13 +51,14 @@ def test_thm_identity_small_values():
 
 
 def test_series_claims_build_one_column_per_upper_index(kernel_calls):
-    # one compose and one divide per column j = 0..n_max, where each
-    # summand used to pay both (230 + 230 and 153 + 170 with Genocchi)
+    # one divide per column j = 0..n_max, and one table of the powers of w:
+    # the largest column, j = 0, is built first and the others read a prefix
     run_claim("pb-zero")
-    assert kernel_calls == {"compose": 21, "divide": 21}
+    assert kernel_calls == {"table": 1, "divide": 21}
     kernel_calls.clear()
+    numbers._quotients.clear()
     run_claim("thm1")
-    assert kernel_calls == {"compose": 17, "divide": 18}  # plus one for the Genocchi numbers
+    assert kernel_calls == {"table": 1, "divide": 18}  # plus one for the Genocchi numbers
 
 
 def _without_elapsed(reports):

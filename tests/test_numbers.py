@@ -17,7 +17,7 @@ from callan.numbers import (
     c_number,
     c_table,
 )
-from callan.series import TruncatedSeries
+from callan.series import PowerTable, TruncatedSeries, one_minus_exp_neg, polylog_series
 
 GENOCCHI_FIRST = [0, 1, -1, 0, 1, 0, -3, 0, 17, 0, -155]
 
@@ -115,18 +115,46 @@ def test_c_number_and_poly_bernoulli_c_share_one_quotient(kernel_calls):
     assert c_number(7, 2) == poly_bernoulli_c(7, -3)
     assert poly_bernoulli_c(9, -5) == c_number(9, 4)
     assert poly_bernoulli_c(8, -5) == c_column(4, 9)[8]
-    assert kernel_calls == {"compose": 2, "divide": 2}
+    assert kernel_calls == {"table": 2, "divide": 2}
+
+
+def test_row_major_c_number_sweep_builds_the_powers_of_w_once_per_new_order(kernel_calls):
+    # the numbers benchmark asks c_number(n, k) row by row, n outer: every
+    # row rebuilds each column one term longer, and the first column of the
+    # row builds the one table of the powers of w that the others read
+    table = [[c_number(n, k) for k in range(19)] for n in range(19)]
+    assert kernel_calls == {"table": 19, "divide": 361}
+    assert table == c_table(18, 18)
+    assert kernel_calls == {"table": 19, "divide": 361}
+
+
+@pytest.mark.parametrize("stored", [None, 30], ids=["cold", "prefix-of-30"])
+def test_polylog_of_w_equals_compose(stored, kernel_calls):
+    # the table route against the general kernel, with the table built at
+    # exactly each order or read as a prefix of the one built at order 30
+    if stored is not None:
+        numbers._polylog_of_w(0, stored)
+    for order in range(31):
+        w = one_minus_exp_neg(order)
+        for k in range(-8, 5):
+            if stored is None:
+                numbers._quotients.clear()
+            expected = (w, polylog_series(k, order).compose(w))
+            assert numbers._polylog_of_w(k, order) == expected, (k, order)
+    tables = 31 * 13 if stored is None else 1
+    assert kernel_calls == {"table": tables, "compose": 31 * 13}
 
 
 def test_single_lookups_build_at_their_own_order(monkeypatch):
     # a value at index n builds its quotient at order n, from operands of
     # order at most n + 1 (one extra term for a divisor of valuation 1)
     operands = []
-    for name in ("compose", "divide"):
-        kernel = getattr(TruncatedSeries, name)
+    for owner, name in ((TruncatedSeries, "compose"), (TruncatedSeries, "divide"),
+                        (PowerTable, "__init__")):
+        kernel = getattr(owner, name)
         monkeypatch.setattr(
-            TruncatedSeries, name,
-            lambda self, other, kernel=kernel: operands.append(self.order) or kernel(self, other),
+            owner, name,
+            lambda self, other, kernel=kernel: operands.append(other.order) or kernel(self, other),
         )
     lookups = {
         ("g",): genocchi,
@@ -231,6 +259,18 @@ def test_c_table_matches_stirling_formula_at_24():
             )
             for k in range(size + 1)
         ]
+        for n in range(size + 1)
+    ]
+    assert c_table(size, size) == expected
+
+
+def test_c_table_matches_stirling_formula_at_80():
+    # the whole 80x80 table, against the same closed form
+    size = 80
+    weights = [math.factorial(r) * math.factorial(r + 1) for r in range(size + 1)]
+    s = [[_stirling2(i + 1, r + 1) for r in range(i + 1)] for i in range(size + 1)]
+    expected = [
+        [sum(w * a * b for w, a, b in zip(weights, s[n], s[k])) for k in range(size + 1)]
         for n in range(size + 1)
     ]
     assert c_table(size, size) == expected
