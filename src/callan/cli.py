@@ -110,7 +110,8 @@ def _cmd_map(args: argparse.Namespace) -> int:
     try:
         with open(args.input, encoding="utf-8") as fh:
             data = json.load(fh)
-    except (OSError, json.JSONDecodeError, RecursionError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+        # UnicodeDecodeError: a file that is not UTF-8;
         # RecursionError: JSON nested too deep for the decoder
         raise ValueError(f"cannot read {args.input}: {exc}") from exc
     fn, case_fn = _MAPS[args.which]

@@ -40,65 +40,69 @@ def _require_integer(value: Fraction, what: str) -> int:
     return int(value)
 
 
-def _genocchi_egf(order: int) -> TruncatedSeries:
+def _genocchi_egf(order: int, prefix: TruncatedSeries | None) -> TruncatedSeries:
     """2t / (e^t + 1) truncated at `order`, from one series division."""
     numerator = (
         TruncatedSeries.monomial(2, 1, order) if order >= 1 else TruncatedSeries.zero(0)
     )
     denominator = exp_series(order) + TruncatedSeries.constant(1, order)
-    return numerator.divide(denominator)
+    return numerator.divide(denominator, prefix)
 
 
-def _powers_of_w(order: int) -> PowerTable:
+def _powers_of_w(order: int, prefix: PowerTable | None) -> PowerTable:
     """w, w², …, w^order with w = 1 - e^{-t}, truncated at `order`."""
-    return PowerTable(one_minus_exp_neg(order))
+    return PowerTable(one_minus_exp_neg(order), prefix)
 
 
-def _polylog_of_w(k: int, order: int) -> tuple[TruncatedSeries, TruncatedSeries]:
-    """(w, Li_k(w)) with w = 1 - e^{-t}, both truncated at `order`:
-    Li_k(w) = sum_j j^{-k} w^j, read from the stored powers of w."""
-    return one_minus_exp_neg(order), _quotient(order, "w").evaluate(polylog_series(k, order))
+def _polylog_of_w(k: int, order: int, prefix: TruncatedSeries | None) -> TruncatedSeries:
+    """Li_k(w) = sum_j j^{-k} w^j with w = 1 - e^{-t}, truncated at `order`
+    and read from the stored powers of w.  For a quotient growing from
+    `prefix` the coefficients that built it, through index
+    prefix.order + 1, are left 0."""
+    start = 0 if prefix is None else prefix.order + 2
+    return _quotient(order, "w").evaluate(polylog_series(k, order), start)
 
 
 # The divisors below have valuation 1: one extra term pays for the division.
 
 
-def _b_quotient(k: int, order: int) -> TruncatedSeries:
+def _b_quotient(k: int, order: int, prefix: TruncatedSeries | None) -> TruncatedSeries:
     """Li_k(1 - e^{-t}) / (1 - e^{-t}) truncated at `order`."""
-    w, numerator = _polylog_of_w(k, order + 1)
-    return numerator.divide(w)
+    return _polylog_of_w(k, order + 1, prefix).divide(one_minus_exp_neg(order + 1), prefix)
 
 
-def _c_quotient(k: int, order: int) -> TruncatedSeries:
+def _c_quotient(k: int, order: int, prefix: TruncatedSeries | None) -> TruncatedSeries:
     """Li_k(1 - e^{-t}) / (e^t - 1) truncated at `order`."""
-    _, numerator = _polylog_of_w(k, order + 1)
-    return numerator.divide(expm1_series(order + 1))
+    return _polylog_of_w(k, order + 1, prefix).divide(expm1_series(order + 1), prefix)
 
 
 # The coefficient [t^n] of a quotient does not depend on the order it is
-# truncated at.  So one store keeps one quotient per series, the one built
-# at the largest order asked so far, under ("g",), ("b", k) or ("c", k) for
-# the upper index k; c_number(n, k) reads ("c", -k-1).  A value or a column
-# whose order the stored quotient covers reads it.  Any other builds the
-# quotient at exactly its own order, n or max_n, and that replaces the
+# truncated at.  So one store keeps one quotient per series, at the largest
+# order asked so far, under ("g",), ("b", k) or ("c", k) for the upper
+# index k; c_number(n, k) reads ("c", -k-1).  A value or a column whose
+# order the stored quotient covers reads it.  Any other grows the stored
+# quotient to exactly its own order, n or max_n: the division resumes past
+# the stored coefficients, so each coefficient of a series is computed once
+# however the lookups are ordered, and the longer quotient replaces the
 # stored one.  Every B and C column takes its numerator Li_k(w) from the
 # powers of w stored under ("w",) by the same policy: [t^i] w^j does not
 # depend on the order either, so a lower order reads a prefix of the
-# stored table.  A column n = 0..max_n then costs one linear combination
-# of those powers and one divide, and single values in shuffled order
-# build once per new largest n.
+# stored table and a higher one adds only the new columns.  A quotient
+# growing by one term then costs one new coefficient of Li_k(w), one step
+# of the division and, for the first series to reach that order, one
+# column of the table; a cold build is growth from nothing.
 _BUILDERS = {"g": _genocchi_egf, "b": _b_quotient, "c": _c_quotient, "w": _powers_of_w}
 _quotients: dict[tuple, TruncatedSeries | PowerTable] = {}
 
 
 def _quotient(order: int, family: str, *k: int) -> TruncatedSeries | PowerTable:
     """The stored quotient of the series (family, *k), or the stored powers
-    of w, covering `order`."""
+    of w, covering `order`, grown from the stored one if that falls short."""
     key = (family, *k)
-    quotient = _quotients.get(key)
-    if quotient is None or quotient.order < order:
-        quotient = _quotients[key] = _BUILDERS[family](*k, order)
-    return quotient
+    stored = _quotients.get(key)
+    if stored is None or stored.order < order:
+        stored = _quotients[key] = _BUILDERS[family](*k, order, stored)
+    return stored
 
 
 def genocchi(n: int) -> int:

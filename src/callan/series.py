@@ -14,6 +14,7 @@ order so that truncation effects stay explicit at call sites.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate, repeat
 from math import factorial, gcd, lcm
 from operator import mul
 from typing import Iterable, Iterator, Union
@@ -48,8 +49,15 @@ class TruncatedSeries:
     def _over(cls, nums: list[int], den: int) -> "TruncatedSeries":
         """The series nums[i] / den (den > 0), reduced to lowest terms once."""
         g = gcd(den, *nums)
+        if g == 1:
+            return cls._lowest(nums, den)
+        return cls._lowest([x // g for x in nums], den // g)
+
+    @classmethod
+    def _lowest(cls, nums: list[int], den: int) -> "TruncatedSeries":
+        """The series nums[i] / den, already in lowest terms: gcd(den, *nums) == 1."""
         series = object.__new__(cls)
-        series._nums, series._den = tuple(x // g for x in nums), den // g
+        series._nums, series._den = tuple(nums), den
         return series
 
     # -- basic structure ---------------------------------------------------
@@ -143,13 +151,21 @@ class TruncatedSeries:
 
     __rmul__ = __mul__
 
-    def divide(self, divisor: "TruncatedSeries") -> "TruncatedSeries":
+    def divide(
+        self, divisor: "TruncatedSeries", prefix: "TruncatedSeries | None" = None
+    ) -> "TruncatedSeries":
         """Exact quotient q with q * divisor == self through order (order - v),
         where v = divisor.valuation().  Requires self.valuation() >= v.
 
         Both leading t**v factors are cancelled, so quotients like t/t or
         Li-type numerators over (1 - e^{-t}) stay exact.  The result is
         reported at order (self.order - v).
+
+        The recurrence q_i = (a_i - sum_{j<i} q_j d_{i-j}) / d_0 only looks
+        back, so a quotient grows: `prefix`, the same quotient at a lower
+        order m, supplies q_0..q_m and only q_{m+1}.. are computed, reading
+        a_i for i > m + v alone (self may leave the lower ones 0).  A cold
+        quotient grows from no prefix, and both end in the same storage.
         """
         if not isinstance(divisor, TruncatedSeries):
             raise TypeError("divide expects a TruncatedSeries divisor")
@@ -157,21 +173,23 @@ class TruncatedSeries:
         if divisor.is_zero():
             raise ZeroDivisionError("division by an identically zero truncated series")
         v = divisor.valuation()
-        if not self.is_zero() and self.valuation() < v:
+        if any(self._nums[:v]):
             raise ValueError(
                 f"divide: dividend valuation {self.valuation()} below divisor valuation {v}"
             )
         n = self.order - v
+        if prefix is not None and prefix.order > n:
+            raise ValueError(f"divide: prefix of order {prefix.order} exceeds order {n}")
         num, num_den = self._nums[v:], self._den
         den, den_den = divisor._nums[v:], divisor._den
         lead, den_rev = den[0], den[::-1]
-        # q_j = q_nums[j] / q_den for j < i, q_den the lcm of their denominators;
+        # q_j = q_nums[j] / q_den for j < i, q_den the lcm of their reduced
+        # denominators: lowest terms, the form a prefix is stored in;
         # with d_l = den[l] / den_den and a_i = num[i] / num_den,
         # q_i = (a_i - sum_{j<i} q_j d_{i-j}) / d_0 = top / bottom, reduced.
         # Reducing every q_i keeps powers of d_0 out of the running numbers.
-        q_nums: list[int] = []
-        q_den = 1
-        for i in range(n + 1):
+        q_nums, q_den = ([], 1) if prefix is None else (list(prefix._nums), prefix._den)
+        for i in range(len(q_nums), n + 1):
             s = sum(map(mul, q_nums, den_rev[n - i:n]))
             top = num[i] * q_den * den_den - s * num_den
             bottom = num_den * q_den * lead
@@ -183,7 +201,7 @@ class TruncatedSeries:
                 q_nums = [x * scale for x in q_nums]
                 q_den = grown
             q_nums.append(top * (q_den // bottom))
-        return TruncatedSeries._over(q_nums, q_den)
+        return TruncatedSeries._lowest(q_nums, q_den)
 
     def compose(self, inner: "TruncatedSeries") -> "TruncatedSeries":
         """self(inner(t)), truncated; inner must have zero constant term."""
@@ -237,59 +255,86 @@ class TruncatedSeries:
 
 class PowerTable:
     """The powers inner**0 .. inner**order of one series with zero constant
-    term, as integer numerators over one common denominator.  Evaluating an
-    outer series at inner is then one integer linear combination of the
-    powers, O(order²) where compose is O(order³).  [t^i] inner**j does not
-    depend on the truncation order and is 0 for j > i, so the table also
-    evaluates at every lower order, from a prefix: _cols[i] holds
-    [t^i] inner**j for j = 0..i."""
+    term, stored by column: _cols[i] holds the numerators of [t^i] inner**j
+    for j = 0..i over the column's own denominator _dens[i], in lowest
+    terms.  Evaluating an outer series at inner is then one integer linear
+    combination of the columns, O(order²) where compose is O(order³).
+    [t^i] inner**j does not depend on the truncation order and is 0 for
+    j > i, so the table also evaluates at every lower order, from a prefix,
+    and it grows: column i reads only inner_1..inner_i and earlier columns,
+    [t^i] inner**j = sum_{l=1..i} inner_l [t^(i-l)] inner**(j-1)."""
 
-    __slots__ = ("_cols", "_den")
+    __slots__ = ("_cols", "_dens")
 
-    def __init__(self, inner: TruncatedSeries):
+    def __init__(self, inner: TruncatedSeries, prefix: "PowerTable | None" = None):
+        """The table of inner at inner.order.  `prefix`, the table of the
+        same inner at a lower order, supplies its columns and only the later
+        ones are computed; a cold table grows from column 0 alone, and both
+        end in the same storage."""
         if inner._nums[0] != 0:
             raise ValueError("power table: inner series must have zero constant term")
-        powers = [TruncatedSeries.constant(1, inner.order)]
-        for _ in range(inner.order):
-            powers.append(powers[-1] * inner)
-        den = lcm(*(p._den for p in powers))
-        rows = [[x * (den // p._den) for x in p._nums] for p in powers]
-        self._cols = tuple(tuple(row[i] for row in rows[:i + 1]) for i in range(len(rows)))
-        self._den = den
+        if prefix is not None and prefix.order > inner.order:
+            raise ValueError(f"power table: prefix of order {prefix.order} exceeds {inner.order}")
+        cols, dens = ([(1,)], [1]) if prefix is None else (list(prefix._cols), list(prefix._dens))
+        w, w_den = inner._nums, inner._den
+        common = lcm(*dens)
+        for i in range(len(cols), inner.order + 1):
+            # every term over w_den * common: inner_l scaled to column i-l's den
+            u = [0] + [w[l] * (common // dens[i - l]) for l in range(1, i + 1)]
+            col = [0] + [sum(u[l] * cols[i - l][j - 1] for l in range(1, i - j + 2))
+                         for j in range(1, i + 1)]
+            den = w_den * common
+            g = gcd(den, *col)
+            cols.append(tuple(x // g for x in col))
+            dens.append(den // g)
+            common = lcm(common, dens[-1])
+        self._cols, self._dens = tuple(cols), tuple(dens)
 
     @property
     def order(self) -> int:
         return len(self._cols) - 1
 
-    def evaluate(self, outer: TruncatedSeries) -> TruncatedSeries:
+    def evaluate(self, outer: TruncatedSeries, start: int = 0) -> TruncatedSeries:
         """outer(inner(t)) truncated at outer.order, which the table must
-        cover; equal to outer.compose(inner) at that order."""
+        cover; equal to outer.compose(inner) at that order.  The
+        coefficients below `start` are left 0, for a caller that holds them."""
         n = outer.order
         if n > self.order:
             raise ValueError(f"power table of order {self.order} cannot evaluate at order {n}")
-        o = outer._nums
-        return TruncatedSeries._over(
-            [sum(map(mul, o, col)) for col in self._cols[:n + 1]], self._den * outer._den
-        )
+        o, cols, dens = outer._nums, self._cols[start:n + 1], self._dens[start:n + 1]
+        den = lcm(*dens)
+        nums = [sum(map(mul, o, col)) * (den // d) for col, d in zip(cols, dens)]
+        return TruncatedSeries._over([0] * start + nums, den * outer._den)
+
+
+def _factorial_quotients(order: int) -> list[int]:
+    """order!/i! for i = 0..order, the numerators of e^t over order!."""
+    return list(accumulate(range(order, 0, -1), mul, initial=1))[::-1]
+
+
+# The last numerator of each series below is ±1 (or the series is 0 over
+# 1), so it is in lowest terms as built.
 
 
 def exp_series(order: int) -> TruncatedSeries:
     """e^t truncated at `order`: the integers order!/i! over order!."""
-    top = factorial(order)
-    return TruncatedSeries._over([top // factorial(i) for i in range(order + 1)], top)
+    nums = _factorial_quotients(order)
+    return TruncatedSeries._lowest(nums, nums[0])
 
 
 def expm1_series(order: int) -> TruncatedSeries:
     """e^t - 1 truncated at `order` (valuation 1)."""
-    top = factorial(order)
-    return TruncatedSeries._over([0] + [top // factorial(i) for i in range(1, order + 1)], top)
+    nums = _factorial_quotients(order)
+    top, nums[0] = nums[0], 0
+    return TruncatedSeries._lowest(nums, top)
 
 
 def one_minus_exp_neg(order: int) -> TruncatedSeries:
     """1 - e^{-t} truncated at `order` (valuation 1)."""
-    top = factorial(order)
-    nums = [0] + [(-1) ** (i + 1) * (top // factorial(i)) for i in range(1, order + 1)]
-    return TruncatedSeries._over(nums, top)
+    nums = _factorial_quotients(order)
+    top, nums[0] = nums[0], 0
+    nums[2::2] = [-x for x in nums[2::2]]
+    return TruncatedSeries._lowest(nums, top)
 
 
 def polylog_series(k: int, order: int) -> TruncatedSeries:
@@ -299,6 +344,6 @@ def polylog_series(k: int, order: int) -> TruncatedSeries:
     exact unit fractions 1/m^k, stored over lcm(1..order)^k.
     """
     if k <= 0:
-        return TruncatedSeries._over([0] + [m ** (-k) for m in range(1, order + 1)], 1)
+        return TruncatedSeries._lowest([0, *map(pow, range(1, order + 1), repeat(-k))], 1)
     top = lcm(*range(1, order + 1)) ** k
     return TruncatedSeries._over([0] + [top // m**k for m in range(1, order + 1)], top)

@@ -26,9 +26,9 @@ def kernel_calls(monkeypatch) -> Counter:
     ):
         kernel = getattr(owner, attr)
 
-        def counted(self, other, kernel=kernel, name=name):
+        def counted(self, *args, kernel=kernel, name=name):
             calls[name] += 1
-            return kernel(self, other)
+            return kernel(self, *args)
 
         monkeypatch.setattr(owner, attr, counted)
     return calls

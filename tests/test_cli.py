@@ -235,6 +235,14 @@ def test_map_missing_file(capsys):
     assert code == 2 and "cannot read" in err
 
 
+def test_map_exits_two_on_a_file_that_is_not_utf8(tmp_path, capsys):
+    src = tmp_path / "utf16.json"
+    src.write_bytes(b"\xff\xfe{}")
+    code, out, err = run(capsys, "map", "--which", "phi", "--input", str(src))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"map: cannot read {src}: ") and len(err.splitlines()) == 1
+
+
 def test_verify_human_output(capsys):
     code, out, _ = run(capsys, "verify", "--claim", "thm1")
     assert code == 0

@@ -1,5 +1,6 @@
 import math
 import random
+from collections import defaultdict
 from fractions import Fraction
 from functools import lru_cache
 
@@ -61,8 +62,8 @@ def test_c_table_transpose_symmetric():
 @pytest.mark.parametrize("max_n,max_k", [(0, 0), (0, 4), (9, 2), (3, 11)])
 def test_c_table_columns_equal_c_number_cells(max_n, max_k):
     # c_table builds each column from one series division; with the store
-    # emptied, c_number then divides once per new largest n of a column,
-    # row by row, so each cell comes from its own truncation order
+    # emptied, c_number then grows each column by one division step per
+    # new largest n, row by row, so each cell comes from its own order
     table = c_table(max_n, max_k)
     numbers._quotients.clear()
     assert table == [[c_number(n, k) for k in range(max_k + 1)] for n in range(max_n + 1)]
@@ -71,7 +72,7 @@ def test_c_table_columns_equal_c_number_cells(max_n, max_k):
 def test_columns_equal_the_single_values_on_the_full_triangles():
     # the triangles the pb-zero (n <= 20) and thm1 (n <= 16) claims read
     # (the store is emptied after each column, so that each single value
-    # is read from a quotient built at its own order)
+    # is read from a quotient grown to its own order)
     for j in range(21):
         column = poly_bernoulli_b_column(-j, 20 - j)
         numbers._quotients.clear()
@@ -120,12 +121,104 @@ def test_c_number_and_poly_bernoulli_c_share_one_quotient(kernel_calls):
 
 def test_row_major_c_number_sweep_builds_the_powers_of_w_once_per_new_order(kernel_calls):
     # the numbers benchmark asks c_number(n, k) row by row, n outer: every
-    # row rebuilds each column one term longer, and the first column of the
-    # row builds the one table of the powers of w that the others read
+    # row grows each column one term longer, and the first column of the
+    # row grows the one table of the powers of w that the others read
     table = [[c_number(n, k) for k in range(19)] for n in range(19)]
     assert kernel_calls == {"table": 19, "divide": 361}
     assert table == c_table(18, 18)
     assert kernel_calls == {"table": 19, "divide": 361}
+
+
+GROWN_KEYS = [("g",), ("b", -3), ("b", 0), ("b", 2), ("c", -1), ("c", -6), ("c", 1), ("w",)]
+_orders = st.lists(st.integers(min_value=0, max_value=30), min_size=1, max_size=8)
+ORDER_SEQUENCES = st.one_of(_orders.map(sorted), _orders, _orders.map(lambda xs: xs + xs))
+
+
+def _storage(entry):
+    """What a stored entry holds: a quotient compares by its storage, a
+    table by its columns and their denominators."""
+    return (entry._cols, entry._dens) if isinstance(entry, PowerTable) else entry
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(GROWN_KEYS), ORDER_SEQUENCES)
+def test_a_grown_entry_equals_the_entry_built_cold_at_its_order(key, orders):
+    numbers._quotients.clear()
+    for i, order in enumerate(orders):
+        grown = numbers._quotient(order, *key)
+        assert grown.order == max(orders[:i + 1])  # exactly the largest order asked
+        kept = dict(numbers._quotients)
+        numbers._quotients.clear()
+        cold = numbers._quotient(grown.order, *key)
+        numbers._quotients.clear()
+        numbers._quotients.update(kept)
+        assert _storage(grown) == _storage(cold), (key, orders[:i + 1])
+        if key == ("w",):  # compose stays the oracle of the table
+            w = one_minus_exp_neg(order)
+            for outer in (polylog_series(k, order) for k in (-4, 0, 3)):
+                assert grown.evaluate(outer) == outer.compose(w)
+
+
+@pytest.fixture
+def computed(monkeypatch) -> dict:
+    """The coefficient indices each build computes, in order, per stored
+    key: quotient coefficients under the key, numerator coefficients of
+    Li_k(w) under (*key, "numerator"), table columns under ("w",)."""
+    indices, keys = defaultdict(list), []
+    for family, build in numbers._BUILDERS.items():
+        def tracked(*args, family=family, build=build):
+            keys.append((family, *args[:-2]))
+            try:
+                return build(*args)
+            finally:
+                keys.pop()
+
+        monkeypatch.setitem(numbers._BUILDERS, family, tracked)
+
+    def first_new(prefix):
+        return 0 if prefix is None else prefix.order + 1
+
+    divide, table, evaluate = TruncatedSeries.divide, PowerTable.__init__, PowerTable.evaluate
+
+    def counted_divide(self, divisor, prefix=None):
+        quotient = divide(self, divisor, prefix)
+        indices[keys[-1]].extend(range(first_new(prefix), quotient.order + 1))
+        return quotient
+
+    def counted_table(self, inner, prefix=None):
+        table(self, inner, prefix)
+        indices[keys[-1]].extend(range(first_new(prefix), self.order + 1))
+
+    def counted_evaluate(self, outer, start=0):
+        indices[(*keys[-1], "numerator")].extend(range(start, outer.order + 1))
+        return evaluate(self, outer, start)
+
+    monkeypatch.setattr(TruncatedSeries, "divide", counted_divide)
+    monkeypatch.setattr(PowerTable, "__init__", counted_table)
+    monkeypatch.setattr(PowerTable, "evaluate", counted_evaluate)
+    return indices
+
+
+def test_row_major_sweep_computes_each_coefficient_once(computed):
+    # the numbers benchmark's C-table lookups: every row grows each column,
+    # and the table of the powers of w, by one term
+    table = [[c_number(n, k) for k in range(19)] for n in range(19)]
+    expected = {("w",): list(range(20))}
+    for k in range(19):
+        expected[("c", -k - 1)] = list(range(19))
+        expected[("c", -k - 1, "numerator")] = list(range(20))
+    assert computed == expected
+    numbers._quotients.clear()
+    assert table == c_table(18, 18)
+
+
+def test_shuffled_genocchi_computes_each_coefficient_once(computed):
+    order = list(range(81))
+    random.Random(3).shuffle(order)
+    values = {n: genocchi(n) for n in order}
+    assert computed == {("g",): list(range(81))}
+    numbers._quotients.clear()
+    assert [values[n] for n in range(81)] == genocchi_list(80)
 
 
 @pytest.mark.parametrize("stored", [None, 30], ids=["cold", "prefix-of-30"])
@@ -133,20 +226,20 @@ def test_polylog_of_w_equals_compose(stored, kernel_calls):
     # the table route against the general kernel, with the table built at
     # exactly each order or read as a prefix of the one built at order 30
     if stored is not None:
-        numbers._polylog_of_w(0, stored)
+        numbers._polylog_of_w(0, stored, None)
     for order in range(31):
         w = one_minus_exp_neg(order)
         for k in range(-8, 5):
             if stored is None:
                 numbers._quotients.clear()
-            expected = (w, polylog_series(k, order).compose(w))
-            assert numbers._polylog_of_w(k, order) == expected, (k, order)
+            expected = polylog_series(k, order).compose(w)
+            assert numbers._polylog_of_w(k, order, None) == expected, (k, order)
     tables = 31 * 13 if stored is None else 1
     assert kernel_calls == {"table": tables, "compose": 31 * 13}
 
 
 def test_single_lookups_build_at_their_own_order(monkeypatch):
-    # a value at index n builds its quotient at order n, from operands of
+    # a value at index n grows its quotient to order n, from operands of
     # order at most n + 1 (one extra term for a divisor of valuation 1)
     operands = []
     for owner, name in ((TruncatedSeries, "compose"), (TruncatedSeries, "divide"),
@@ -154,7 +247,9 @@ def test_single_lookups_build_at_their_own_order(monkeypatch):
         kernel = getattr(owner, name)
         monkeypatch.setattr(
             owner, name,
-            lambda self, other, kernel=kernel: operands.append(other.order) or kernel(self, other),
+            lambda self, other, *prefix, kernel=kernel: (
+                operands.append(other.order) or kernel(self, other, *prefix)
+            ),
         )
     lookups = {
         ("g",): genocchi,
