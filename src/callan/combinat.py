@@ -148,12 +148,25 @@ class CallanSequence:
 @dataclass(frozen=True)
 class _Barred:
     """The shape of an m-barred sequence and of a psi-b intermediate, which
-    never equal each other: equality compares the class too."""
+    never equal each other: equality compares the class too.  An object
+    that unpack makes without a memo, as the wire reader and the public
+    maps do, keeps its packed form and builds `elements` the first time it
+    is read; pack returns that form and the writers write from it."""
 
     m: int
     k: int
     n: int
     elements: tuple[Element, ...]
+
+    def __getattr__(self, name: str):
+        # reached only for an attribute that is not set: the elements of an
+        # object that is kept packed, until they are first read
+        packed = self.__dict__.get("_packed")
+        if name != "elements" or packed is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        elements = tuple(map(_element, _keys(packed[3])))
+        object.__setattr__(self, "elements", elements)
+        return elements
 
     def __str__(self) -> str:
         return "".join(str(e) for e in self.elements)
@@ -217,12 +230,18 @@ class DumontPermutation:
 # a blue bar, 2*label + 1 for a red one, which is the Dumont reading) and
 # blue and red are the pair's blocks as bitmasks (bit x for member x).  The
 # last slot holds the extra pair.  The psi-b intermediate packs the same
-# way.  Objects are built from the packed form only at the boundary:
-# enumerate_mbarred, the public maps (_checked), and the counterexamples of
-# reports.
+# way.  At the boundary the packed form is what objects are made from: the
+# wire reader (_from_wire) checks the JSON and builds the slots in one walk,
+# and the public maps (_checked) and the counterexamples of reports unpack.
+# Such an object keeps its slots, and its Bar and CallanPair elements are
+# built only when they are read; the writers write its text from the
+# slots.  enumerate_mbarred builds its elements at once, each distinct one
+# once per call, and a map's image of such an object does too (_checked).
 # pack holds an object of any shape, so that validate_packed can name the
 # rule it breaks: a slot whose blocks are None follows a pair whose extra
 # flag does not fit its place, and holds the bars after the last pair.
+# Wire input of such a shape, or with a block member outside 0..2**20-1,
+# is built from elements, and pack reads it as it reads any object.
 
 Slot = tuple[tuple[int, ...], int, int]
 Packed = tuple[int, int, int, tuple[Slot, ...]]
@@ -242,8 +261,14 @@ def _bar(code: int) -> Bar:
     return Bar(RED if code & 1 else BLUE, code >> 1)
 
 
-def _pair(blue: int, red: int, is_extra: bool) -> CallanPair:
-    return CallanPair(frozenset(_members(blue)), frozenset(_members(red)), is_extra)
+def _pair(blue, red, is_extra: bool) -> CallanPair:
+    """The pair of two blocks, each a bitmask, or a frozenset where the
+    wire reader met a member that no bitmask holds (_wire_block)."""
+    return CallanPair(_block_set(blue), _block_set(red), is_extra)
+
+
+def _block_set(block) -> frozenset[int]:
+    return block if isinstance(block, frozenset) else frozenset(_members(block))
 
 
 class _Memo(dict):
@@ -274,11 +299,16 @@ def _keys(slots: tuple[Slot, ...]) -> Iterator:
 
 def unpack(packed: Packed, cls=MBarredSequence, memo: _Memo | None = None):
     """The object of a packed sequence, or of a packed intermediate when
-    `cls` is PsiIntermediate.  Each element is looked up in `memo`, a _Memo
-    of _element, so a caller that keeps it builds each once; one seeded
-    with an object's elements under their keys reuses them."""
+    `cls` is PsiIntermediate.  Without `memo` the object keeps `packed` and
+    builds its elements when they are first read.  With one, a _Memo of
+    _element, the elements are built now and each is looked up there, so a
+    caller that keeps it builds each once; one seeded with an object's
+    elements under their keys reuses them."""
     m, k, n, slots = packed
-    memo = _Memo(_element) if memo is None else memo
+    if memo is None:
+        obj = object.__new__(cls)
+        obj.__dict__.update(m=m, k=k, n=n, _packed=packed)
+        return obj
     return cls(m, k, n, tuple(map(memo.__getitem__, _keys(slots))))
 
 
@@ -300,8 +330,12 @@ def _mask(block: frozenset[int], what: str) -> int:
 
 def pack(obj, what: str) -> Packed:
     """The packed form of a sequence or of a psi-b intermediate, of any
-    shape (see above).  A block member that is negative or not below 2**20
-    has no bit that fits and is refused with DomainError, named by `what`."""
+    shape (see above): the one it keeps, if unpack made it.  A block member
+    that is negative or not below 2**20 has no bit that fits and is refused
+    with DomainError, named by `what`."""
+    kept = obj.__dict__.get("_packed")
+    if kept is not None:
+        return kept
     slots = []
     run: list[int] = []
     for i, e in enumerate(obj.elements, 1 - len(obj.elements)):  # i == 0 at the end
@@ -431,16 +465,18 @@ def _require_mbarred(seq: Packed, what: str, outside=None, error=DomainError) ->
 def _checked(core, accepts=None, emits=None, result=MBarredSequence):
     """The public map of `core`, a map on the packed form.  The map packs
     its argument once, checks it, runs the core, checks the packed result
-    and decodes it into `result` (None passes a phi case through), reusing
-    the argument's elements where the core left them unchanged.  `accepts`
-    and `emits` are (what, set) pairs: an argument that is no valid
-    sequence of its set is refused with DomainError("what (reason)"), and
-    such a result raises ConsistencyError, but for one that breaks only the
-    size limit, whose argument lies at that limit: DomainError.  `emits`
-    None leaves the result unchecked; `accepts` None takes an intermediate,
-    which has no validator of its own, and refuses one the cores cannot
-    take (bad sizes, the extra pair not last) in the name of the map.  The
-    map's `with_packed` does the same and returns (packed argument, packed
+    and decodes it into `result` (None passes a phi case through).  The
+    result keeps its packed form, unless the argument's elements are built:
+    then the result's are built too, reusing the argument's where the core
+    left them unchanged.  `accepts` and `emits` are (what, set) pairs: an
+    argument that is no valid sequence of its set is refused with
+    DomainError("what (reason)"), and such a result raises
+    ConsistencyError, but for one that breaks only the size limit, whose
+    argument lies at that limit: DomainError.  `emits` None leaves the
+    result unchecked; `accepts` None takes an intermediate, which has no
+    validator of its own, and refuses one the cores cannot take (bad
+    sizes, the extra pair not last) in the name of the map.  The map's
+    `with_packed` does the same and returns (packed argument, packed
     result, result), for a caller that reads the packed forms too."""
     what = core.__name__[1:]
 
@@ -462,6 +498,8 @@ def _checked(core, accepts=None, emits=None, result=MBarredSequence):
             if why and not _broken_rule(out) and emits[1](*packed_marks(out)) is None:
                 raise DomainError(f"{what}: the image of this input breaks the size limit ({why})")
             _require_mbarred(out, *emits, ConsistencyError)
+        if "elements" not in arg.__dict__:  # none built, none to reuse: the image stays packed
+            return seq, out, unpack(out, result)
         memo = _Memo(_element)
         memo.update(zip(_keys(slots), arg.elements))  # accepted: no slot is None
         return seq, out, unpack(out, result, memo)
@@ -608,7 +646,13 @@ def _bar_runs(m: int, runs: int) -> Iterator[tuple[tuple[int, ...], ...]]:
                 used[code] = False
 
     if runs:  # without a run, the bars have no place
-        yield from rec(0, top)
+        try:
+            yield from rec(0, top)
+        except RecursionError:  # rec nests once per bar, before it yields anything
+            raise ValueError(
+                f"m = {m}: the bar search nests once per bar, and {top} bars pass "
+                "Python's recursion limit"
+            ) from None
 
 
 def enumerate_packed(k: int, n: int, m: int) -> Iterator[Packed]:
@@ -795,36 +839,42 @@ def dumont_to_mbarred(perm: DumontPermutation) -> MBarredSequence:
 # the readers build the class they are asked for; the intermediate's names
 # below, which bijections exports, are the same codec.  The key order is part
 # of the format, because the canonical form is compared byte for byte.  The
-# text writers (_element_wire, _wire_json, packed_lines) are the only
-# writers of the format; the dict form (to_json_dict) is the parse of their
-# text.
+# text writers (_bar_wire and _pair_wire, fed from element objects by
+# _element_wire and from packed slots by _key_wire and _slots_wire, then
+# _wire_json and packed_lines) are the only writers of the format; the dict
+# form (to_json_dict) is the parse of their text.  The reader checks the
+# shape of each element once (_wire_key) and builds the packed slots.
 
 _SEQUENCE_KEYS = frozenset({"m", "k", "n", "elements"})
 _INTERMEDIATE_KEYS = _SEQUENCE_KEYS | {"intermediate"}
 _INT = frozenset({int})
 
 
-def _element_from_json(d) -> Element:
+def _wire_key(d):
+    """The _element key of one wire element, once its shape is checked: a
+    bar's code, or (blue, red, extra) for a pair, with blocks from
+    _wire_block.  This is the one statement of the element shape rules."""
     # A dict of the documented size whose documented keys all hold
     # acceptable values has no other key: .get gives None for a missing
     # key, and no check accepts None.
     if isinstance(d, dict) and len(d) == 1:
-        bar, pair = d.get("bar"), d.get("pair")
-        if isinstance(bar, dict) and len(bar) == 2:
-            color, label = bar.get("color"), bar.get("label")
-            if color in (BLUE, RED) and type(label) is int:  # not bool
-                return Bar(color, label)
-        elif isinstance(pair, dict) and len(pair) == 3:
-            blue, red, extra = pair.get("blue"), pair.get("red"), pair.get("extra")
-            if (
-                type(extra) is bool
-                and isinstance(blue, list)
-                and isinstance(red, list)
-                and _INT.issuperset(map(type, blue + red))  # not bool
-            ):
-                blue_block, red_block = frozenset(blue), frozenset(red)
-                if len(blue_block) == len(blue) and len(red_block) == len(red):
-                    return CallanPair(blue_block, red_block, extra)
+        bar = d.get("bar")
+        if bar is not None:
+            if isinstance(bar, dict) and len(bar) == 2:
+                color, label = bar.get("color"), bar.get("label")
+                if type(label) is int:  # not bool
+                    if color == RED:
+                        return 2 * label + 1
+                    if color == BLUE:
+                        return 2 * label
+        else:
+            pair = d.get("pair")
+            if isinstance(pair, dict) and len(pair) == 3:
+                blue, red, extra = pair.get("blue"), pair.get("red"), pair.get("extra")
+                if type(extra) is bool and isinstance(blue, list) and isinstance(red, list):
+                    blue, red = _wire_block(blue), _wire_block(red)
+                    if blue is not None and red is not None:
+                        return blue, red, extra
     raise ValueError(
         f"malformed element {d!r}: expected "
         '{"bar": {"color": "blue" or "red", "label": integer}} or '
@@ -833,17 +883,65 @@ def _element_from_json(d) -> Element:
     )
 
 
+def _wire_block(members: list) -> int | frozenset[int] | None:
+    """The bitmask of a block's members; their frozenset if one of them is
+    an int that has no bit in the packed form (outside 0..2**20-1); None
+    if one is no int (bool is none here) or one repeats."""
+    mask = 0
+    for x in members:
+        if type(x) is not int or not 0 <= x < _PACKED_LIMIT:
+            break
+        mask |= 1 << x
+    else:
+        return mask if mask.bit_count() == len(members) else None  # a repeat sets no new bit
+    if not _INT.issuperset(map(type, members)):
+        return None
+    block = frozenset(members)
+    return block if len(block) == len(members) else None
+
+
+def _bar_wire(color: str, label) -> str:
+    return f'{{"bar":{{"color":"{color}","label":{label}}}}}'
+
+
+# The text of the bar with code c is _BAR_WIRE[c & 1] % (c >> 1).
+_BAR_WIRE = (_bar_wire(BLUE, "%d"), _bar_wire(RED, "%d"))
+
+
+def _pair_wire(blue: Iterable[int], red: Iterable[int], extra: bool) -> str:
+    blue, red = ",".join(map(str, blue)), ",".join(map(str, red))
+    flag = "true" if extra else "false"
+    return f'{{"pair":{{"blue":[{blue}],"red":[{red}],"extra":{flag}}}}}'
+
+
 def _element_wire(e: Element) -> str:
     """The canonical text of one element, {"bar": {"color", "label"}} or
     {"pair": {"blue", "red", "extra"}} with blocks ascending.  Labels and
     block members are ints and the colors are BLUE or RED, so none of them
     needs escaping."""
     if isinstance(e, Bar):
-        return f'{{"bar":{{"color":"{e.color}","label":{e.label}}}}}'
-    blue = ",".join(map(str, sorted(e.blue)))
-    red = ",".join(map(str, sorted(e.red)))
-    extra = "true" if e.is_extra else "false"
-    return f'{{"pair":{{"blue":[{blue}],"red":[{red}],"extra":{extra}}}}}'
+        return _bar_wire(e.color, e.label)
+    return _pair_wire(sorted(e.blue), sorted(e.red), e.is_extra)
+
+
+def _key_wire(key) -> str:
+    """_element_wire of the element of a packed key, written from its bar
+    code or bitmasks without building the element."""
+    if isinstance(key, int):
+        return _BAR_WIRE[key & 1] % (key >> 1)
+    blue, red, extra = key
+    return _pair_wire(_members(blue), _members(red), extra)
+
+
+def _slots_wire(slots: tuple[Slot, ...]) -> list[str]:
+    """_key_wire of each key of the slots, in element order (_keys)."""
+    last = len(slots) - 1
+    parts = []
+    for i, (run, blue, red) in enumerate(slots):
+        for code in run:
+            parts.append(_BAR_WIRE[code & 1] % (code >> 1))
+        parts.append(_pair_wire(_members(blue), _members(red), i == last))
+    return parts
 
 
 def _wire_head(m: int, k: int, n: int, intermediate: bool) -> str:
@@ -854,23 +952,25 @@ def _wire_head(m: int, k: int, n: int, intermediate: bool) -> str:
 def _wire_json(obj: _Barred) -> str:
     """The canonical text of a sequence or of a psi-b intermediate: the
     keys m, k, n, the marker for an intermediate, then elements, without
-    whitespace."""
-    body = ",".join(map(_element_wire, obj.elements))
-    return f"{_wire_head(obj.m, obj.k, obj.n, isinstance(obj, PsiIntermediate))}{body}]}}"
+    whitespace.  An object that keeps its packed form is written from it."""
+    packed = obj.__dict__.get("_packed")
+    parts = map(_element_wire, obj.elements) if packed is None else _slots_wire(packed[3])
+    head = _wire_head(obj.m, obj.k, obj.n, isinstance(obj, PsiIntermediate))
+    return f"{head}{','.join(parts)}]}}"
 
 
 def packed_lines(stream: Iterable[Packed], as_json: bool) -> Iterator[str]:
     """The canonical JSON text (as canonical_json writes it) or the display
     text (as str) of each packed sequence in `stream`, written straight
     from the slots.  Each distinct bar, pair and head is rendered once per
-    call, through the element writers of the objects, and then looked up;
-    bar runs are not kept, since most of a bar-heavy cell's are distinct.
-    In JSON a separator follows every element but the last, which is the
-    extra pair."""
-    sep, text = (",", _element_wire) if as_json else ("", str)
-    bar = _Memo(lambda code: f"{text(_bar(code))}{sep}").__getitem__
-    ordinary = _Memo(lambda blocks: f"{text(_pair(*blocks, False))}{sep}")
-    extra = _Memo(lambda blocks: text(_pair(*blocks, True)))
+    call, through the element writers, and then looked up; bar runs are not
+    kept, since most of a bar-heavy cell's are distinct.  In JSON a
+    separator follows every element but the last, which is the extra
+    pair."""
+    sep, text = (",", _key_wire) if as_json else ("", lambda key: str(_element(key)))
+    bar = _Memo(lambda code: f"{text(code)}{sep}").__getitem__
+    ordinary = _Memo(lambda blocks: f"{text((*blocks, False))}{sep}")
+    extra = _Memo(lambda blocks: text((*blocks, True)))
     heads = _Memo(lambda sizes: _wire_head(*sizes, False) if as_json else "")
     tail = "]}" if as_json else ""
     for m, k, n, slots in stream:
@@ -887,7 +987,12 @@ def packed_lines(stream: Iterable[Packed], as_json: bool) -> Iterator[str]:
 def _from_wire(data, cls: type[_Barred]) -> _Barred:
     """Parse the wire form strictly into a `cls`, MBarredSequence or
     PsiIntermediate.  These are shape checks only: the maps validate the
-    combinatorial rules on what they accept or emit."""
+    combinatorial rules on what they accept or emit.  One walk checks each
+    element (_wire_key) and builds the packed slots, and the object keeps
+    them (unpack).  Input that the slots cannot hold (an empty element
+    list, an extra pair out of place, bars after the last pair, a block
+    member outside 0..2**20-1) is built from its elements instead; every
+    map refuses it."""
     intermediate = cls is PsiIntermediate
     what = "intermediate object" if intermediate else "sequence object"
     if not isinstance(data, dict):
@@ -908,7 +1013,23 @@ def _from_wire(data, cls: type[_Barred]) -> _Barred:
     elements = data["elements"]
     if not isinstance(elements, list):
         raise ValueError(f"elements must be an array, not {elements!r}")
-    return cls(data["m"], data["k"], data["n"], tuple(map(_element_from_json, elements)))
+    m, k, n = data["m"], data["k"], data["n"]
+    slots, run = [], []
+    last = len(elements) - 1
+    for i, d in enumerate(elements):
+        key = _wire_key(d)
+        if type(key) is int:
+            run.append(key)
+            continue
+        blue, red, extra = key
+        if extra is not (i == last) or type(blue) is not int or type(red) is not int:
+            break  # a flag out of place, or a member that no bitmask holds
+        slots.append((tuple(run), blue, red))
+        run = []
+    else:
+        if slots and not run:  # the extra pair ends the list
+            return unpack((m, k, n, tuple(slots)), cls)
+    return cls(m, k, n, tuple(_element(_wire_key(d)) for d in elements))
 
 
 def to_json_dict(seq: MBarredSequence) -> dict:

@@ -461,6 +461,41 @@ def test_maps_reproduce_pinned_images(name):
     assert digest.hexdigest() == PINNED_IMAGES[name]
 
 
+def test_objects_kept_packed_agree_with_objects_built_from_elements():
+    # A decoded object and a map's image of one keep the packed form and
+    # build no elements until they are read.  They equal, hash, print,
+    # write and pack as the objects that enumerate_mbarred and the maps
+    # build from elements; psi_b's images, intermediates, are also decoded
+    # from their text.
+    seen = 0
+    for k in range(7):
+        for n in range(7 - k):
+            for m in range((6 - k - n) // 2 + 1):
+                for built in enumerate_mbarred(k, n, m):
+                    decoded = from_json_dict(json.loads(canonical_json(built)))
+                    pairs = [(built, decoded)]
+                    for fn in (phi, phi_inverse, psi, psi_b, relabel_max_min):
+                        try:
+                            image = fn(built)
+                        except DomainError:
+                            continue
+                        pairs.append((image, fn(decoded)))
+                        if fn is psi_b:
+                            text = canonical_intermediate_json(image)
+                            pairs.append((image, intermediate_from_json_dict(json.loads(text))))
+                    for eager, lazy in pairs:
+                        assert "elements" in vars(eager) and "elements" not in vars(lazy)
+                        assert canonical_json(lazy) == canonical_json(eager)
+                        assert pack(lazy, "test") == pack(eager, "test")
+                        assert "elements" not in vars(lazy)
+                        assert type(lazy) is type(eager)
+                        assert lazy == eager and eager == lazy and hash(lazy) == hash(eager)
+                        assert str(lazy) == str(eager) and lazy.elements == eager.elements
+                        seen += 1
+    # the sequences, then the images of phi, phi_inverse, psi, relabel and psi_b (twice)
+    assert seen == 2192 + 972 + 972 + 226 + 413 + 2 * 226
+
+
 def test_maps_reuse_the_argument_elements_they_leave_unchanged():
     # an accepted argument's elements seed the decoding of its image, so an
     # element the map left unchanged is the argument's own object

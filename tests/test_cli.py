@@ -11,6 +11,7 @@ import pytest
 
 import callan
 from callan.cli import main
+from callan.combinat import BLUE, RED, Bar, CallanPair
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -179,6 +180,18 @@ def test_enumerate_callan_text_lines(capsys):
 def test_enumerate_mbarred_refuses_missing_or_negative_sizes(capsys, argv, reason):
     code, out, err = run(capsys, "enumerate", "--kind", "mbarred", *argv)
     assert (code, out, err) == (2, "", f"enumerate: {reason}\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ("--kind", "mbarred", "--k", "0", "--n", "0", "--m", "600"),
+    ("--kind", "mbarred", "--k", "0", "--n", "0", "--m", "600", "--count-only"),
+    ("--kind", "dumont", "--n", "1200"),
+])
+def test_enumerate_refuses_a_bar_search_deeper_than_the_recursion_limit(capsys, argv):
+    # the bar search nests once per bar: 1201 bars fail before any output
+    code, out, err = run(capsys, "enumerate", *argv)
+    reason = "the bar search nests once per bar, and 1201 bars pass Python's recursion limit"
+    assert (code, out, err) == (2, "", f"enumerate: m = 600: {reason}\n")
 
 
 def test_readme_map_example_prints_its_case(tmp_path, capsys):
@@ -412,6 +425,88 @@ def test_map_psi_r_refuses_what_the_packed_form_cannot_hold(tmp_path, capsys, na
     doc = mutate(json.loads((GOLDEN / "psi_b.json").read_text())["output"])
     code, out, err = _map(tmp_path, capsys, "psi-r", doc)
     assert (code, out, err) == (1, "", f"map: psi_r: {reason}\n")
+
+
+def _pair(blue, red, extra):
+    return CallanPair(frozenset(blue), frozenset(red), extra)
+
+
+# Shape-valid input that the packed slots cannot hold, each one fault
+# away from WELLFORMED, and a huge bar label, which they hold though no
+# map takes it.  Per input: the mutation, the elements that the reader
+# gives, the reason of validate_mbarred and psi-r's reason for the same
+# elements as an intermediate.  These were recorded while the reader still
+# built every input from its elements.
+_ORDINARY = _pair([1], [1], False)
+_EXTRA = _pair([], [], True)
+UNHELD = {
+    "member-negative": (
+        _set("elements", 1, "pair", "blue", [-1]),
+        (Bar(RED, 0), _pair([-1], [1], False), _EXTRA),
+        "partition: block member -1 is negative", "block member -1 is negative",
+    ),
+    "member-2**20": (
+        _set("elements", 1, "pair", "red", [1 << 20]),
+        (Bar(RED, 0), _pair([1], [1 << 20], False), _EXTRA),
+        "partition: block member 1048576 is out of range", "block member 1048576 is out of range",
+    ),
+    "extra-pair-not-last": (
+        _set("elements", 1, "pair", "extra", True),
+        (Bar(RED, 0), _pair([1], [1], True), _EXTRA),
+        "extra-pair: exactly one extra pair required",
+        "intermediate has an extra pair before its end",
+    ),
+    "ordinary-pair-last": (
+        _set("elements", 2, "pair", "extra", False),
+        (Bar(RED, 0), _ORDINARY, _pair([], [], False)),
+        "last-element: final pair is not the extra pair",
+        "intermediate must end with the extra pair",
+    ),
+    "bar-after-extra-pair": (
+        lambda doc: doc["elements"].append({"bar": {"color": "blue", "label": 1}}) or doc,
+        (Bar(RED, 0), _ORDINARY, _EXTRA, Bar(BLUE, 1)),
+        "bar-multiset: blue label 1 is stray, labels 1..0",
+        "intermediate must end with the extra pair",
+    ),
+    "no-elements": (
+        _set("elements", []), (), "last-element: sequence is empty",
+        "intermediate must end with the extra pair",
+    ),
+    "huge-label": (
+        _set("elements", 0, "bar", "label", 10**30),
+        (Bar(RED, 10**30), _ORDINARY, _EXTRA),
+        "bar-multiset: red label 0 is missing, labels 0..0",
+        "intermediate extra red block may not be empty here",
+    ),
+}
+MAP_NAMES = {
+    "phi": "phi", "phi-inv": "phi_inverse", "psi": "psi", "psi-b": "psi_b",
+    "psi-r": "psi_r", "relabel": "relabel_max_min",
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNHELD))
+def test_input_the_packed_form_cannot_hold_reads_and_fails_as_before(tmp_path, capsys, name):
+    from callan.bijections import intermediate_from_json_dict
+    from callan.combinat import from_json_dict, validate_mbarred
+
+    mutate, elements, reason, psi_r_reason = UNHELD[name]
+    doc = mutate(json.loads(json.dumps(WELLFORMED)))
+    inter = dict(doc, intermediate=True)
+    for obj in (from_json_dict(doc), intermediate_from_json_dict(inter)):
+        # only the huge label is held by the slots, and read from them
+        assert ("elements" in vars(obj)) == (name != "huge-label")
+        assert obj.elements == elements
+        assert validate_mbarred(obj) == (False, reason)
+    for which, what in MAP_NAMES.items():
+        code, out, err = _map(tmp_path, capsys, which, inter if which == "psi-r" else doc)
+        if reason.startswith("partition: "):  # a member without a bit: refused by pack
+            expected = f"map: {what}: {reason.removeprefix('partition: ')}\n"
+        elif which == "psi-r":
+            expected = f"map: psi_r: {psi_r_reason}\n"
+        else:
+            expected = f"map: {SIZE_REFUSALS[which]} ({reason})\n"
+        assert (code, out, err) == (1, "", expected), which
 
 
 # Every other map validates its input, and the validator's first rule is
