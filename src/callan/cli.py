@@ -39,14 +39,34 @@ from .errors import ConsistencyError, DomainError
 __all__ = ["main"]
 
 
+def _ints_of_any_length(command):
+    """The command, with Python's limit on int-to-text conversion (4,300
+    digits, from 3.10.7) lifted while it runs: the limit guards the parsing
+    of untrusted text, and the number commands only print what they computed."""
+
+    def run(args: argparse.Namespace) -> int:
+        if not hasattr(sys, "set_int_max_str_digits"):  # an interpreter without the limit
+            return command(args)
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            return command(args)
+        finally:
+            sys.set_int_max_str_digits(limit)
+
+    return run
+
+
+@_ints_of_any_length
 def _cmd_genocchi(args: argparse.Namespace) -> int:
     if args.max < 0:
         raise ValueError("--max must be nonnegative")
-    for n, value in enumerate(numbers.genocchi_list(args.max)):
-        print(f"{n} {value}")
+    for n in range(args.max + 1):
+        print(f"{n} {numbers.genocchi(n)}")
     return 0
 
 
+@_ints_of_any_length
 def _cmd_number(args: argparse.Namespace) -> int:
     if args.family == "ctable":
         max_n = 5 if args.n is None else args.n

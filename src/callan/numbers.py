@@ -1,7 +1,24 @@
-"""Integer and rational number families extracted from exponential
-generating functions: Genocchi numbers, the two poly-Bernoulli variants,
-and the symmetric table of positive integers counted by barred Callan
-sequences.
+"""Integer and rational number families: Genocchi numbers, the two
+poly-Bernoulli variants, and the symmetric table of positive integers
+counted by barred Callan sequences.
+
+Two routes compute them, and each public function reads one:
+
+* Single integer values read exact integer formulas, which multiply only
+  by small integers.  genocchi(n) reads the Gandhi recurrence
+  A(0, x) = x, A(m+1, x) = x^2 (A(m, x+1) - A(m, x)) with
+  G_2j = (-1)^j A(j-1, 1) (Dumont and Foata).  c_number(n, k), and
+  poly_bernoulli_b and poly_bernoulli_c at a negative upper index, read
+  the explicit Stirling sum (Arakawa and Kaneko)
+  B(n, -k) = (-1)^n sum_m (-1)^m m! S(n, m) (m+1)^k, or its C-variant,
+  over the smaller index: both families are symmetric in their two
+  indices, so the larger one is only an exponent.
+* Columns and rational values read exponential generating functions:
+  genocchi_list reads 2t / (e^t + 1); poly_bernoulli_b_column, c_column
+  and c_table, and poly_bernoulli_b and poly_bernoulli_c at a nonnegative
+  upper index, read Li_k(1 - e^{-t}) divided by 1 - e^{-t} or e^t - 1.
+  The identities the harness certifies read these columns, and the tests
+  check the two routes against each other.
 
 Every value is computed exactly; whenever a value is asserted to be an
 integer (or a positive integer), that fact is checked after the fact and a
@@ -34,7 +51,7 @@ __all__ = [
 ]
 
 
-def _require_integer(value: Fraction, what: str) -> int:
+def _require_integer(value: Fraction | int, what: str) -> int:
     if value.denominator != 1:
         raise ConsistencyError(f"{what} extracted a non-integer {value}; series bug")
     return int(value)
@@ -76,28 +93,82 @@ def _c_quotient(k: int, order: int, prefix: TruncatedSeries | None) -> Truncated
     return _polylog_of_w(k, order + 1, prefix).divide(expm1_series(order + 1), prefix)
 
 
+class _Rows(list):
+    """Rows 0..order of an integer recurrence; a longer entry is a new
+    object that copies the shorter one's rows and computes only the rest."""
+
+    @property
+    def order(self) -> int:
+        return len(self) - 1
+
+
+def _next_stirling_row(row: list[int]) -> list[int]:
+    """F[n] from F[n-1], by F[n][r] = (r+1) F[n-1][r] + r F[n-1][r-1]."""
+    return [(r + 1) * a + r * b for r, (a, b) in enumerate(zip(row + [0], [0] + row))]
+
+
+def _stirling_rows(order: int, prefix: _Rows | None) -> _Rows:
+    """F[n][r] = r! S(n+1, r+1) for n = 0..order and r = 0..n."""
+    rows = _Rows([[1]] if prefix is None else prefix)
+    while rows.order < order:
+        rows.append(_next_stirling_row(rows[-1]))
+    return rows
+
+
+def _next_gandhi_diagonal(diagonal: list[int]) -> list[int]:
+    """A(j, m+2-j) for j = 0..m+1 from the anti-diagonal A(j, m+1-j),
+    j = 0..m, by A(0, x) = x and A(j, x) = x^2 (A(j-1, x+1) - A(j-1, x))."""
+    x = len(diagonal) + 1
+    nxt = [x]
+    for below in diagonal:
+        x -= 1
+        nxt.append(x * x * (nxt[-1] - below))
+    return nxt
+
+
+def _gandhi_rows(order: int, prefix: _Rows | None) -> _Rows:
+    """A(m, 1) for m = 0..order.  The entry keeps the last anti-diagonal,
+    A(j, order+1-j) for j = 0..order, which the next row grows from."""
+    if prefix is None:
+        rows, diagonal = _Rows([1]), [1]
+    else:
+        rows, diagonal = _Rows(prefix), prefix.diagonal
+    while rows.order < order:
+        diagonal = _next_gandhi_diagonal(diagonal)
+        rows.append(diagonal[-1])
+    rows.diagonal = diagonal
+    return rows
+
+
 # The coefficient [t^n] of a quotient does not depend on the order it is
 # truncated at.  So one store keeps one quotient per series, at the largest
 # order asked so far, under ("g",), ("b", k) or ("c", k) for the upper
-# index k; c_number(n, k) reads ("c", -k-1).  A value or a column whose
-# order the stored quotient covers reads it.  Any other grows the stored
-# quotient to exactly its own order, n or max_n: the division resumes past
-# the stored coefficients, so each coefficient of a series is computed once
-# however the lookups are ordered, and the longer quotient replaces the
-# stored one.  Every B and C column takes its numerator Li_k(w) from the
-# powers of w stored under ("w",) by the same policy: [t^i] w^j does not
-# depend on the order either, so a lower order reads a prefix of the
-# stored table and a higher one adds only the new columns.  A quotient
-# growing by one term then costs one new coefficient of Li_k(w), one step
-# of the division and, for the first series to reach that order, one
-# column of the table; a cold build is growth from nothing.
-_BUILDERS = {"g": _genocchi_egf, "b": _b_quotient, "c": _c_quotient, "w": _powers_of_w}
-_quotients: dict[tuple, TruncatedSeries | PowerTable] = {}
+# index k; the columns, and the values at k >= 0, read them.  A value or a
+# column whose order the stored quotient covers reads it.  Any other grows
+# the stored quotient to exactly its own order, n or max_n: the division
+# resumes past the stored coefficients, so each coefficient of a series is
+# computed once however the lookups are ordered, and the longer quotient
+# replaces the stored one.  Every B and C column takes its numerator
+# Li_k(w) from the powers of w stored under ("w",) by the same policy:
+# [t^i] w^j does not depend on the order either, so a lower order reads a
+# prefix of the stored table and a higher one adds only the new columns.
+# A quotient growing by one term then costs one new coefficient of
+# Li_k(w), one step of the division and, for the first series to reach
+# that order, one column of the table; a cold build is growth from
+# nothing.  The integer route stores its two triangles by the same
+# policy: the rows F[n] of r! S(n+1, r+1) under ("F",), grown only to the
+# smaller index of a lookup, and the Gandhi rows A(m, 1) under ("A",).
+_BUILDERS = {
+    "g": _genocchi_egf, "b": _b_quotient, "c": _c_quotient, "w": _powers_of_w,
+    "F": _stirling_rows, "A": _gandhi_rows,
+}
+_quotients: dict[tuple, TruncatedSeries | PowerTable | _Rows] = {}
 
 
-def _quotient(order: int, family: str, *k: int) -> TruncatedSeries | PowerTable:
-    """The stored quotient of the series (family, *k), or the stored powers
-    of w, covering `order`, grown from the stored one if that falls short."""
+def _quotient(order: int, family: str, *k: int) -> TruncatedSeries | PowerTable | _Rows:
+    """The stored quotient of the series (family, *k), the stored powers
+    of w, or a stored integer triangle, covering `order`, grown from the
+    stored one if that falls short."""
     key = (family, *k)
     stored = _quotients.get(key)
     if stored is None or stored.order < order:
@@ -105,15 +176,21 @@ def _quotient(order: int, family: str, *k: int) -> TruncatedSeries | PowerTable:
     return stored
 
 
+def _signed_sum(terms: list[int]) -> int:
+    """sum_r (-1)^(len - 1 - r) terms[r]: the last term counts positive."""
+    return sum(terms[-1::-2]) - sum(terms[-2::-2])
+
+
 def genocchi(n: int) -> int:
-    """The n-th Genocchi number, from the EGF 2t / (e^t + 1)."""
+    """The n-th Genocchi number, G_2j = (-1)^j A(j-1, 1) from the Gandhi
+    rows, with the values of the EGF 2t / (e^t + 1) at n < 2 and odd n:
+    G_0 = 0, G_1 = 1 and 0 at odd n > 1."""
     if n < 0:
         raise ValueError("genocchi index must be nonnegative")
-    return _genocchi_value(_quotient(n, "g"), n)
-
-
-def _genocchi_value(quotient: TruncatedSeries, n: int) -> int:
-    return _require_integer(quotient.egf_coefficient(n), f"genocchi({n})")
+    if n < 2 or n % 2:
+        return int(n == 1)
+    j = n // 2
+    return (-1) ** j * _quotient(j - 1, "A")[j - 1]
 
 
 def genocchi_list(max_n: int) -> list[int]:
@@ -121,14 +198,27 @@ def genocchi_list(max_n: int) -> list[int]:
     if max_n < 0:
         raise ValueError("genocchi index must be nonnegative")
     quotient = _quotient(max_n, "g")
-    return [_genocchi_value(quotient, i) for i in range(max_n + 1)]
+    return [
+        _require_integer(quotient.egf_coefficient(n), f"genocchi({n})") for n in range(max_n + 1)
+    ]
 
 
 def poly_bernoulli_b(n: int, k: int) -> Fraction:
-    """B-variant poly-Bernoulli number: n! [t^n] Li_k(1 - e^{-t}) / (1 - e^{-t})."""
+    """B-variant poly-Bernoulli number: n! [t^n] Li_k(1 - e^{-t}) / (1 - e^{-t}).
+
+    At k < 0 it is the integer (-1)^s sum_m (-1)^m m! S(s, m) (m+1)^L over
+    the smaller index s = min(n, -k), with L = max(n, -k) and
+    m! S(s, m) = m F[s-1][m-1].
+    """
     if n < 0:
         raise ValueError("poly_bernoulli_b index n must be nonnegative")
-    return _quotient(n, "b", k).egf_coefficient(n)
+    if k >= 0:
+        return _quotient(n, "b", k).egf_coefficient(n)
+    s, top = sorted((n, -k))
+    if s == 0:
+        return Fraction(1)
+    row = _quotient(s - 1, "F")[s - 1]
+    return Fraction(_signed_sum([(r + 1) * f * (r + 2) ** top for r, f in enumerate(row)]))
 
 
 def poly_bernoulli_b_column(k: int, max_n: int) -> list[Fraction]:
@@ -143,9 +233,12 @@ def poly_bernoulli_c(n: int, k: int) -> Fraction:
     """C-variant poly-Bernoulli number: n! [t^n] Li_k(1 - e^{-t}) / (e^t - 1).
 
     k = 1 reproduces the ordinary Bernoulli numbers (with value -1/2 at n = 1).
+    At k < 0 it is c_number(n, -k-1).
     """
     if n < 0:
         raise ValueError("poly_bernoulli_c index n must be nonnegative")
+    if k < 0:
+        return Fraction(c_number(n, -k - 1))
     return _quotient(n, "c", k).egf_coefficient(n)
 
 
@@ -153,18 +246,22 @@ def c_number(n: int, k: int) -> int:
     """The positive integer C_n^k = C-variant poly-Bernoulli at upper index -k-1.
 
     These are the counts of barred Callan sequences with k blue and n red
-    elements; the table is symmetric in (n, k).
+    elements; the table is symmetric in (n, k).  Read as
+    (-1)^s sum_r (-1)^r F[s][r] (r+1)^(L+1) over the smaller index
+    s = min(n, k), with L = max(n, k).
     """
     if n < 0 or k < 0:
         raise ValueError("c_number indices must be nonnegative")
-    return _positive_c(_quotient(n, "c", -k - 1).egf_coefficient(n), n, k)
+    s, top = sorted((n, k))
+    row = _quotient(s, "F")[s]
+    return _positive_c(_signed_sum([f * (r + 1) ** (top + 1) for r, f in enumerate(row)]), n, k)
 
 
-def _positive_c(value: Fraction, n: int, k: int) -> int:
+def _positive_c(value: Fraction | int, n: int, k: int) -> int:
     """C_n^k from its poly-Bernoulli value, checked to be a positive integer."""
     result = _require_integer(value, f"c_number({n}, {k})")
     if result <= 0:
-        raise ConsistencyError(f"c_number({n}, {k}) = {result} is not positive; series bug")
+        raise ConsistencyError(f"c_number({n}, {k}) = {result} is not positive; numbers bug")
     return result
 
 

@@ -61,6 +61,26 @@ def test_number_values(capsys):
     assert code == 0 and out.strip() == "-1/30"
 
 
+@pytest.mark.parametrize("argv,digest", [
+    (("genocchi", "--max", "2000"),
+     "5cad719c09c3b44209881e6aeaab140db799873362068a225cc29db12ad4bc3a"),
+    (("number", "--family", "b", "--n", "5", "--k", "-100000"),
+     "3d61e08fc2bf0dd2cfd62a75ee115e752f38f8ce9bf3bbd5b70f3fe9a9a5b551"),
+    (("number", "--family", "c", "--n", "100000", "--k", "-4"),
+     "f770f001149916a02fdeda8874a31cb014b71d671a4f3c4bb171acfa41099a13"),
+    (("number", "--family", "c", "--n", "3", "--k", "-100001"),
+     "f770f001149916a02fdeda8874a31cb014b71d671a4f3c4bb171acfa41099a13"),
+], ids=["genocchi-2000", "b-5-100000", "c-100000-4", "c-3-100001"])
+def test_number_commands_print_integers_past_the_text_limit(capsys, argv, digest):
+    # G_1842 has 4,301 digits and the B value 77,816; the digests are of
+    # the values genocchi_list(2000) and the series columns give
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+
+
 def test_number_requires_indices(capsys):
     code, _, err = run(capsys, "number", "--family", "b")
     assert code == 2 and "--n" in err

@@ -61,34 +61,29 @@ def test_c_table_transpose_symmetric():
 
 @pytest.mark.parametrize("max_n,max_k", [(0, 0), (0, 4), (9, 2), (3, 11)])
 def test_c_table_columns_equal_c_number_cells(max_n, max_k):
-    # c_table builds each column from one series division; with the store
-    # emptied, c_number then grows each column by one division step per
-    # new largest n, row by row, so each cell comes from its own order
+    # c_table builds each column from one series division, c_number reads
+    # each cell from the integer triangle over the smaller index
     table = c_table(max_n, max_k)
-    numbers._quotients.clear()
     assert table == [[c_number(n, k) for k in range(max_k + 1)] for n in range(max_n + 1)]
 
 
 def test_columns_equal_the_single_values_on_the_full_triangles():
     # the triangles the pb-zero (n <= 20) and thm1 (n <= 16) claims read
-    # (the store is emptied after each column, so that each single value
-    # is read from a quotient grown to its own order)
+    # from series columns, against the single values of the integer route
     for j in range(21):
         column = poly_bernoulli_b_column(-j, 20 - j)
-        numbers._quotients.clear()
         assert column == [poly_bernoulli_b(n, -j) for n in range(21 - j)], j
     for j in range(17):
         column = c_column(j, 16 - j)
-        numbers._quotients.clear()
         assert column == [c_number(n, j) for n in range(17 - j)], j
 
 
 def test_shuffled_genocchi_divides_once_per_new_largest_index(kernel_calls):
-    # the numbers benchmark asks for genocchi(0..80) in shuffled order
+    # genocchi_list(0..80) in shuffled order
     order = list(range(81))
     random.Random(3).shuffle(order)
     maxima = sum(n > max(order[:i], default=-1) for i, n in enumerate(order))
-    values = {n: genocchi(n) for n in order}
+    values = {n: genocchi_list(n)[n] for n in order}
     assert kernel_calls == {"divide": maxima} and maxima < 81
     assert [values[n] for n in range(81)] == genocchi_list(80)
     assert kernel_calls == {"divide": maxima}  # the list reads the stored quotient
@@ -113,31 +108,42 @@ def test_lookups_below_the_stored_order_build_nothing(kernel_calls):
 
 
 def test_c_number_and_poly_bernoulli_c_share_one_quotient(kernel_calls):
+    # at a negative upper index both read the one stored integer triangle,
+    # grown to the smaller index, and no series
     assert c_number(7, 2) == poly_bernoulli_c(7, -3)
     assert poly_bernoulli_c(9, -5) == c_number(9, 4)
+    assert kernel_calls == {} and list(numbers._quotients) == [("F",)]
+    assert numbers._quotients[("F",)].order == 4
     assert poly_bernoulli_c(8, -5) == c_column(4, 9)[8]
-    assert kernel_calls == {"table": 2, "divide": 2}
+    assert kernel_calls == {"table": 1, "divide": 1}
 
 
 def test_row_major_c_number_sweep_builds_the_powers_of_w_once_per_new_order(kernel_calls):
-    # the numbers benchmark asks c_number(n, k) row by row, n outer: every
-    # row grows each column one term longer, and the first column of the
-    # row grows the one table of the powers of w that the others read
-    table = [[c_number(n, k) for k in range(19)] for n in range(19)]
+    # c_column(k, n) row by row, n outer: every row grows each column one
+    # term longer, and the first column of the row grows the one table of
+    # the powers of w that the others read
+    table = [[c_column(k, n)[n] for k in range(19)] for n in range(19)]
     assert kernel_calls == {"table": 19, "divide": 361}
     assert table == c_table(18, 18)
     assert kernel_calls == {"table": 19, "divide": 361}
 
 
-GROWN_KEYS = [("g",), ("b", -3), ("b", 0), ("b", 2), ("c", -1), ("c", -6), ("c", 1), ("w",)]
+GROWN_KEYS = [
+    ("g",), ("b", -3), ("b", 0), ("b", 2), ("c", -1), ("c", -6), ("c", 1), ("w",), ("F",), ("A",),
+]
 _orders = st.lists(st.integers(min_value=0, max_value=30), min_size=1, max_size=8)
 ORDER_SEQUENCES = st.one_of(_orders.map(sorted), _orders, _orders.map(lambda xs: xs + xs))
 
 
 def _storage(entry):
     """What a stored entry holds: a quotient compares by its storage, a
-    table by its columns and their denominators."""
-    return (entry._cols, entry._dens) if isinstance(entry, PowerTable) else entry
+    table by its columns and their denominators, integer rows by the rows
+    and what they keep to grow from."""
+    if isinstance(entry, PowerTable):
+        return entry._cols, entry._dens
+    if isinstance(entry, numbers._Rows):
+        return list(entry), vars(entry)
+    return entry
 
 
 @settings(max_examples=80, deadline=None)
@@ -163,7 +169,8 @@ def test_a_grown_entry_equals_the_entry_built_cold_at_its_order(key, orders):
 def computed(monkeypatch) -> dict:
     """The coefficient indices each build computes, in order, per stored
     key: quotient coefficients under the key, numerator coefficients of
-    Li_k(w) under (*key, "numerator"), table columns under ("w",)."""
+    Li_k(w) under (*key, "numerator"), table columns under ("w",), and the
+    rows past row 0 of the integer triangles under ("F",) and ("A",)."""
     indices, keys = defaultdict(list), []
     for family, build in numbers._BUILDERS.items():
         def tracked(*args, family=family, build=build):
@@ -193,6 +200,14 @@ def computed(monkeypatch) -> dict:
         indices[(*keys[-1], "numerator")].extend(range(start, outer.order + 1))
         return evaluate(self, outer, start)
 
+    def counted_step(step):
+        def counted(last):
+            indices[keys[-1]].append(len(last))  # row n grows from a row of n entries
+            return step(last)
+        return counted
+
+    for name in ("_next_stirling_row", "_next_gandhi_diagonal"):
+        monkeypatch.setattr(numbers, name, counted_step(getattr(numbers, name)))
     monkeypatch.setattr(TruncatedSeries, "divide", counted_divide)
     monkeypatch.setattr(PowerTable, "__init__", counted_table)
     monkeypatch.setattr(PowerTable, "evaluate", counted_evaluate)
@@ -200,9 +215,9 @@ def computed(monkeypatch) -> dict:
 
 
 def test_row_major_sweep_computes_each_coefficient_once(computed):
-    # the numbers benchmark's C-table lookups: every row grows each column,
-    # and the table of the powers of w, by one term
-    table = [[c_number(n, k) for k in range(19)] for n in range(19)]
+    # c_column(k, n) row by row: every row grows each column, and the table
+    # of the powers of w, by one term
+    table = [[c_column(k, n)[n] for k in range(19)] for n in range(19)]
     expected = {("w",): list(range(20))}
     for k in range(19):
         expected[("c", -k - 1)] = list(range(19))
@@ -215,7 +230,7 @@ def test_row_major_sweep_computes_each_coefficient_once(computed):
 def test_shuffled_genocchi_computes_each_coefficient_once(computed):
     order = list(range(81))
     random.Random(3).shuffle(order)
-    values = {n: genocchi(n) for n in order}
+    values = {n: genocchi_list(n)[n] for n in order}
     assert computed == {("g",): list(range(81))}
     numbers._quotients.clear()
     assert [values[n] for n in range(81)] == genocchi_list(80)
@@ -239,8 +254,9 @@ def test_polylog_of_w_equals_compose(stored, kernel_calls):
 
 
 def test_single_lookups_build_at_their_own_order(monkeypatch):
-    # a value at index n grows its quotient to order n, from operands of
-    # order at most n + 1 (one extra term for a divisor of valuation 1)
+    # a value or a column at index n grows its quotient to order n, from
+    # operands of order at most n + 1 (one extra term for a divisor of
+    # valuation 1)
     operands = []
     for owner, name in ((TruncatedSeries, "compose"), (TruncatedSeries, "divide"),
                         (PowerTable, "__init__")):
@@ -252,11 +268,11 @@ def test_single_lookups_build_at_their_own_order(monkeypatch):
             ),
         )
     lookups = {
-        ("g",): genocchi,
-        ("b", -3): lambda n: poly_bernoulli_b(n, -3),
+        ("g",): genocchi_list,
+        ("b", -3): lambda n: poly_bernoulli_b_column(-3, n),
         ("b", 2): lambda n: poly_bernoulli_b(n, 2),
         ("c", 1): lambda n: poly_bernoulli_c(n, 1),
-        ("c", -5): lambda n: c_number(n, 4),
+        ("c", -5): lambda n: c_column(4, n),
     }
     for key, lookup in lookups.items():
         largest = -1
@@ -266,6 +282,53 @@ def test_single_lookups_build_at_their_own_order(monkeypatch):
             largest = max(largest, n)
             assert numbers._quotients[key].order == largest, (key, n)
             assert all(order <= n + 1 for order in operands), (key, n)
+
+
+def test_integer_route_agrees_with_the_series_columns():
+    # genocchi against the series list, and c_number, poly_bernoulli_b and
+    # poly_bernoulli_c at a negative upper index against the series
+    # columns, for n <= 40 and upper indices -1..-41 (c_number's k <= 40)
+    assert [genocchi(n) for n in range(301)] == genocchi_list(300)
+    for j in range(1, 42):
+        b_column, c_col = poly_bernoulli_b_column(-j, 40), c_column(j - 1, 40)
+        assert [poly_bernoulli_b(n, -j) for n in range(41)] == b_column, j
+        assert [poly_bernoulli_c(n, -j) for n in range(41)] == c_col, j
+        assert [c_number(n, j - 1) for n in range(41)] == c_col, j
+
+
+def test_shuffled_repeated_integer_lookups_compute_each_row_once(computed):
+    # single lookups in a shuffled order, asked twice: each triangle row
+    # and each Gandhi anti-diagonal is computed once, in order, and the
+    # stored triangles equal the ones built cold at their order (B's
+    # upper indices run to -40, past the rows any lookup needs)
+    rng = random.Random(7)
+    cells = [(n, k) for n in range(25) for k in range(25)]
+    lookups = [("c", n, k) for n, k in cells] + [("b", n, -k - 16) for n, k in cells]
+    lookups += [("pc", n, -k - 1) for n, k in cells] + [("g", n) for n in range(121)]
+    rng.shuffle(lookups)
+    functions = {"c": c_number, "b": poly_bernoulli_b, "pc": poly_bernoulli_c, "g": genocchi}
+    first = [functions[f](*args) for f, *args in lookups]
+    assert [functions[f](*args) for f, *args in lookups] == first
+    assert computed == {("F",): list(range(1, 25)), ("A",): list(range(1, 60))}
+    assert set(numbers._quotients) == {("F",), ("A",)}
+    for key, order in ((("F",), 24), (("A",), 59)):
+        cold = numbers._BUILDERS[key[0]](order, None)
+        assert _storage(numbers._quotients[key]) == _storage(cold), key
+
+
+@pytest.mark.parametrize("lookup,n,k,series", [
+    (poly_bernoulli_b, 5, -100000, lambda: poly_bernoulli_b_column(-100000, 5)[5]),
+    (c_number, 100000, 3, lambda: c_column(100000, 3)[3]),
+    (c_number, 3, 100000, lambda: c_column(100000, 3)[3]),
+    (poly_bernoulli_c, 100000, -4, lambda: c_column(100000, 3)[3]),
+])
+def test_lopsided_lookups_grow_the_triangle_to_the_smaller_index(lookup, n, k, series):
+    # the larger index is only an exponent: at most min(n, |k|) + 1 rows,
+    # and the value equals the series column at the smaller index
+    value = lookup(n, k)
+    assert list(numbers._quotients) == [("F",)]
+    assert len(numbers._quotients[("F",)]) <= min(n, abs(k)) + 1
+    assert value == series()
 
 
 def test_columns_refuse_negative_indices():
