@@ -4,21 +4,21 @@ counted by barred Callan sequences.
 
 Two routes compute them, and each public function reads one:
 
-* Single integer values read exact integer formulas, which multiply only
-  by small integers.  genocchi(n) reads the Gandhi recurrence
+* Single values read exact integer formulas, which multiply only by
+  small integers.  genocchi(n) reads the Gandhi recurrence
   A(0, x) = x, A(m+1, x) = x^2 (A(m, x+1) - A(m, x)) with
-  G_2j = (-1)^j A(j-1, 1) (Dumont and Foata).  c_number(n, k), and
-  poly_bernoulli_b and poly_bernoulli_c at a negative upper index, read
-  the explicit Stirling sum (Arakawa and Kaneko)
-  B(n, -k) = (-1)^n sum_m (-1)^m m! S(n, m) (m+1)^k, or its C-variant,
-  over the smaller index: both families are symmetric in their two
-  indices, so the larger one is only an exponent.
-* Columns and rational values read exponential generating functions:
-  genocchi_list reads 2t / (e^t + 1); poly_bernoulli_b_column, c_column
-  and c_table, and poly_bernoulli_b and poly_bernoulli_c at a nonnegative
-  upper index, read Li_k(1 - e^{-t}) divided by 1 - e^{-t} or e^t - 1.
-  The identities the harness certifies read these columns, and the tests
-  check the two routes against each other.
+  G_2j = (-1)^j A(j-1, 1) (Dumont and Foata).  c_number, poly_bernoulli_b
+  and poly_bernoulli_c read Kaneko's explicit Stirling sum
+  B(n, k) = (-1)^n sum_m (-1)^m m! S(n, m) / (m+1)^k, or its C-variant
+  with S(n+1, m+1) (Arakawa and Kaneko), which holds at every integer k.
+  At k < 0 it runs over the smaller index: both families are symmetric
+  in their two indices, so the larger one is only an exponent.  At
+  k >= 0 it is one fraction over lcm(2..n+1)^k or lcm(1..n+1)^k.
+* Columns read exponential generating functions: genocchi_list reads
+  2t / (e^t + 1); poly_bernoulli_b_column, c_column and c_table read
+  Li_k(1 - e^{-t}) divided by 1 - e^{-t} or e^t - 1.  The identities the
+  harness certifies read these columns, and the tests check the two
+  routes against each other.
 
 Every value is computed exactly; whenever a value is asserted to be an
 integer (or a positive integer), that fact is checked after the fact and a
@@ -28,6 +28,7 @@ ConsistencyError is raised on failure.  No rounding happens anywhere.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .errors import ConsistencyError
 from .series import (
@@ -57,40 +58,37 @@ def _require_integer(value: Fraction | int, what: str) -> int:
     return int(value)
 
 
-def _genocchi_egf(order: int, prefix: TruncatedSeries | None) -> TruncatedSeries:
+def _genocchi_egf(order: int) -> TruncatedSeries:
     """2t / (e^t + 1) truncated at `order`, from one series division."""
     numerator = (
         TruncatedSeries.monomial(2, 1, order) if order >= 1 else TruncatedSeries.zero(0)
     )
     denominator = exp_series(order) + TruncatedSeries.constant(1, order)
-    return numerator.divide(denominator, prefix)
+    return numerator.divide(denominator)
 
 
-def _powers_of_w(order: int, prefix: PowerTable | None) -> PowerTable:
+def _powers_of_w(order: int) -> PowerTable:
     """w, w², …, w^order with w = 1 - e^{-t}, truncated at `order`."""
-    return PowerTable(one_minus_exp_neg(order), prefix)
+    return PowerTable(one_minus_exp_neg(order))
 
 
-def _polylog_of_w(k: int, order: int, prefix: TruncatedSeries | None) -> TruncatedSeries:
+def _polylog_of_w(k: int, order: int) -> TruncatedSeries:
     """Li_k(w) = sum_j j^{-k} w^j with w = 1 - e^{-t}, truncated at `order`
-    and read from the stored powers of w.  For a quotient growing from
-    `prefix` the coefficients that built it, through index
-    prefix.order + 1, are left 0."""
-    start = 0 if prefix is None else prefix.order + 2
-    return _quotient(order, "w").evaluate(polylog_series(k, order), start)
+    and read from the stored powers of w."""
+    return _quotient(order, "w").evaluate(polylog_series(k, order))
 
 
 # The divisors below have valuation 1: one extra term pays for the division.
 
 
-def _b_quotient(k: int, order: int, prefix: TruncatedSeries | None) -> TruncatedSeries:
+def _b_quotient(k: int, order: int) -> TruncatedSeries:
     """Li_k(1 - e^{-t}) / (1 - e^{-t}) truncated at `order`."""
-    return _polylog_of_w(k, order + 1, prefix).divide(one_minus_exp_neg(order + 1), prefix)
+    return _polylog_of_w(k, order + 1).divide(one_minus_exp_neg(order + 1))
 
 
-def _c_quotient(k: int, order: int, prefix: TruncatedSeries | None) -> TruncatedSeries:
+def _c_quotient(k: int, order: int) -> TruncatedSeries:
     """Li_k(1 - e^{-t}) / (e^t - 1) truncated at `order`."""
-    return _polylog_of_w(k, order + 1, prefix).divide(expm1_series(order + 1), prefix)
+    return _polylog_of_w(k, order + 1).divide(expm1_series(order + 1))
 
 
 class _Rows(list):
@@ -142,43 +140,51 @@ def _gandhi_rows(order: int, prefix: _Rows | None) -> _Rows:
 
 # The coefficient [t^n] of a quotient does not depend on the order it is
 # truncated at.  So one store keeps one quotient per series, at the largest
-# order asked so far, under ("g",), ("b", k) or ("c", k) for the upper
-# index k; the columns, and the values at k >= 0, read them.  A value or a
-# column whose order the stored quotient covers reads it.  Any other grows
-# the stored quotient to exactly its own order, n or max_n: the division
-# resumes past the stored coefficients, so each coefficient of a series is
-# computed once however the lookups are ordered, and the longer quotient
-# replaces the stored one.  Every B and C column takes its numerator
-# Li_k(w) from the powers of w stored under ("w",) by the same policy:
-# [t^i] w^j does not depend on the order either, so a lower order reads a
-# prefix of the stored table and a higher one adds only the new columns.
-# A quotient growing by one term then costs one new coefficient of
-# Li_k(w), one step of the division and, for the first series to reach
-# that order, one column of the table; a cold build is growth from
-# nothing.  The integer route stores its two triangles by the same
-# policy: the rows F[n] of r! S(n+1, r+1) under ("F",), grown only to the
-# smaller index of a lookup, and the Gandhi rows A(m, 1) under ("A",).
+# order built so far, under ("g",), ("b", k) or ("c", k) for the upper
+# index k; the columns read them, and no single value does.  A column whose
+# order the stored quotient covers reads it.  Any other builds its quotient
+# cold at exactly its own order, max_n, and that replaces the stored one.
+# Every B and C column takes its numerator Li_k(w) from the powers of w
+# stored under ("w",) by the same policy: [t^i] w^j does not depend on the
+# order either, so a lower order reads the stored table.  The single values
+# read two integer triangles from the same store, and these grow: the rows
+# F[n] of r! S(n+1, r+1) under ("F",), grown only to the row a lookup sums,
+# and the Gandhi rows A(m, 1) under ("A",).  A longer triangle computes
+# only the rows past the stored ones, so ascending lookups cost one row
+# each.
 _BUILDERS = {
     "g": _genocchi_egf, "b": _b_quotient, "c": _c_quotient, "w": _powers_of_w,
     "F": _stirling_rows, "A": _gandhi_rows,
 }
+_GROWN = ("F", "A")  # the builders that grow the stored entry
 _quotients: dict[tuple, TruncatedSeries | PowerTable | _Rows] = {}
 
 
 def _quotient(order: int, family: str, *k: int) -> TruncatedSeries | PowerTable | _Rows:
     """The stored quotient of the series (family, *k), the stored powers
-    of w, or a stored integer triangle, covering `order`, grown from the
-    stored one if that falls short."""
+    of w, or a stored integer triangle, covering `order`: a series built
+    cold at `order` if the stored one falls short, a triangle grown from
+    the stored one."""
     key = (family, *k)
     stored = _quotients.get(key)
     if stored is None or stored.order < order:
-        stored = _quotients[key] = _BUILDERS[family](*k, order, stored)
+        grown_from = (stored,) if family in _GROWN else ()
+        stored = _quotients[key] = _BUILDERS[family](*k, order, *grown_from)
     return stored
 
 
-def _signed_sum(terms: list[int]) -> int:
-    """sum_r (-1)^(len - 1 - r) terms[r]: the last term counts positive."""
-    return sum(terms[-1::-2]) - sum(terms[-2::-2])
+def _signed_power_sum(coefficients: list[int], bases: range, exponent: int) -> tuple[int, int]:
+    """sum_r (-1)^(len - 1 - r) c_r b_r^exponent over the coefficients c_r
+    and the bases b_r, exactly, as a numerator and a denominator: the last
+    term counts positive, and the denominator is lcm(bases)^-exponent at a
+    negative exponent and 1 otherwise."""
+    den, total = 1, 0
+    if exponent < 0:
+        top, exponent = lcm(*bases), -exponent
+        den, bases = top**exponent, [top // b for b in bases]
+    for c, b in zip(coefficients, bases):
+        total = c * b**exponent - total
+    return total, den
 
 
 def genocchi(n: int) -> int:
@@ -204,21 +210,18 @@ def genocchi_list(max_n: int) -> list[int]:
 
 
 def poly_bernoulli_b(n: int, k: int) -> Fraction:
-    """B-variant poly-Bernoulli number: n! [t^n] Li_k(1 - e^{-t}) / (1 - e^{-t}).
-
-    At k < 0 it is the integer (-1)^s sum_m (-1)^m m! S(s, m) (m+1)^L over
-    the smaller index s = min(n, -k), with L = max(n, -k) and
-    m! S(s, m) = m F[s-1][m-1].
+    """B-variant poly-Bernoulli number: n! [t^n] Li_k(1 - e^{-t}) / (1 - e^{-t}),
+    read as (-1)^n sum_m (-1)^m m! S(n, m) / (m+1)^k with
+    m! S(n, m) = m F[n-1][m-1].  At k < 0 the sum runs over the smaller
+    index s = min(n, -k), with exponent max(n, -k).
     """
     if n < 0:
         raise ValueError("poly_bernoulli_b index n must be nonnegative")
-    if k >= 0:
-        return _quotient(n, "b", k).egf_coefficient(n)
-    s, top = sorted((n, -k))
+    s, exponent = (-k, n) if 0 < -k < n else (n, -k)
     if s == 0:
         return Fraction(1)
-    row = _quotient(s - 1, "F")[s - 1]
-    return Fraction(_signed_sum([(r + 1) * f * (r + 2) ** top for r, f in enumerate(row)]))
+    weights = [m * f for m, f in enumerate(_quotient(s - 1, "F")[s - 1], 1)]  # m! S(s, m)
+    return Fraction(*_signed_power_sum(weights, range(2, s + 2), exponent))
 
 
 def poly_bernoulli_b_column(k: int, max_n: int) -> list[Fraction]:
@@ -230,7 +233,8 @@ def poly_bernoulli_b_column(k: int, max_n: int) -> list[Fraction]:
 
 
 def poly_bernoulli_c(n: int, k: int) -> Fraction:
-    """C-variant poly-Bernoulli number: n! [t^n] Li_k(1 - e^{-t}) / (e^t - 1).
+    """C-variant poly-Bernoulli number: n! [t^n] Li_k(1 - e^{-t}) / (e^t - 1),
+    read as (-1)^n sum_r (-1)^r F[n][r] / (r+1)^k.
 
     k = 1 reproduces the ordinary Bernoulli numbers (with value -1/2 at n = 1).
     At k < 0 it is c_number(n, -k-1).
@@ -239,7 +243,7 @@ def poly_bernoulli_c(n: int, k: int) -> Fraction:
         raise ValueError("poly_bernoulli_c index n must be nonnegative")
     if k < 0:
         return Fraction(c_number(n, -k - 1))
-    return _quotient(n, "c", k).egf_coefficient(n)
+    return Fraction(*_signed_power_sum(_quotient(n, "F")[n], range(1, n + 2), -k))
 
 
 def c_number(n: int, k: int) -> int:
@@ -253,8 +257,8 @@ def c_number(n: int, k: int) -> int:
     if n < 0 or k < 0:
         raise ValueError("c_number indices must be nonnegative")
     s, top = sorted((n, k))
-    row = _quotient(s, "F")[s]
-    return _positive_c(_signed_sum([f * (r + 1) ** (top + 1) for r, f in enumerate(row)]), n, k)
+    value, _ = _signed_power_sum(_quotient(s, "F")[s], range(1, s + 2), top + 1)  # over 1
+    return _positive_c(value, n, k)
 
 
 def _positive_c(value: Fraction | int, n: int, k: int) -> int:

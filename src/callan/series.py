@@ -151,21 +151,14 @@ class TruncatedSeries:
 
     __rmul__ = __mul__
 
-    def divide(
-        self, divisor: "TruncatedSeries", prefix: "TruncatedSeries | None" = None
-    ) -> "TruncatedSeries":
+    def divide(self, divisor: "TruncatedSeries") -> "TruncatedSeries":
         """Exact quotient q with q * divisor == self through order (order - v),
         where v = divisor.valuation().  Requires self.valuation() >= v.
 
         Both leading t**v factors are cancelled, so quotients like t/t or
         Li-type numerators over (1 - e^{-t}) stay exact.  The result is
-        reported at order (self.order - v).
-
-        The recurrence q_i = (a_i - sum_{j<i} q_j d_{i-j}) / d_0 only looks
-        back, so a quotient grows: `prefix`, the same quotient at a lower
-        order m, supplies q_0..q_m and only q_{m+1}.. are computed, reading
-        a_i for i > m + v alone (self may leave the lower ones 0).  A cold
-        quotient grows from no prefix, and both end in the same storage.
+        reported at order (self.order - v), by the recurrence
+        q_i = (a_i - sum_{j<i} q_j d_{i-j}) / d_0.
         """
         if not isinstance(divisor, TruncatedSeries):
             raise TypeError("divide expects a TruncatedSeries divisor")
@@ -178,18 +171,16 @@ class TruncatedSeries:
                 f"divide: dividend valuation {self.valuation()} below divisor valuation {v}"
             )
         n = self.order - v
-        if prefix is not None and prefix.order > n:
-            raise ValueError(f"divide: prefix of order {prefix.order} exceeds order {n}")
         num, num_den = self._nums[v:], self._den
         den, den_den = divisor._nums[v:], divisor._den
         lead, den_rev = den[0], den[::-1]
         # q_j = q_nums[j] / q_den for j < i, q_den the lcm of their reduced
-        # denominators: lowest terms, the form a prefix is stored in;
-        # with d_l = den[l] / den_den and a_i = num[i] / num_den,
+        # denominators, in lowest terms; with d_l = den[l] / den_den and
+        # a_i = num[i] / num_den,
         # q_i = (a_i - sum_{j<i} q_j d_{i-j}) / d_0 = top / bottom, reduced.
         # Reducing every q_i keeps powers of d_0 out of the running numbers.
-        q_nums, q_den = ([], 1) if prefix is None else (list(prefix._nums), prefix._den)
-        for i in range(len(q_nums), n + 1):
+        q_nums, q_den = [], 1
+        for i in range(n + 1):
             s = sum(map(mul, q_nums, den_rev[n - i:n]))
             top = num[i] * q_den * den_den - s * num_den
             bottom = num_den * q_den * lead
@@ -260,25 +251,20 @@ class PowerTable:
     terms.  Evaluating an outer series at inner is then one integer linear
     combination of the columns, O(order²) where compose is O(order³).
     [t^i] inner**j does not depend on the truncation order and is 0 for
-    j > i, so the table also evaluates at every lower order, from a prefix,
-    and it grows: column i reads only inner_1..inner_i and earlier columns,
+    j > i, so the table also evaluates at every lower order.  Column i is
+    built from inner_1..inner_i and the earlier columns, by
     [t^i] inner**j = sum_{l=1..i} inner_l [t^(i-l)] inner**(j-1)."""
 
     __slots__ = ("_cols", "_dens")
 
-    def __init__(self, inner: TruncatedSeries, prefix: "PowerTable | None" = None):
-        """The table of inner at inner.order.  `prefix`, the table of the
-        same inner at a lower order, supplies its columns and only the later
-        ones are computed; a cold table grows from column 0 alone, and both
-        end in the same storage."""
+    def __init__(self, inner: TruncatedSeries):
+        """The table of inner at inner.order."""
         if inner._nums[0] != 0:
             raise ValueError("power table: inner series must have zero constant term")
-        if prefix is not None and prefix.order > inner.order:
-            raise ValueError(f"power table: prefix of order {prefix.order} exceeds {inner.order}")
-        cols, dens = ([(1,)], [1]) if prefix is None else (list(prefix._cols), list(prefix._dens))
+        cols, dens = [(1,)], [1]
         w, w_den = inner._nums, inner._den
-        common = lcm(*dens)
-        for i in range(len(cols), inner.order + 1):
+        common = 1
+        for i in range(1, inner.order + 1):
             # every term over w_den * common: inner_l scaled to column i-l's den
             u = [0] + [w[l] * (common // dens[i - l]) for l in range(1, i + 1)]
             col = [0] + [sum(u[l] * cols[i - l][j - 1] for l in range(1, i - j + 2))
@@ -294,17 +280,16 @@ class PowerTable:
     def order(self) -> int:
         return len(self._cols) - 1
 
-    def evaluate(self, outer: TruncatedSeries, start: int = 0) -> TruncatedSeries:
+    def evaluate(self, outer: TruncatedSeries) -> TruncatedSeries:
         """outer(inner(t)) truncated at outer.order, which the table must
-        cover; equal to outer.compose(inner) at that order.  The
-        coefficients below `start` are left 0, for a caller that holds them."""
+        cover; equal to outer.compose(inner) at that order."""
         n = outer.order
         if n > self.order:
             raise ValueError(f"power table of order {self.order} cannot evaluate at order {n}")
-        o, cols, dens = outer._nums, self._cols[start:n + 1], self._dens[start:n + 1]
+        o, cols, dens = outer._nums, self._cols[:n + 1], self._dens[:n + 1]
         den = lcm(*dens)
         nums = [sum(map(mul, o, col)) * (den // d) for col, d in zip(cols, dens)]
-        return TruncatedSeries._over([0] * start + nums, den * outer._den)
+        return TruncatedSeries._over(nums, den * outer._den)
 
 
 def _factorial_quotients(order: int) -> list[int]:

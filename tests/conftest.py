@@ -26,9 +26,9 @@ def kernel_calls(monkeypatch) -> Counter:
     ):
         kernel = getattr(owner, attr)
 
-        def counted(self, *args, kernel=kernel, name=name):
+        def counted(self, operand, kernel=kernel, name=name):
             calls[name] += 1
-            return kernel(self, *args)
+            return kernel(self, operand)
 
         monkeypatch.setattr(owner, attr, counted)
     return calls

@@ -119,9 +119,9 @@ def test_c_number_and_poly_bernoulli_c_share_one_quotient(kernel_calls):
 
 
 def test_row_major_c_number_sweep_builds_the_powers_of_w_once_per_new_order(kernel_calls):
-    # c_column(k, n) row by row, n outer: every row grows each column one
-    # term longer, and the first column of the row grows the one table of
-    # the powers of w that the others read
+    # c_column(k, n) row by row, n outer: every row rebuilds each column
+    # one term longer, and the first column of the row rebuilds the one
+    # table of the powers of w that the others read
     table = [[c_column(k, n)[n] for k in range(19)] for n in range(19)]
     assert kernel_calls == {"table": 19, "divide": 361}
     assert table == c_table(18, 18)
@@ -173,8 +173,11 @@ def computed(monkeypatch) -> dict:
     rows past row 0 of the integer triangles under ("F",) and ("A",)."""
     indices, keys = defaultdict(list), []
     for family, build in numbers._BUILDERS.items():
-        def tracked(*args, family=family, build=build):
-            keys.append((family, *args[:-2]))
+        # a series builder takes (*k, order), a triangle (order, stored)
+        arity = 2 if family in numbers._GROWN else 1
+
+        def tracked(*args, family=family, build=build, arity=arity):
+            keys.append((family, *args[:-arity]))
             try:
                 return build(*args)
             finally:
@@ -182,23 +185,20 @@ def computed(monkeypatch) -> dict:
 
         monkeypatch.setitem(numbers._BUILDERS, family, tracked)
 
-    def first_new(prefix):
-        return 0 if prefix is None else prefix.order + 1
-
     divide, table, evaluate = TruncatedSeries.divide, PowerTable.__init__, PowerTable.evaluate
 
-    def counted_divide(self, divisor, prefix=None):
-        quotient = divide(self, divisor, prefix)
-        indices[keys[-1]].extend(range(first_new(prefix), quotient.order + 1))
+    def counted_divide(self, divisor):
+        quotient = divide(self, divisor)
+        indices[keys[-1]].extend(range(quotient.order + 1))
         return quotient
 
-    def counted_table(self, inner, prefix=None):
-        table(self, inner, prefix)
-        indices[keys[-1]].extend(range(first_new(prefix), self.order + 1))
+    def counted_table(self, inner):
+        table(self, inner)
+        indices[keys[-1]].extend(range(self.order + 1))
 
-    def counted_evaluate(self, outer, start=0):
-        indices[(*keys[-1], "numerator")].extend(range(start, outer.order + 1))
-        return evaluate(self, outer, start)
+    def counted_evaluate(self, outer):
+        indices[(*keys[-1], "numerator")].extend(range(outer.order + 1))
+        return evaluate(self, outer)
 
     def counted_step(step):
         def counted(last):
@@ -214,64 +214,40 @@ def computed(monkeypatch) -> dict:
     return indices
 
 
-def test_row_major_sweep_computes_each_coefficient_once(computed):
-    # c_column(k, n) row by row: every row grows each column, and the table
-    # of the powers of w, by one term
-    table = [[c_column(k, n)[n] for k in range(19)] for n in range(19)]
-    expected = {("w",): list(range(20))}
-    for k in range(19):
-        expected[("c", -k - 1)] = list(range(19))
-        expected[("c", -k - 1, "numerator")] = list(range(20))
-    assert computed == expected
-    numbers._quotients.clear()
-    assert table == c_table(18, 18)
-
-
-def test_shuffled_genocchi_computes_each_coefficient_once(computed):
-    order = list(range(81))
-    random.Random(3).shuffle(order)
-    values = {n: genocchi_list(n)[n] for n in order}
-    assert computed == {("g",): list(range(81))}
-    numbers._quotients.clear()
-    assert [values[n] for n in range(81)] == genocchi_list(80)
-
-
 @pytest.mark.parametrize("stored", [None, 30], ids=["cold", "prefix-of-30"])
 def test_polylog_of_w_equals_compose(stored, kernel_calls):
     # the table route against the general kernel, with the table built at
     # exactly each order or read as a prefix of the one built at order 30
     if stored is not None:
-        numbers._polylog_of_w(0, stored, None)
+        numbers._polylog_of_w(0, stored)
     for order in range(31):
         w = one_minus_exp_neg(order)
         for k in range(-8, 5):
             if stored is None:
                 numbers._quotients.clear()
             expected = polylog_series(k, order).compose(w)
-            assert numbers._polylog_of_w(k, order, None) == expected, (k, order)
+            assert numbers._polylog_of_w(k, order) == expected, (k, order)
     tables = 31 * 13 if stored is None else 1
     assert kernel_calls == {"table": tables, "compose": 31 * 13}
 
 
 def test_single_lookups_build_at_their_own_order(monkeypatch):
-    # a value or a column at index n grows its quotient to order n, from
-    # operands of order at most n + 1 (one extra term for a divisor of
-    # valuation 1)
+    # a column at index n builds its quotient at order n unless a stored
+    # one covers it, from operands of order at most n + 1 (one extra term
+    # for a divisor of valuation 1)
     operands = []
     for owner, name in ((TruncatedSeries, "compose"), (TruncatedSeries, "divide"),
                         (PowerTable, "__init__")):
         kernel = getattr(owner, name)
         monkeypatch.setattr(
             owner, name,
-            lambda self, other, *prefix, kernel=kernel: (
-                operands.append(other.order) or kernel(self, other, *prefix)
-            ),
+            lambda self, other, kernel=kernel: operands.append(other.order) or kernel(self, other),
         )
     lookups = {
         ("g",): genocchi_list,
         ("b", -3): lambda n: poly_bernoulli_b_column(-3, n),
-        ("b", 2): lambda n: poly_bernoulli_b(n, 2),
-        ("c", 1): lambda n: poly_bernoulli_c(n, 1),
+        ("b", 2): lambda n: poly_bernoulli_b_column(2, n),
+        ("c", 1): lambda n: numbers._quotient(n, "c", 1),
         ("c", -5): lambda n: c_column(4, n),
     }
     for key, lookup in lookups.items():
@@ -285,19 +261,38 @@ def test_single_lookups_build_at_their_own_order(monkeypatch):
 
 
 def test_integer_route_agrees_with_the_series_columns():
-    # genocchi against the series list, and c_number, poly_bernoulli_b and
-    # poly_bernoulli_c at a negative upper index against the series
-    # columns, for n <= 40 and upper indices -1..-41 (c_number's k <= 40)
+    # genocchi against the series list; poly_bernoulli_b on the grid
+    # n <= 80, upper indices 0..-80; and c_number and poly_bernoulli_c at
+    # a negative upper index for n <= 40 and upper indices -1..-41
+    # (c_number's k <= 40), each against the series columns
     assert [genocchi(n) for n in range(301)] == genocchi_list(300)
+    for j in range(81):
+        assert [poly_bernoulli_b(n, -j) for n in range(81)] == poly_bernoulli_b_column(-j, 80), j
     for j in range(1, 42):
-        b_column, c_col = poly_bernoulli_b_column(-j, 40), c_column(j - 1, 40)
-        assert [poly_bernoulli_b(n, -j) for n in range(41)] == b_column, j
+        c_col = c_column(j - 1, 40)
         assert [poly_bernoulli_c(n, -j) for n in range(41)] == c_col, j
         assert [c_number(n, j - 1) for n in range(41)] == c_col, j
 
 
+def test_rational_b_values_agree_with_the_series_columns():
+    # poly_bernoulli_b at a nonnegative upper index reads Kaneko's sum from
+    # the integer triangle, the column reads the series
+    for k in range(9):
+        assert [poly_bernoulli_b(n, k) for n in range(41)] == poly_bernoulli_b_column(k, 40), k
+
+
+def test_rational_c_values_agree_with_the_stored_c_quotients():
+    # poly_bernoulli_c at a nonnegative upper index against the C quotient
+    # that the store keeps for the same k
+    for k in range(9):
+        quotient = numbers._quotient(40, "c", k)
+        expected = [quotient.egf_coefficient(n) for n in range(41)]
+        assert [poly_bernoulli_c(n, k) for n in range(41)] == expected, k
+
+
 def test_shuffled_repeated_integer_lookups_compute_each_row_once(computed):
-    # single lookups in a shuffled order, asked twice: each triangle row
+    # single lookups in a shuffled order, asked twice, at negative and
+    # nonnegative upper indices: no series is built, each triangle row
     # and each Gandhi anti-diagonal is computed once, in order, and the
     # stored triangles equal the ones built cold at their order (B's
     # upper indices run to -40, past the rows any lookup needs)
@@ -305,6 +300,7 @@ def test_shuffled_repeated_integer_lookups_compute_each_row_once(computed):
     cells = [(n, k) for n in range(25) for k in range(25)]
     lookups = [("c", n, k) for n, k in cells] + [("b", n, -k - 16) for n, k in cells]
     lookups += [("pc", n, -k - 1) for n, k in cells] + [("g", n) for n in range(121)]
+    lookups += [(f, n, k) for f in ("b", "pc") for n in range(25) for k in range(4)]
     rng.shuffle(lookups)
     functions = {"c": c_number, "b": poly_bernoulli_b, "pc": poly_bernoulli_c, "g": genocchi}
     first = [functions[f](*args) for f, *args in lookups]

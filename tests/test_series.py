@@ -75,9 +75,6 @@ def test_divide_errors():
     with pytest.raises(ValueError):
         # numerator valuation below denominator valuation
         exp_series(4).divide(TruncatedSeries.monomial(F(1), 1, 4))
-    with pytest.raises(ValueError):
-        # a prefix longer than the quotient
-        exp_series(4).divide(exp_series(4), exp_series(5))
 
 
 def test_compose_requires_zero_constant_term():
@@ -92,8 +89,6 @@ def test_power_table_refuses_an_order_it_does_not_cover():
     assert table.order == 4
     with pytest.raises(ValueError):
         table.evaluate(exp_series(5))
-    with pytest.raises(ValueError):
-        PowerTable(one_minus_exp_neg(3), table)  # a prefix longer than the table
 
 
 def test_compose_polylog_with_one_minus_exp_neg():
@@ -246,40 +241,6 @@ def test_power_table_matches_oracle_at_every_lower_order(data):
     outer = data.draw(rational_series(m))
     table = PowerTable(series(inner))
     assert list(table.evaluate(series(outer))) == oracle_compose(outer, inner[:m + 1])
-
-
-@settings(max_examples=60)
-@given(st.data())
-def test_a_grown_quotient_equals_the_cold_one(data):
-    # the quotient at order m, grown to n - v, reads only the dividend's
-    # coefficients past m + v: zeroing the others changes nothing
-    n = data.draw(orders)
-    v = data.draw(st.integers(min_value=0, max_value=min(n, 3)))
-    m = data.draw(st.integers(min_value=0, max_value=n - v))
-    den = [F(0)] * v + [data.draw(nonzero_rationals)] + data.draw(rational_series(n - v - 1))
-    num = data.draw(rational_series(n, v))
-    prefix = series(num[:m + v + 1]).divide(series(den[:m + v + 1]))
-    cold = series(num).divide(series(den))
-    assert series(num).divide(series(den), prefix) == cold
-    tail = [F(0)] * (m + v + 1) + num[m + v + 1:]
-    assert series(tail).divide(series(den), prefix) == cold
-    assert list(cold) == oracle_divide(num, den)
-
-
-@settings(max_examples=60)
-@given(st.data())
-def test_a_grown_power_table_equals_the_cold_one_and_evaluates_as_compose(data):
-    n = data.draw(orders)
-    m = data.draw(st.integers(min_value=0, max_value=n))
-    inner = data.draw(rational_series(n, 1))
-    outer = series(data.draw(rational_series(n)))
-    grown = PowerTable(series(inner), PowerTable(series(inner[:m + 1])))
-    cold = PowerTable(series(inner))
-    assert (grown._cols, grown._dens) == (cold._cols, cold._dens)
-    composed = outer.compose(series(inner))
-    assert grown.evaluate(outer) == composed
-    start = data.draw(st.integers(min_value=0, max_value=n))
-    assert list(grown.evaluate(outer, start)) == [F(0)] * start + list(composed)[start:]
 
 
 @pytest.mark.parametrize(
