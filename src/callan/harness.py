@@ -178,10 +178,8 @@ def verify_thm_identity(n: int) -> VerificationReport:
 def _series_claim(claim: str, ns: list[int]) -> list[VerificationReport]:
     """The reports of pb-zero or thm1 at each n in `ns`.  Summand j at n is
     row n - j of the column of upper index j, so each column j is built
-    once, up to max(ns) - j, by one divide, and each report reads its
-    anti-diagonal.  Column 0, the longest, is built first, so the powers of
-    w that every column reads are built once.  The build is charged to the
-    first report."""
+    once, up to max(ns) - j, by one compose and one divide, and each report
+    reads its anti-diagonal.  The build is charged to the first report."""
     started = time.perf_counter()
     if min(ns) < 0:
         raise ValueError("n must be nonnegative")

@@ -14,11 +14,12 @@ Two routes compute them, and each public function reads one:
   At k < 0 it runs over the smaller index: both families are symmetric
   in their two indices, so the larger one is only an exponent.  At
   k >= 0 it is one fraction over lcm(2..n+1)^k or lcm(1..n+1)^k.
-* Columns read exponential generating functions: genocchi_list reads
-  2t / (e^t + 1); poly_bernoulli_b_column, c_column and c_table read
-  Li_k(1 - e^{-t}) divided by 1 - e^{-t} or e^t - 1.  The identities the
-  harness certifies read these columns, and the tests check the two
-  routes against each other.
+  c_table reads c_number cell by cell.
+* Columns read exponential generating functions, built cold on every
+  call: genocchi_list divides 2t by e^t + 1, and poly_bernoulli_b_column
+  and c_column compose Li_k with 1 - e^{-t} and divide by 1 - e^{-t} or
+  e^t - 1.  The identities the harness certifies read these columns, and
+  the tests check the two routes against each other.
 
 Every value is computed exactly; whenever a value is asserted to be an
 integer (or a positive integer), that fact is checked after the fact and a
@@ -27,12 +28,12 @@ ConsistencyError is raised on failure.  No rounding happens anywhere.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from fractions import Fraction
 from math import lcm
 
 from .errors import ConsistencyError
 from .series import (
-    PowerTable,
     TruncatedSeries,
     exp_series,
     expm1_series,
@@ -67,50 +68,20 @@ def _genocchi_egf(order: int) -> TruncatedSeries:
     return numerator.divide(denominator)
 
 
-def _powers_of_w(order: int) -> PowerTable:
-    """w, w², …, w^order with w = 1 - e^{-t}, truncated at `order`."""
-    return PowerTable(one_minus_exp_neg(order))
-
-
-def _polylog_of_w(k: int, order: int) -> TruncatedSeries:
-    """Li_k(w) = sum_j j^{-k} w^j with w = 1 - e^{-t}, truncated at `order`
-    and read from the stored powers of w."""
-    return _quotient(order, "w").evaluate(polylog_series(k, order))
-
-
-# The divisors below have valuation 1: one extra term pays for the division.
-
-
-def _b_quotient(k: int, order: int) -> TruncatedSeries:
-    """Li_k(1 - e^{-t}) / (1 - e^{-t}) truncated at `order`."""
-    return _polylog_of_w(k, order + 1).divide(one_minus_exp_neg(order + 1))
-
-
-def _c_quotient(k: int, order: int) -> TruncatedSeries:
-    """Li_k(1 - e^{-t}) / (e^t - 1) truncated at `order`."""
-    return _polylog_of_w(k, order + 1).divide(expm1_series(order + 1))
-
-
-class _Rows(list):
-    """Rows 0..order of an integer recurrence; a longer entry is a new
-    object that copies the shorter one's rows and computes only the rest."""
-
-    @property
-    def order(self) -> int:
-        return len(self) - 1
+def _polylog_quotient(
+    k: int, order: int, divisor: Callable[[int], TruncatedSeries]
+) -> TruncatedSeries:
+    """Li_k(1 - e^{-t}) / divisor(t) truncated at `order`, from one
+    composition and one division, with divisor one_minus_exp_neg (B) or
+    expm1_series (C).  Both have valuation 1: one extra term pays for the
+    division."""
+    w = one_minus_exp_neg(order + 1)
+    return polylog_series(k, order + 1).compose(w).divide(divisor(order + 1))
 
 
 def _next_stirling_row(row: list[int]) -> list[int]:
     """F[n] from F[n-1], by F[n][r] = (r+1) F[n-1][r] + r F[n-1][r-1]."""
     return [(r + 1) * a + r * b for r, (a, b) in enumerate(zip(row + [0], [0] + row))]
-
-
-def _stirling_rows(order: int, prefix: _Rows | None) -> _Rows:
-    """F[n][r] = r! S(n+1, r+1) for n = 0..order and r = 0..n."""
-    rows = _Rows([[1]] if prefix is None else prefix)
-    while rows.order < order:
-        rows.append(_next_stirling_row(rows[-1]))
-    return rows
 
 
 def _next_gandhi_diagonal(diagonal: list[int]) -> list[int]:
@@ -124,53 +95,29 @@ def _next_gandhi_diagonal(diagonal: list[int]) -> list[int]:
     return nxt
 
 
-def _gandhi_rows(order: int, prefix: _Rows | None) -> _Rows:
-    """A(m, 1) for m = 0..order.  The entry keeps the last anti-diagonal,
-    A(j, order+1-j) for j = 0..order, which the next row grows from."""
-    if prefix is None:
-        rows, diagonal = _Rows([1]), [1]
-    else:
-        rows, diagonal = _Rows(prefix), prefix.diagonal
-    while rows.order < order:
-        diagonal = _next_gandhi_diagonal(diagonal)
+# The single values read two integer triangles, which grow in place and
+# are never rebuilt: the rows F[n] of r! S(n+1, r+1) under "F", grown only
+# to the row a lookup sums, and the Gandhi rows A(m, 1) under "A", kept
+# with the last anti-diagonal A(j, m+1-j), j = 0..m, that the next row
+# grows from.  So ascending lookups cost one row each.
+_triangles: dict[str, list | tuple[list, list]] = {}
+
+
+def _stirling_row(n: int) -> list[int]:
+    """F[n][r] = r! S(n+1, r+1) for r = 0..n."""
+    rows = _triangles.setdefault("F", [[1]])
+    while len(rows) <= n:
+        rows.append(_next_stirling_row(rows[-1]))
+    return rows[n]
+
+
+def _gandhi(m: int) -> int:
+    """A(m, 1), the Gandhi polynomial A(m, x) at x = 1."""
+    rows, diagonal = _triangles.setdefault("A", ([1], [1]))
+    while len(rows) <= m:
+        diagonal[:] = _next_gandhi_diagonal(diagonal)
         rows.append(diagonal[-1])
-    rows.diagonal = diagonal
-    return rows
-
-
-# The coefficient [t^n] of a quotient does not depend on the order it is
-# truncated at.  So one store keeps one quotient per series, at the largest
-# order built so far, under ("g",), ("b", k) or ("c", k) for the upper
-# index k; the columns read them, and no single value does.  A column whose
-# order the stored quotient covers reads it.  Any other builds its quotient
-# cold at exactly its own order, max_n, and that replaces the stored one.
-# Every B and C column takes its numerator Li_k(w) from the powers of w
-# stored under ("w",) by the same policy: [t^i] w^j does not depend on the
-# order either, so a lower order reads the stored table.  The single values
-# read two integer triangles from the same store, and these grow: the rows
-# F[n] of r! S(n+1, r+1) under ("F",), grown only to the row a lookup sums,
-# and the Gandhi rows A(m, 1) under ("A",).  A longer triangle computes
-# only the rows past the stored ones, so ascending lookups cost one row
-# each.
-_BUILDERS = {
-    "g": _genocchi_egf, "b": _b_quotient, "c": _c_quotient, "w": _powers_of_w,
-    "F": _stirling_rows, "A": _gandhi_rows,
-}
-_GROWN = ("F", "A")  # the builders that grow the stored entry
-_quotients: dict[tuple, TruncatedSeries | PowerTable | _Rows] = {}
-
-
-def _quotient(order: int, family: str, *k: int) -> TruncatedSeries | PowerTable | _Rows:
-    """The stored quotient of the series (family, *k), the stored powers
-    of w, or a stored integer triangle, covering `order`: a series built
-    cold at `order` if the stored one falls short, a triangle grown from
-    the stored one."""
-    key = (family, *k)
-    stored = _quotients.get(key)
-    if stored is None or stored.order < order:
-        grown_from = (stored,) if family in _GROWN else ()
-        stored = _quotients[key] = _BUILDERS[family](*k, order, *grown_from)
-    return stored
+    return rows[m]
 
 
 def _signed_power_sum(coefficients: list[int], bases: range, exponent: int) -> tuple[int, int]:
@@ -196,14 +143,14 @@ def genocchi(n: int) -> int:
     if n < 2 or n % 2:
         return int(n == 1)
     j = n // 2
-    return (-1) ** j * _quotient(j - 1, "A")[j - 1]
+    return (-1) ** j * _gandhi(j - 1)
 
 
 def genocchi_list(max_n: int) -> list[int]:
     """Genocchi numbers 0..max_n, read from one series division."""
     if max_n < 0:
         raise ValueError("genocchi index must be nonnegative")
-    quotient = _quotient(max_n, "g")
+    quotient = _genocchi_egf(max_n)
     return [
         _require_integer(quotient.egf_coefficient(n), f"genocchi({n})") for n in range(max_n + 1)
     ]
@@ -220,7 +167,7 @@ def poly_bernoulli_b(n: int, k: int) -> Fraction:
     s, exponent = (-k, n) if 0 < -k < n else (n, -k)
     if s == 0:
         return Fraction(1)
-    weights = [m * f for m, f in enumerate(_quotient(s - 1, "F")[s - 1], 1)]  # m! S(s, m)
+    weights = [m * f for m, f in enumerate(_stirling_row(s - 1), 1)]  # m! S(s, m)
     return Fraction(*_signed_power_sum(weights, range(2, s + 2), exponent))
 
 
@@ -228,7 +175,7 @@ def poly_bernoulli_b_column(k: int, max_n: int) -> list[Fraction]:
     """poly_bernoulli_b(n, k) for n = 0..max_n, read from one quotient."""
     if max_n < 0:
         raise ValueError("poly_bernoulli_b index n must be nonnegative")
-    quotient = _quotient(max_n, "b", k)
+    quotient = _polylog_quotient(k, max_n, one_minus_exp_neg)
     return [quotient.egf_coefficient(n) for n in range(max_n + 1)]
 
 
@@ -243,7 +190,7 @@ def poly_bernoulli_c(n: int, k: int) -> Fraction:
         raise ValueError("poly_bernoulli_c index n must be nonnegative")
     if k < 0:
         return Fraction(c_number(n, -k - 1))
-    return Fraction(*_signed_power_sum(_quotient(n, "F")[n], range(1, n + 2), -k))
+    return Fraction(*_signed_power_sum(_stirling_row(n), range(1, n + 2), -k))
 
 
 def c_number(n: int, k: int) -> int:
@@ -257,7 +204,7 @@ def c_number(n: int, k: int) -> int:
     if n < 0 or k < 0:
         raise ValueError("c_number indices must be nonnegative")
     s, top = sorted((n, k))
-    value, _ = _signed_power_sum(_quotient(s, "F")[s], range(1, s + 2), top + 1)  # over 1
+    value, _ = _signed_power_sum(_stirling_row(s), range(1, s + 2), top + 1)  # over 1
     return _positive_c(value, n, k)
 
 
@@ -273,13 +220,13 @@ def c_column(k: int, max_n: int) -> list[int]:
     """c_number(n, k) for n = 0..max_n, read from one quotient."""
     if max_n < 0 or k < 0:
         raise ValueError("c_number indices must be nonnegative")
-    quotient = _quotient(max_n, "c", -k - 1)
+    quotient = _polylog_quotient(-k - 1, max_n, expm1_series)
     return [_positive_c(quotient.egf_coefficient(n), n, k) for n in range(max_n + 1)]
 
 
 def c_table(max_n: int, max_k: int) -> list[list[int]]:
-    """Rows n = 0..max_n, columns k = 0..max_k of c_number, built column
-    by column."""
+    """Rows n = 0..max_n, columns k = 0..max_k of c_number, read cell by
+    cell."""
     if max_n < 0 or max_k < 0:
         raise ValueError("c_table sizes must be nonnegative")
-    return [list(row) for row in zip(*(c_column(k, max_n) for k in range(max_k + 1)))]
+    return [[c_number(n, k) for k in range(max_k + 1)] for n in range(max_n + 1)]

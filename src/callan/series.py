@@ -8,7 +8,9 @@ reduced coefficient denominators, so equal series have equal storage).
 Sums, products, quotients and compositions run on these ints and reduce
 their result once; a fractions.Fraction is built only where a coefficient
 is read.  Binary operations require both operands to share the same
-order so that truncation effects stay explicit at call sites.
+order so that truncation effects stay explicit at call sites.  compose is
+the one composition kernel: each poly-Bernoulli column in callan.numbers
+is one compose and one divide.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from operator import mul
 from typing import Iterable, Iterator, Union
 
 __all__ = [
-    "PowerTable",
     "TruncatedSeries",
     "exp_series",
     "expm1_series",
@@ -242,54 +243,6 @@ class TruncatedSeries:
     def __repr__(self) -> str:
         body = ", ".join(str(c) for c in self.coefficients)
         return f"TruncatedSeries([{body}])"
-
-
-class PowerTable:
-    """The powers inner**0 .. inner**order of one series with zero constant
-    term, stored by column: _cols[i] holds the numerators of [t^i] inner**j
-    for j = 0..i over the column's own denominator _dens[i], in lowest
-    terms.  Evaluating an outer series at inner is then one integer linear
-    combination of the columns, O(order²) where compose is O(order³).
-    [t^i] inner**j does not depend on the truncation order and is 0 for
-    j > i, so the table also evaluates at every lower order.  Column i is
-    built from inner_1..inner_i and the earlier columns, by
-    [t^i] inner**j = sum_{l=1..i} inner_l [t^(i-l)] inner**(j-1)."""
-
-    __slots__ = ("_cols", "_dens")
-
-    def __init__(self, inner: TruncatedSeries):
-        """The table of inner at inner.order."""
-        if inner._nums[0] != 0:
-            raise ValueError("power table: inner series must have zero constant term")
-        cols, dens = [(1,)], [1]
-        w, w_den = inner._nums, inner._den
-        common = 1
-        for i in range(1, inner.order + 1):
-            # every term over w_den * common: inner_l scaled to column i-l's den
-            u = [0] + [w[l] * (common // dens[i - l]) for l in range(1, i + 1)]
-            col = [0] + [sum(u[l] * cols[i - l][j - 1] for l in range(1, i - j + 2))
-                         for j in range(1, i + 1)]
-            den = w_den * common
-            g = gcd(den, *col)
-            cols.append(tuple(x // g for x in col))
-            dens.append(den // g)
-            common = lcm(common, dens[-1])
-        self._cols, self._dens = tuple(cols), tuple(dens)
-
-    @property
-    def order(self) -> int:
-        return len(self._cols) - 1
-
-    def evaluate(self, outer: TruncatedSeries) -> TruncatedSeries:
-        """outer(inner(t)) truncated at outer.order, which the table must
-        cover; equal to outer.compose(inner) at that order."""
-        n = outer.order
-        if n > self.order:
-            raise ValueError(f"power table of order {self.order} cannot evaluate at order {n}")
-        o, cols, dens = outer._nums, self._cols[:n + 1], self._dens[:n + 1]
-        den = lcm(*dens)
-        nums = [sum(map(mul, o, col)) * (den // d) for col, d in zip(cols, dens)]
-        return TruncatedSeries._over(nums, den * outer._den)
 
 
 def _factorial_quotients(order: int) -> list[int]:

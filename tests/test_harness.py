@@ -51,14 +51,12 @@ def test_thm_identity_small_values():
 
 
 def test_series_claims_build_one_column_per_upper_index(kernel_calls):
-    # one divide per column j = 0..n_max, and one table of the powers of w:
-    # the largest column, j = 0, is built first and the others read a prefix
+    # one compose and one divide per column j = 0..n_max
     run_claim("pb-zero")
-    assert kernel_calls == {"table": 1, "divide": 21}
+    assert kernel_calls == {"compose": 21, "divide": 21}
     kernel_calls.clear()
-    numbers._quotients.clear()
     run_claim("thm1")
-    assert kernel_calls == {"table": 1, "divide": 18}  # plus one for the Genocchi numbers
+    assert kernel_calls == {"compose": 17, "divide": 18}  # plus one for the Genocchi numbers
 
 
 def _without_elapsed(reports):
@@ -479,16 +477,14 @@ def test_sweep_decides_each_side_once_per_marks_class(monkeypatch):
 
 def test_thm2_and_telescope_read_one_list_of_genocchi_numbers(monkeypatch):
     # thm1 divides once for its own range, up to index 18, and thm2 and
-    # telescope read their smaller range from the stored quotient; the
-    # store starts cold (conftest), so one division per index would show
+    # telescope share one list up to index 9 (weight 7); one division per
+    # index or per claim would show
     orders = []
     egf = numbers._genocchi_egf
-    monkeypatch.setitem(
-        numbers._BUILDERS, "g", lambda order: orders.append(order) or egf(order)
-    )
+    monkeypatch.setattr(numbers, "_genocchi_egf", lambda order: orders.append(order) or egf(order))
     reports = run_claim("all", 7)
     assert len(reports) == 283 and all(r.passed for r in reports)
-    assert orders == [18]
+    assert orders == [18, 9]
 
 
 def test_each_alternating_sum_is_summed_once_per_sweep(monkeypatch):

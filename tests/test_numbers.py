@@ -18,7 +18,7 @@ from callan.numbers import (
     c_number,
     c_table,
 )
-from callan.series import PowerTable, TruncatedSeries, one_minus_exp_neg, polylog_series
+from callan.series import TruncatedSeries, expm1_series
 
 GENOCCHI_FIRST = [0, 1, -1, 0, 1, 0, -3, 0, 17, 0, -155]
 
@@ -61,10 +61,10 @@ def test_c_table_transpose_symmetric():
 
 @pytest.mark.parametrize("max_n,max_k", [(0, 0), (0, 4), (9, 2), (3, 11)])
 def test_c_table_columns_equal_c_number_cells(max_n, max_k):
-    # c_table builds each column from one series division, c_number reads
-    # each cell from the integer triangle over the smaller index
+    # c_table reads each cell from the integer triangle over the smaller
+    # index, c_column each column from one series composition and division
     table = c_table(max_n, max_k)
-    assert table == [[c_number(n, k) for k in range(max_k + 1)] for n in range(max_n + 1)]
+    assert table == [list(row) for row in zip(*(c_column(k, max_n) for k in range(max_k + 1)))]
 
 
 def test_columns_equal_the_single_values_on_the_full_triangles():
@@ -78,30 +78,23 @@ def test_columns_equal_the_single_values_on_the_full_triangles():
         assert column == [c_number(n, j) for n in range(17 - j)], j
 
 
-def test_shuffled_genocchi_divides_once_per_new_largest_index(kernel_calls):
-    # genocchi_list(0..80) in shuffled order
-    order = list(range(81))
-    random.Random(3).shuffle(order)
-    maxima = sum(n > max(order[:i], default=-1) for i, n in enumerate(order))
-    values = {n: genocchi_list(n)[n] for n in order}
-    assert kernel_calls == {"divide": maxima} and maxima < 81
-    assert [values[n] for n in range(81)] == genocchi_list(80)
-    assert kernel_calls == {"divide": maxima}  # the list reads the stored quotient
-
-
-def test_lookups_below_the_stored_order_build_nothing(kernel_calls):
-    genocchi_list(20)
-    poly_bernoulli_b_column(-2, 12)
+def test_lookups_below_the_stored_order_build_nothing(kernel_calls, monkeypatch):
+    # once the Stirling rows reach row 12 and the Gandhi rows A(10, 1), no
+    # single lookup at n <= 11 computes a row or builds a series
+    genocchi(22)
     poly_bernoulli_b(12, 3)
     poly_bernoulli_c(12, 2)
-    c_column(3, 12)
-    kernel_calls.clear()
+    c_number(12, 3)
+    stored = {"F": len(numbers._triangles["F"]), "A": len(numbers._triangles["A"][0])}
+    assert stored == {"F": 13, "A": 11}
+    for name in ("_next_stirling_row", "_next_gandhi_diagonal"):
+        monkeypatch.setattr(numbers, name, lambda last: pytest.fail("a row was computed"))
     lookups = (
-        genocchi, genocchi_list, lambda n: poly_bernoulli_b(n, -2),
-        lambda n: poly_bernoulli_b(n, 3), lambda n: poly_bernoulli_b_column(-2, n),
-        lambda n: poly_bernoulli_c(n, 2), lambda n: c_number(n, 3), lambda n: c_column(3, n),
+        lambda n: genocchi(2 * n), lambda n: poly_bernoulli_b(n, -2),
+        lambda n: poly_bernoulli_b(n, 3), lambda n: poly_bernoulli_c(n, 2),
+        lambda n: poly_bernoulli_c(n, -4), lambda n: c_number(n, 3), lambda n: c_number(3, n),
     )
-    for n in range(13):
+    for n in range(12):
         for lookup in lookups:
             lookup(n)
     assert kernel_calls == {}
@@ -109,154 +102,87 @@ def test_lookups_below_the_stored_order_build_nothing(kernel_calls):
 
 def test_c_number_and_poly_bernoulli_c_share_one_quotient(kernel_calls):
     # at a negative upper index both read the one stored integer triangle,
-    # grown to the smaller index, and no series
+    # grown to the smaller index, and no series; a column composes and
+    # divides once
     assert c_number(7, 2) == poly_bernoulli_c(7, -3)
     assert poly_bernoulli_c(9, -5) == c_number(9, 4)
-    assert kernel_calls == {} and list(numbers._quotients) == [("F",)]
-    assert numbers._quotients[("F",)].order == 4
+    assert kernel_calls == {} and list(numbers._triangles) == ["F"]
+    assert len(numbers._triangles["F"]) == 5
     assert poly_bernoulli_c(8, -5) == c_column(4, 9)[8]
-    assert kernel_calls == {"table": 1, "divide": 1}
+    assert kernel_calls == {"compose": 1, "divide": 1}
 
 
-def test_row_major_c_number_sweep_builds_the_powers_of_w_once_per_new_order(kernel_calls):
-    # c_column(k, n) row by row, n outer: every row rebuilds each column
-    # one term longer, and the first column of the row rebuilds the one
-    # table of the powers of w that the others read
-    table = [[c_column(k, n)[n] for k in range(19)] for n in range(19)]
-    assert kernel_calls == {"table": 19, "divide": 361}
-    assert table == c_table(18, 18)
-    assert kernel_calls == {"table": 19, "divide": 361}
-
-
-GROWN_KEYS = [
-    ("g",), ("b", -3), ("b", 0), ("b", 2), ("c", -1), ("c", -6), ("c", 1), ("w",), ("F",), ("A",),
-]
+GROWN_KEYS = ["F", "A"]
 _orders = st.lists(st.integers(min_value=0, max_value=30), min_size=1, max_size=8)
 ORDER_SEQUENCES = st.one_of(_orders.map(sorted), _orders, _orders.map(lambda xs: xs + xs))
+GROW = {"F": numbers._stirling_row, "A": numbers._gandhi}
 
 
-def _storage(entry):
-    """What a stored entry holds: a quotient compares by its storage, a
-    table by its columns and their denominators, integer rows by the rows
-    and what they keep to grow from."""
-    if isinstance(entry, PowerTable):
-        return entry._cols, entry._dens
-    if isinstance(entry, numbers._Rows):
-        return list(entry), vars(entry)
-    return entry
+def _built_cold(key, order):
+    """The triangle under `key` built from empty to row `order`, with the
+    stored triangles left as they were."""
+    kept = dict(numbers._triangles)
+    numbers._triangles.clear()
+    GROW[key](order)
+    cold = numbers._triangles[key]
+    numbers._triangles.clear()
+    numbers._triangles.update(kept)
+    return cold
 
 
 @settings(max_examples=80, deadline=None)
 @given(st.sampled_from(GROWN_KEYS), ORDER_SEQUENCES)
 def test_a_grown_entry_equals_the_entry_built_cold_at_its_order(key, orders):
-    numbers._quotients.clear()
+    # the rows, and for the Gandhi rows the anti-diagonal they grow from
+    numbers._triangles.clear()
     for i, order in enumerate(orders):
-        grown = numbers._quotient(order, *key)
-        assert grown.order == max(orders[:i + 1])  # exactly the largest order asked
-        kept = dict(numbers._quotients)
-        numbers._quotients.clear()
-        cold = numbers._quotient(grown.order, *key)
-        numbers._quotients.clear()
-        numbers._quotients.update(kept)
-        assert _storage(grown) == _storage(cold), (key, orders[:i + 1])
-        if key == ("w",):  # compose stays the oracle of the table
-            w = one_minus_exp_neg(order)
-            for outer in (polylog_series(k, order) for k in (-4, 0, 3)):
-                assert grown.evaluate(outer) == outer.compose(w)
+        GROW[key](order)
+        grown = numbers._triangles[key]
+        largest = max(orders[:i + 1])
+        assert len(grown if key == "F" else grown[0]) == largest + 1  # exactly the rows asked
+        assert grown == _built_cold(key, largest), (key, orders[:i + 1])
 
 
 @pytest.fixture
 def computed(monkeypatch) -> dict:
-    """The coefficient indices each build computes, in order, per stored
-    key: quotient coefficients under the key, numerator coefficients of
-    Li_k(w) under (*key, "numerator"), table columns under ("w",), and the
-    rows past row 0 of the integer triangles under ("F",) and ("A",)."""
-    indices, keys = defaultdict(list), []
-    for family, build in numbers._BUILDERS.items():
-        # a series builder takes (*k, order), a triangle (order, stored)
-        arity = 2 if family in numbers._GROWN else 1
+    """The rows past row 0 that each triangle computes, in order, under
+    "F" and "A"."""
+    indices = defaultdict(list)
 
-        def tracked(*args, family=family, build=build, arity=arity):
-            keys.append((family, *args[:-arity]))
-            try:
-                return build(*args)
-            finally:
-                keys.pop()
-
-        monkeypatch.setitem(numbers._BUILDERS, family, tracked)
-
-    divide, table, evaluate = TruncatedSeries.divide, PowerTable.__init__, PowerTable.evaluate
-
-    def counted_divide(self, divisor):
-        quotient = divide(self, divisor)
-        indices[keys[-1]].extend(range(quotient.order + 1))
-        return quotient
-
-    def counted_table(self, inner):
-        table(self, inner)
-        indices[keys[-1]].extend(range(self.order + 1))
-
-    def counted_evaluate(self, outer):
-        indices[(*keys[-1], "numerator")].extend(range(outer.order + 1))
-        return evaluate(self, outer)
-
-    def counted_step(step):
+    def counted_step(key, step):
         def counted(last):
-            indices[keys[-1]].append(len(last))  # row n grows from a row of n entries
+            indices[key].append(len(last))  # row n grows from a row of n entries
             return step(last)
         return counted
 
-    for name in ("_next_stirling_row", "_next_gandhi_diagonal"):
-        monkeypatch.setattr(numbers, name, counted_step(getattr(numbers, name)))
-    monkeypatch.setattr(TruncatedSeries, "divide", counted_divide)
-    monkeypatch.setattr(PowerTable, "__init__", counted_table)
-    monkeypatch.setattr(PowerTable, "evaluate", counted_evaluate)
+    for key, name in (("F", "_next_stirling_row"), ("A", "_next_gandhi_diagonal")):
+        monkeypatch.setattr(numbers, name, counted_step(key, getattr(numbers, name)))
     return indices
 
 
-@pytest.mark.parametrize("stored", [None, 30], ids=["cold", "prefix-of-30"])
-def test_polylog_of_w_equals_compose(stored, kernel_calls):
-    # the table route against the general kernel, with the table built at
-    # exactly each order or read as a prefix of the one built at order 30
-    if stored is not None:
-        numbers._polylog_of_w(0, stored)
-    for order in range(31):
-        w = one_minus_exp_neg(order)
-        for k in range(-8, 5):
-            if stored is None:
-                numbers._quotients.clear()
-            expected = polylog_series(k, order).compose(w)
-            assert numbers._polylog_of_w(k, order) == expected, (k, order)
-    tables = 31 * 13 if stored is None else 1
-    assert kernel_calls == {"table": tables, "compose": 31 * 13}
-
-
 def test_single_lookups_build_at_their_own_order(monkeypatch):
-    # a column at index n builds its quotient at order n unless a stored
-    # one covers it, from operands of order at most n + 1 (one extra term
-    # for a divisor of valuation 1)
+    # a column at index n builds its quotient cold at order n, from
+    # operands of order at most n + 1 (one extra term for a divisor of
+    # valuation 1)
     operands = []
-    for owner, name in ((TruncatedSeries, "compose"), (TruncatedSeries, "divide"),
-                        (PowerTable, "__init__")):
-        kernel = getattr(owner, name)
+    for name in ("compose", "divide"):
+        kernel = getattr(TruncatedSeries, name)
         monkeypatch.setattr(
-            owner, name,
+            TruncatedSeries, name,
             lambda self, other, kernel=kernel: operands.append(other.order) or kernel(self, other),
         )
     lookups = {
-        ("g",): genocchi_list,
-        ("b", -3): lambda n: poly_bernoulli_b_column(-3, n),
-        ("b", 2): lambda n: poly_bernoulli_b_column(2, n),
-        ("c", 1): lambda n: numbers._quotient(n, "c", 1),
-        ("c", -5): lambda n: c_column(4, n),
+        "g": (genocchi_list, 1),
+        "b -3": (lambda n: poly_bernoulli_b_column(-3, n), 2),
+        "b 2": (lambda n: poly_bernoulli_b_column(2, n), 2),
+        "c 1": (lambda n: numbers._polylog_quotient(1, n, expm1_series), 2),
+        "c -5": (lambda n: c_column(4, n), 2),
     }
-    for key, lookup in lookups.items():
-        largest = -1
+    for key, (lookup, kernels) in lookups.items():
         for n in (0, 1, 6, 2, 17, 30):
             operands.clear()
             lookup(n)
-            largest = max(largest, n)
-            assert numbers._quotients[key].order == largest, (key, n)
+            assert len(operands) == kernels and max(operands) in (n, n + 1), (key, n)
             assert all(order <= n + 1 for order in operands), (key, n)
 
 
@@ -283,14 +209,14 @@ def test_rational_b_values_agree_with_the_series_columns():
 
 def test_rational_c_values_agree_with_the_stored_c_quotients():
     # poly_bernoulli_c at a nonnegative upper index against the C quotient
-    # that the store keeps for the same k
+    # Li_k(1 - e^{-t}) / (e^t - 1) that the columns build for the same k
     for k in range(9):
-        quotient = numbers._quotient(40, "c", k)
+        quotient = numbers._polylog_quotient(k, 40, expm1_series)
         expected = [quotient.egf_coefficient(n) for n in range(41)]
         assert [poly_bernoulli_c(n, k) for n in range(41)] == expected, k
 
 
-def test_shuffled_repeated_integer_lookups_compute_each_row_once(computed):
+def test_shuffled_repeated_integer_lookups_compute_each_row_once(computed, kernel_calls):
     # single lookups in a shuffled order, asked twice, at negative and
     # nonnegative upper indices: no series is built, each triangle row
     # and each Gandhi anti-diagonal is computed once, in order, and the
@@ -305,11 +231,10 @@ def test_shuffled_repeated_integer_lookups_compute_each_row_once(computed):
     functions = {"c": c_number, "b": poly_bernoulli_b, "pc": poly_bernoulli_c, "g": genocchi}
     first = [functions[f](*args) for f, *args in lookups]
     assert [functions[f](*args) for f, *args in lookups] == first
-    assert computed == {("F",): list(range(1, 25)), ("A",): list(range(1, 60))}
-    assert set(numbers._quotients) == {("F",), ("A",)}
-    for key, order in ((("F",), 24), (("A",), 59)):
-        cold = numbers._BUILDERS[key[0]](order, None)
-        assert _storage(numbers._quotients[key]) == _storage(cold), key
+    assert computed == {"F": list(range(1, 25)), "A": list(range(1, 60))}
+    assert kernel_calls == {} and set(numbers._triangles) == {"F", "A"}
+    for key, order in (("F", 24), ("A", 59)):
+        assert numbers._triangles[key] == _built_cold(key, order), key
 
 
 @pytest.mark.parametrize("lookup,n,k,series", [
@@ -322,8 +247,8 @@ def test_lopsided_lookups_grow_the_triangle_to_the_smaller_index(lookup, n, k, s
     # the larger index is only an exponent: at most min(n, |k|) + 1 rows,
     # and the value equals the series column at the smaller index
     value = lookup(n, k)
-    assert list(numbers._quotients) == [("F",)]
-    assert len(numbers._quotients[("F",)]) <= min(n, abs(k)) + 1
+    assert list(numbers._triangles) == ["F"]
+    assert len(numbers._triangles["F"]) <= min(n, abs(k)) + 1
     assert value == series()
 
 

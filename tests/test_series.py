@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from callan.series import (
-    PowerTable,
     TruncatedSeries,
     exp_series,
     expm1_series,
@@ -80,15 +79,6 @@ def test_divide_errors():
 def test_compose_requires_zero_constant_term():
     with pytest.raises(ValueError):
         exp_series(4).compose(exp_series(4))
-    with pytest.raises(ValueError):
-        PowerTable(exp_series(4))
-
-
-def test_power_table_refuses_an_order_it_does_not_cover():
-    table = PowerTable(one_minus_exp_neg(4))
-    assert table.order == 4
-    with pytest.raises(ValueError):
-        table.evaluate(exp_series(5))
 
 
 def test_compose_polylog_with_one_minus_exp_neg():
@@ -229,18 +219,6 @@ def test_compose_matches_oracle_on_rationals(data):
     outer = data.draw(rational_series(n))
     inner = data.draw(rational_series(n, 1))
     assert list(series(outer).compose(series(inner))) == oracle_compose(outer, inner)
-
-
-@settings(max_examples=60)
-@given(st.data())
-def test_power_table_matches_oracle_at_every_lower_order(data):
-    # one table of order n evaluates any outer series of order m <= n
-    n = data.draw(orders)
-    m = data.draw(st.integers(min_value=0, max_value=n))
-    inner = data.draw(rational_series(n, 1))
-    outer = data.draw(rational_series(m))
-    table = PowerTable(series(inner))
-    assert list(table.evaluate(series(outer))) == oracle_compose(outer, inner[:m + 1])
 
 
 @pytest.mark.parametrize(
