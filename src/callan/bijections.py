@@ -178,28 +178,33 @@ def _phi_move(seq: Packed) -> tuple[str, int]:
 
 def _phi(seq: Packed) -> Packed:
     """Remove the maximal red element mu = m+n, add the new maximal blue
-    element m+k+1, and rearrange so the move is invertible."""
-    case, i = _phi_move(seq)
+    element m+k+1, and rearrange so the move is invertible.  The image is
+    cut from the slots of `seq`, its extra pair's red block emptied."""
     m, k, n, slots = seq
     mu = 1 << (m + n)
     new_blue = 1 << (m + k + 1)
-    slots = list(slots)
-    extra_red = slots[-1][2]
-    if case == "A1":
-        run, blue, red = slots[0]
-        slots[0] = (run, blue | new_blue, red)
-    elif case == "A2":
-        slots.insert(0, ((), new_blue, extra_red ^ mu))
-    else:
-        run, blue, red = slots[i]
-        if case == "B1":
-            del slots[i]
-            after_run, after_blue, after_red = slots[i]
-            slots[i] = (after_run, after_blue | new_blue, after_red)
-        else:
-            slots[i] = ((), new_blue, red ^ mu)
-        slots.insert(0, (run, blue, extra_red))
-    return m, k + 1, n - 1, _with_extra_red(slots, 0)
+    last = len(slots) - 1
+    run, blue, extra_red = slots[last]
+    end = ((run, blue, 0),)
+    if extra_red & mu:
+        if extra_red != mu:  # A2
+            return m, k + 1, n - 1, (((), new_blue, extra_red ^ mu),) + slots[:last] + end
+        if not last:  # A1, where the first pair is the extra one
+            return m, k + 1, n - 1, ((run, blue | new_blue, 0),)
+        run, blue, red = slots[0]  # A1
+        return m, k + 1, n - 1, ((run, blue | new_blue, red),) + slots[1:last] + end
+    for i, (run, blue, red) in enumerate(slots):
+        if red & mu:  # an ordinary pair's
+            break
+    launched = ((run, blue, extra_red),)
+    if red != mu:  # B2
+        left = ((), new_blue, red ^ mu)
+        return m, k + 1, n - 1, launched + slots[:i] + (left,) + slots[i + 1 : last] + end
+    run, blue, red = slots[i + 1]  # B1: the pair after mu's gains the new blue element
+    if i + 1 == last:
+        return m, k + 1, n - 1, launched + slots[:i] + ((run, blue | new_blue, 0),)
+    gained = (run, blue | new_blue, red)
+    return m, k + 1, n - 1, launched + slots[:i] + (gained,) + slots[i + 2 : last] + end
 
 
 def _phi_inverse_case(seq: Packed) -> str:
@@ -223,28 +228,34 @@ def _phi_inverse_move(seq: Packed) -> tuple[str, int]:
 
 def _phi_inverse(seq: Packed) -> Packed:
     """Undo phi: remove the maximal blue element, restore mu = m+n of the
-    preimage, and put any launched slot back in place."""
-    case, q_i = _phi_inverse_move(seq)
+    preimage, and put any launched slot back in place.  The preimage is
+    cut from the slots of `seq`."""
     m, k, n, slots = seq
     top = 1 << (m + k)
     mu = 1 << (m + n + 1)
-    slots = list(slots)
-    run, q_blue, q_red = slots[q_i]
-    if case in ("A1", "B1"):
-        slots[q_i] = (run, q_blue ^ top, q_red)
-    if case == "A1":
-        extra_red = mu
-    else:
-        lead, first_blue, first_red = slots.pop(0)  # the slot phi launched to the front
-        if case == "A2":
-            extra_red = q_red | mu  # the first slot is q's, which has no bars
-        else:
-            extra_red = first_red
-            if case == "B1":
-                slots.insert(q_i - 1, (lead, first_blue, mu))
-            else:  # B2: phi_image leaves q without bars
-                slots[q_i - 1] = (lead, first_blue, q_red | mu)
-    return m, k - 1, n + 1, _with_extra_red(slots, extra_red)
+    last = len(slots) - 1
+    for q_i, (run, blue, red) in enumerate(slots):
+        if blue & top:
+            break
+    alone = blue == top and q_i < last
+    end_run, end_blue, _ = slots[last]
+    if not q_i:
+        if alone:  # A2: the first slot is q's, which has no bars
+            return m, k - 1, n + 1, slots[1:last] + ((end_run, end_blue, red | mu),)
+        if not last:  # A1, where the first pair is the extra one
+            return m, k - 1, n + 1, ((run, blue ^ top, mu),)
+        end = ((end_run, end_blue, mu),)  # A1
+        return m, k - 1, n + 1, ((run, blue ^ top, red),) + slots[1:last] + end
+    lead, first_blue, first_red = slots[0]  # the slot phi launched to the front
+    if q_i == last:  # B1, where q is the extra pair
+        back = ((lead, first_blue, mu), (run, blue ^ top, first_red))
+        return m, k - 1, n + 1, slots[1:last] + back
+    if alone:  # B2: phi_image leaves q without bars
+        back = ((lead, first_blue, red | mu),)
+    else:  # B1
+        back = ((lead, first_blue, mu), (run, blue ^ top, red))
+    end = ((end_run, end_blue, first_red),)
+    return m, k - 1, n + 1, slots[1:q_i] + back + slots[q_i + 1 : last] + end
 
 
 _PHI_IN = ("phi: input outside phi's domain", phi_domain)

@@ -66,7 +66,6 @@ __all__ = [
     "Slot",
     "pack",
     "unpack",
-    "packed_barred_singleton",
     "packed_lines",
     "enumerate_dumont",
     "count_mbarred",
@@ -678,12 +677,22 @@ def enumerate_mbarred(k: int, n: int, m: int) -> Iterator[MBarredSequence]:
 
 @lru_cache(maxsize=None)
 def count_mbarred(k: int, n: int, m: int) -> int:
-    """Number of m-barred sequences, counted from the enumeration itself
-    (Callan sequences stream by; each contributes the number of enumerated
-    bar placements for its pair count).  No closed formula is used."""
+    """Number of m-barred sequences, counted from the enumeration itself:
+    for each number r of ordinary pairs, the enumerated ordered blue and
+    red partitions of _skeletons times the enumerated bar placements over
+    r + 1 pairs.  No closed formula is used."""
     if m < 0:
         raise ValueError("m must be nonnegative")
-    return sum(len(bar_arrangements(m, len(blues))) for blues, _ in _skeletons(k, n, m))
+    if k < 0 or n < 0:
+        raise ValueError("sizes must be nonnegative")
+    blue_base = tuple(1 << x for x in range(k))
+    red_base = tuple(1 << x for x in range(n))
+    total = 0
+    for r in range(min(k, n) + 1):
+        blues = sum(1 for _ in _ordered_partitions(blue_base, r))
+        reds = sum(1 for _ in _ordered_partitions(red_base, r))
+        total += blues * reds * len(bar_arrangements(m, r + 1))
+    return total
 
 
 def enumerate_dumont(length: int) -> Iterator[DumontPermutation]:
@@ -713,15 +722,6 @@ CELL_STAR_ONLY = "star-only"
 CELL_BARRED_MAX = "star-only-barred-max-singleton"
 
 
-def packed_barred_singleton(seq: Packed, label: int) -> bool:
-    """True if `label` is the whole blue block of an ordinary pair with a bar just before it."""
-    bit = 1 << label
-    for run, blue, _ in seq[3][:-1]:  # blue blocks are disjoint
-        if blue & bit:
-            return blue == bit and bool(run)
-    return False
-
-
 def marks(seq: MBarredSequence) -> tuple:
     """packed_marks of a sequence object, which must end with its one extra
     pair (a slot without a pair has no blocks to read)."""
@@ -734,13 +734,21 @@ def marks(seq: MBarredSequence) -> tuple:
 def packed_marks(seq: Packed) -> tuple:
     """The marks (m, k, extra red block nonempty, barred-max, barred-min)
     of a packed sequence.  Both flags need a star-only sequence with a blue
-    element, and they coincide when there is one blue element."""
+    element, and they coincide when there is one blue element.  One scan
+    of the ordinary pairs reads both: a flag is set where its element is
+    the whole blue block of a pair with a bar just before it."""
     m, k, _, slots = seq
     red = bool(slots[-1][2])
     if k == 0 or red:
         return m, k, red, False, False
-    barred_max = packed_barred_singleton(seq, m + k)
-    barred_min = barred_max if k == 1 else packed_barred_singleton(seq, m + 1)
+    top, bottom = 1 << (m + k), 1 << (m + 1)
+    barred_max = barred_min = False
+    for run, blue, _ in slots[:-1]:
+        if run:
+            if blue == top:
+                barred_max = True
+            if blue == bottom:
+                barred_min = True
     return m, k, red, barred_max, barred_min
 
 

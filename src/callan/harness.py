@@ -26,6 +26,13 @@ rule of ``combinat`` and checks that rule against the sets of
 ``bijections``, the certificates run the unvalidating packed cores
 over the sets that ``bijections`` states, and objects are decoded only
 for the counterexamples a report carries.
+
+Each report's ``elapsed`` is its own share of the run, and the shares of
+one run add up to no more than the run took.  The clock is read per
+report, per cell and per chunk, never per object: the sweep feeds a
+certificate its members in batches of at most ``_CHUNK`` sequences, one
+clock pair per side per chunk, and charges the stream, the marks and the
+routing of a cell to the cell's first consumer.
 """
 
 from __future__ import annotations
@@ -35,7 +42,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
-from itertools import product
+from itertools import islice, product
 
 from . import numbers
 from .bijections import (  # the unvalidating packed cores, under their public names
@@ -79,6 +86,11 @@ __all__ = [
 
 # How many counterexample objects a report keeps per failure kind.
 _COUNTEREXAMPLE_CAP = 5
+
+# How many consecutive sequences of a cell's stream _routed reads before
+# it calls the sides on their batches.  A larger chunk reads the clock
+# less often but holds more sequences at once.
+_CHUNK = 64
 
 
 def _payload(seq) -> dict:
@@ -321,17 +333,21 @@ class _Certificate:
     accepts, C the set at `image_cell` that `in_image` accepts (each is a
     set predicate of bijections, which returns None on its members).  The
     certificate is fed every member of D through domain() and every member
-    of C through codomain(), the two sides in any order, even interleaved,
-    and the sizes |D| and |C| through domain_tally() and codomain_tally(),
-    one count per marks class; report() gives the verdict.  The maps are
-    assumed deterministic.
+    of C through codomain(), each call a batch of members in stream order,
+    the two sides in any order, even interleaved batch by batch, and the
+    sizes |D| and |C| through domain_tally() and codomain_tally(), one count
+    per marks class; report() gives the verdict.  The maps are assumed
+    deterministic.  A side reads its batch only during the call.
 
-    domain(s) applies forward, adds the image to the image set I and checks
-    backward(forward(s)) = s (forward-error, backward-error, roundtrip).
-    codomain(t) removes t from I, or, if t is not there (yet), adds it to
-    the missed set M.  A member of C met before its image ends in both
-    sets, so I - M are the images outside C (outside-codomain) and M - I
-    the members of C that no image hit (not-hit).
+    domain(seqs) takes each s of its batch in turn: it applies forward,
+    adds the image to the image set I and checks backward(forward(s)) = s
+    (forward-error, backward-error, roundtrip), each kind noted for its
+    first _COUNTEREXAMPLE_CAP members.  codomain(seqs) takes each t in
+    turn: it removes t from I, or, if t is not there (yet), adds it to the
+    missed set M.  A member of C met before its image ends in both sets,
+    so I - M are the images outside C (outside-codomain) and M - I the
+    members of C that no image hit (not-hit).  So a batch leaves the
+    certificate as its members fed one at a time would.
 
     Why one pass over each side suffices: suppose nothing is noted.  Then
     forward is total on D (no forward-error) and backward(forward(s)) = s
@@ -379,26 +395,30 @@ class _Certificate:
             self.noted[kind] += 1
             self.bad.append({kind: payload})
 
-    def domain(self, s) -> None:
-        try:
-            t = self.forward(s)
-        except Exception as exc:
-            self.note("forward-error", {"input": _payload(s), "error": str(exc)})
-            return
-        self.images.add(t)
-        try:
-            back = self.backward(t)
-        except Exception as exc:
-            self.note("backward-error", {"input": _payload(t), "error": str(exc)})
-            return
-        if back != s:
-            self.note("roundtrip", _payload(s))
+    def domain(self, seqs) -> None:
+        forward, backward, note, add = self.forward, self.backward, self.note, self.images.add
+        for s in seqs:
+            try:
+                t = forward(s)
+            except Exception as exc:
+                note("forward-error", {"input": _payload(s), "error": str(exc)})
+                continue
+            add(t)
+            try:
+                back = backward(t)
+            except Exception as exc:
+                note("backward-error", {"input": _payload(t), "error": str(exc)})
+                continue
+            if back != s:
+                note("roundtrip", _payload(s))
 
-    def codomain(self, t) -> None:
-        before = len(self.images)  # t is hashed once, and nothing raises
-        self.images.discard(t)
-        if len(self.images) == before:
-            self.missed.add(t)
+    def codomain(self, seqs) -> None:
+        images, missed = self.images, self.missed
+        for t in seqs:
+            before = len(images)  # t is hashed once, and nothing raises
+            images.discard(t)
+            if len(images) == before:
+                missed.add(t)
 
     def domain_tally(self, marks: tuple, count: int) -> None:
         self.domain_size += count
@@ -424,34 +444,43 @@ class _Certificate:
 def _routed(stream, starting, finishing):
     """Route one cell's stream to the domain sides of the consumers
     `starting` at the cell and the codomain sides of the certificates
-    `finishing` there, and yield the seconds each sequence's calls took.
-    The marks of a sequence are its class, and they decide every verdict:
-    each predicate is asked once per class, a sequence goes to the
-    per-object calls of the sides that accept its class, each charged to
-    its consumer, and after the stream those sides get the class counts."""
+    `finishing` there, _CHUNK consecutive sequences at a time, and yield
+    the seconds the sides took on each chunk.  The marks of a sequence are
+    its class, and they decide every verdict: each predicate is asked once
+    per class, and each side with work per object (not the partition's)
+    gets the sequences of the chunk whose class it accepts as one batch in
+    stream order.  Each batch is one call, timed by one clock pair and
+    charged to its consumer, so no clock is read per object.  After the
+    stream the accepting sides get the class counts."""
     clock = time.perf_counter
-    sides = [(c, c.in_domain, c.domain, c.domain_tally) for c in starting]
-    sides += [(c, c.in_image, c.codomain, c.codomain_tally) for c in finishing]
-    classes = {}  # marks -> [count, accepting sides, their calls]
-    for seq in stream:
-        marked = packed_marks(seq)
-        entry = classes.get(marked)
-        if entry is None:
-            accepting = [side for side in sides if side[1](*marked) is None]
-            calls = [(c, call) for c, _, call, _ in accepting if call]
-            entry = classes[marked] = [0, accepting, calls]
-        entry[0] += 1
+    sides = [(c, c.in_domain, c.domain, c.domain_tally, []) for c in starting]
+    sides += [(c, c.in_image, c.codomain, c.codomain_tally, []) for c in finishing]
+    classes = {}  # marks -> [count, accepting sides, the batches they fill]
+    stream = iter(stream)
+    while chunk := list(islice(stream, _CHUNK)):
+        for seq in chunk:
+            marked = packed_marks(seq)
+            entry = classes.get(marked)
+            if entry is None:
+                accepting = [side for side in sides if side[1](*marked) is None]
+                batches = [side[4] for side in accepting if side[2]]
+                entry = classes[marked] = [0, accepting, batches]
+            entry[0] += 1
+            for batch in entry[2]:
+                batch.append(seq)
         spent = 0.0
-        for consumer, call in entry[2]:
-            started = clock()
-            call(seq)
-            took = clock() - started
-            consumer.elapsed += took
-            spent += took
+        for consumer, _, call, _, batch in sides:
+            if batch:
+                started = clock()
+                call(batch)
+                took = clock() - started
+                consumer.elapsed += took
+                spent += took
+                batch.clear()
         yield spent
     for marked, (count, accepting, _) in classes.items():
-        for *_, tally in accepting:
-            tally(marked, count)
+        for side in accepting:
+            side[3](marked, count)
 
 
 def _run(cells, starting_at) -> list[VerificationReport]:
@@ -459,9 +488,11 @@ def _run(cells, starting_at) -> list[VerificationReport]:
     that `starting_at(cell)` makes as each of `cells` comes up.  A
     certificate is filed at once under its image cell, which is its own
     cell or a later one.  Each cell streams once, _routed to the consumers
-    made at the cell and the certificates filed under it, the first of
-    which is charged the stream, the marks, the class lookups and tallies.
-    A consumer reports after its last cell."""
+    made at the cell and the certificates filed under it.  Each side is
+    charged the time of its own batches; the first consumer is charged the
+    rest of the cell's time, which is the stream, the marks, the routing
+    and the tallies, measured by one clock pair around the whole cell.  A
+    consumer reports after its last cell."""
     reports = []
     waiting = defaultdict(list)  # image cell -> certificates its stream feeds
     for cell in cells:

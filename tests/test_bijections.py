@@ -1,6 +1,7 @@
 import hashlib
 import json
 import pathlib
+from collections import Counter
 
 import pytest
 
@@ -156,6 +157,93 @@ def test_phi_case_distribution():
     # extra block, so three red elements is the smallest showcase
     cases = {phi_case(s) for s in _phi_domain(1, 3, 0)}
     assert cases == {"A1", "A2", "B1", "B2"}
+
+
+# phi's four moves by editing a list of slots, the reference that the
+# packed cores, which cut their results from the argument's tuple, are
+# checked against.
+
+
+def _with_extra_red(slots, red):
+    run, blue, _ = slots[-1]
+    slots[-1] = (run, blue, red)
+    return tuple(slots)
+
+
+def _phi_by_list(seq):
+    case, i = bijections._phi_move(seq)
+    m, k, n, slots = seq
+    mu = 1 << (m + n)
+    new_blue = 1 << (m + k + 1)
+    slots = list(slots)
+    extra_red = slots[-1][2]
+    if case == "A1":
+        run, blue, red = slots[0]
+        slots[0] = (run, blue | new_blue, red)
+    elif case == "A2":
+        slots.insert(0, ((), new_blue, extra_red ^ mu))
+    else:
+        run, blue, red = slots[i]
+        if case == "B1":
+            del slots[i]
+            after_run, after_blue, after_red = slots[i]
+            slots[i] = (after_run, after_blue | new_blue, after_red)
+        else:
+            slots[i] = ((), new_blue, red ^ mu)
+        slots.insert(0, (run, blue, extra_red))
+    return m, k + 1, n - 1, _with_extra_red(slots, 0)
+
+
+def _phi_inverse_by_list(seq):
+    case, q_i = bijections._phi_inverse_move(seq)
+    m, k, n, slots = seq
+    top = 1 << (m + k)
+    mu = 1 << (m + n + 1)
+    slots = list(slots)
+    run, q_blue, q_red = slots[q_i]
+    if case in ("A1", "B1"):
+        slots[q_i] = (run, q_blue ^ top, q_red)
+    if case == "A1":
+        extra_red = mu
+    else:
+        lead, first_blue, first_red = slots.pop(0)
+        if case == "A2":
+            extra_red = q_red | mu
+        else:
+            extra_red = first_red
+            if case == "B1":
+                slots.insert(q_i - 1, (lead, first_blue, mu))
+            else:
+                slots[q_i - 1] = (lead, first_blue, q_red | mu)
+    return m, k - 1, n + 1, _with_extra_red(slots, extra_red)
+
+
+def test_phi_cores_equal_the_list_moves_up_to_weight_eight():
+    # every member of phi's domain of weight <= 8 and every member of its
+    # image, where the one-slot A1 and the B1 that ends at the extra pair
+    # take their own branches of the cores
+    cases, images = Counter(), 0
+    for weight in range(9):
+        for m in range(weight // 2 + 1):
+            for k in range(weight - 2 * m + 1):
+                for s in enumerate_packed(k, weight - k - 2 * m, m):
+                    marked = packed_marks(s)
+                    if phi_domain(*marked) is None:
+                        assert bijections._phi(s) == _phi_by_list(s)
+                        cases[bijections._phi_case(s), len(s[3])] += 1
+                    if phi_image(*marked) is None:
+                        assert bijections._phi_inverse(s) == _phi_inverse_by_list(s)
+                        images += 1
+    assert sum(cases.values()) == images == 38878
+    assert cases["A1", 1] and {case for case, _ in cases} == {"A1", "A2", "B1", "B2"}
+
+
+def test_phi_inverse_case_reads_the_case_from_the_image():
+    for weight in range(7):
+        for m in range(weight // 2 + 1):
+            for k in range(weight - 2 * m + 1):
+                for s in _phi_domain(k, weight - k - 2 * m, m):
+                    assert phi_inverse_case(phi(s)) == phi_case(s)
 
 
 def test_domain_and_image_predicates_match_the_cells():

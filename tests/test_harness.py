@@ -333,6 +333,30 @@ def test_certificate_catches_raising_maps(monkeypatch):
     assert _kinds(certify_psi(2, 2, 0)) == {"forward-error", "not-hit"}
 
 
+def test_certificate_notes_across_chunks_as_one_object_at_a_time(monkeypatch):
+    # phi's 301 members at (3, 3, 0) span five chunks; an inverse that
+    # refuses every 25th call and returns its argument 13 calls later fails
+    # in each of them, and the report keeps the first five of each kind in
+    # stream order, pinned as the one-object-per-call certificate gave them
+    calls = []
+
+    def faulty(t):
+        calls.append(t)
+        i = len(calls) - 1
+        if i % 25 == 3:
+            raise ValueError(f"refused call {i}")
+        return t if i % 25 == 16 else phi_inverse(t)
+
+    monkeypatch.setattr(harness, "phi_inverse", faulty)
+    r = certify_phi(3, 3, 0)
+    assert r.lhs == r.rhs == len(calls) == 301 > 4 * harness._CHUNK
+    assert [kind for ce in r.counterexamples for kind in ce] == ["backward-error", "roundtrip"] * 5
+    errors = [ce["backward-error"]["error"] for ce in r.counterexamples if "backward-error" in ce]
+    assert errors == [f"refused call {i}" for i in (3, 28, 53, 78, 103)]
+    digest = hashlib.sha256(json.dumps(r.counterexamples, sort_keys=True).encode()).hexdigest()
+    assert digest == "7dfe29f9682e217232df3c65bcdb02f0b3283afe95a5cf105171b1ec8d720e80"
+
+
 # The sweep behind run_claim streams each (k, n, m) cell once and feeds
 # every object claim from that one stream.
 
@@ -413,24 +437,22 @@ def test_sweep_makes_each_certificate_when_its_cell_comes_up(monkeypatch):
 
 
 def test_sweep_scans_for_barred_singletons_about_once_per_object(monkeypatch):
-    # the sweep reads each object's marks once for every check it feeds:
-    # none for an object with a nonempty extra red block or without blue
-    # elements, one when the two extreme blue elements coincide, else two
-    from callan import combinat
+    # the sweep reads each object's marks once, in one scan of its ordinary
+    # pairs for both barred flags, whatever the number of checks it feeds
+    read = Counter()  # (k, n, m) -> the objects of the cell whose marks were read
+    marks_of = harness.packed_marks
 
-    scans = []
-    scan = combinat.packed_barred_singleton
+    def counting(seq):
+        m, k, n, _ = seq
+        read[k, n, m] += 1
+        return marks_of(seq)
 
-    def counting(seq, label):
-        scans.append(label)
-        return scan(seq, label)
-
-    monkeypatch.setattr(combinat, "packed_barred_singleton", counting)
+    monkeypatch.setattr(harness, "packed_marks", counting)
     reports = run_claim("all", 8)
     assert reports and all(r.passed for r in reports)
-    objects = sum(r.lhs for r in reports if r.claim_id == "partition")
-    assert objects == 84639
-    assert len(scans) <= 1.1 * objects
+    partitions = {harness._cell_order(r): r.lhs for r in reports if r.claim_id == "partition"}
+    assert sum(partitions.values()) == 84639
+    assert read == partitions
 
 
 def test_sweep_decides_each_side_once_per_marks_class(monkeypatch):
@@ -452,13 +474,15 @@ def test_sweep_decides_each_side_once_per_marks_class(monkeypatch):
             in_image = counted((claim_id, cell, 1), in_image)
             super().__init__(claim_id, cell, image_cell, forward, backward, in_domain, in_image)
 
-        def domain(self, *args):
-            fed[self.claim_id, self.cell, 0] += 1
-            super().domain(*args)
+        def domain(self, seqs):
+            assert 0 < len(seqs) <= harness._CHUNK
+            fed[self.claim_id, self.cell, 0] += len(seqs)
+            super().domain(seqs)
 
-        def codomain(self, *args):
-            fed[self.claim_id, self.cell, 1] += 1
-            super().codomain(*args)
+        def codomain(self, seqs):
+            assert 0 < len(seqs) <= harness._CHUNK
+            fed[self.claim_id, self.cell, 1] += len(seqs)
+            super().codomain(seqs)
 
     ruled = []
     cell_of = harness.cell_of
@@ -560,7 +584,8 @@ _CERTIFICATES = {
 
 def _fed(make, cell, order):
     # each side streams through harness._routed, which selects its members
-    # and counts its size as in harness._run
+    # and counts its size as in harness._run; "interleaved" alternates the
+    # two streams chunk by chunk
     certificate = make(*cell)
     sources = harness._routed(enumerate_packed(*certificate.cell), [certificate], [])
     targets = harness._routed(enumerate_packed(*certificate.image_cell), [], [certificate])
@@ -582,7 +607,8 @@ def _fed(make, cell, order):
 ])
 def test_certificate_ignores_the_order_of_its_sides(monkeypatch, claim, k, n, m, identity):
     # a passing cell passes in every order, and with identity maps patched
-    # in, every order names the same counterexamples
+    # in, every order names the same counterexamples; the sides interleave
+    # one object, a few objects or a whole chunk at a time
     make, maps = _CERTIFICATES[claim]
     if identity:
         for name in maps:
@@ -591,7 +617,9 @@ def test_certificate_ignores_the_order_of_its_sides(monkeypatch, claim, k, n, m,
     first = _fed(make, cell, "domain-first")
     assert first.passed != identity and first.lhs > 0
     assert _fed(make, cell, "codomain-first") == first
-    assert _fed(make, cell, "interleaved") == first
+    for chunk in (1, 3, harness._CHUNK):
+        monkeypatch.setattr(harness, "_CHUNK", chunk)
+        assert _fed(make, cell, "interleaved") == first
 
 
 def test_run_all_at_weight_seven_is_pinned():
