@@ -36,9 +36,11 @@ connects the two families.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError
 from functools import lru_cache
+from inspect import Parameter, Signature
 from itertools import chain
+from operator import attrgetter
 from typing import Iterable, Iterator, Union
 
 from .errors import ConsistencyError, DomainError
@@ -95,8 +97,70 @@ RED = "red"
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Bar:
+# sets an attribute past the refusing __setattr__ of the classes below
+_set = object.__setattr__
+
+
+class _Value:
+    """An immutable value with named fields, the base of the object model.
+    A subclass names its fields as annotations, after those of its base,
+    and may give the last ones defaults.  An instance is built by position
+    or keyword, equals only an instance of its own class with equal fields,
+    hashes as the tuple of its fields, prints as a dataclass does and
+    refuses assignment and deletion with FrozenInstanceError.  The fields
+    are read once, when the subclass is defined; no code is generated.  An
+    instance's dict holds its fields and nothing else, which equality reads
+    (_Barred, whose dict may hold more, compares the field tuples)."""
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        super().__init_subclass__()
+        cls._fields = fields = cls._fields + tuple(cls.__annotations__)
+        # binds a call that does not pass every field by position, and
+        # raises TypeError as a function with these parameters would
+        cls._signature = Signature([
+            Parameter(name, Parameter.POSITIONAL_OR_KEYWORD,
+                      default=getattr(cls, name, Parameter.empty))
+            for name in fields
+        ])
+        # the tuple of the fields, read in C; attrgetter of one name returns
+        # the bare value, which would hash differently
+        get = attrgetter(*fields)
+        cls._key = get if len(fields) > 1 else staticmethod(lambda obj: (get(obj),))
+
+    def __init__(self, *args, **kwargs) -> None:
+        fields = self._fields
+        if kwargs or len(args) != len(fields):
+            bound = self._signature.bind(*args, **kwargs)
+            bound.apply_defaults()
+            args = bound.arguments.values()
+        # set one by one, not through self.__dict__, which would give every
+        # instance a dict object of its own (64 bytes more on CPython 3.11)
+        for name, value in zip(fields, args):
+            _set(self, name, value)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.__dict__ == other.__dict__
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        pairs = zip(self._fields, self._key(self))
+        fields = ", ".join(f"{name}={value!r}" for name, value in pairs)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+class Bar(_Value):
     """A labelled bar.  color is "blue" or "red"."""
 
     color: str
@@ -106,8 +170,7 @@ class Bar:
         return f"|{self.color[0]}{self.label}"
 
 
-@dataclass(frozen=True)
-class CallanPair:
+class CallanPair(_Value):
     """One (blue block, red block) pair.  Stars are implicit: the extra
     pair stores only the non-star members of its blocks."""
 
@@ -131,8 +194,7 @@ class CallanPair:
 Element = Union[Bar, CallanPair]
 
 
-@dataclass(frozen=True)
-class CallanSequence:
+class CallanSequence(_Value):
     """A bare (unbarred) Callan sequence; pairs end with the extra pair."""
 
     k: int
@@ -144,8 +206,7 @@ class CallanSequence:
         return "".join(str(p) for p in self.pairs)
 
 
-@dataclass(frozen=True)
-class _Barred:
+class _Barred(_Value):
     """The shape of an m-barred sequence and of a psi-b intermediate, which
     never equal each other: equality compares the class too.  An object
     that unpack makes without a memo, as the wire reader and the public
@@ -167,11 +228,19 @@ class _Barred:
         object.__setattr__(self, "elements", elements)
         return elements
 
+    def __eq__(self, other):
+        # the dict of an object kept packed holds its packed form, and its
+        # elements only once they are read, so the field tuples are compared
+        if other.__class__ is self.__class__:
+            return self._key(self) == self._key(other)
+        return NotImplemented
+
+    __hash__ = _Value.__hash__
+
     def __str__(self) -> str:
         return "".join(str(e) for e in self.elements)
 
 
-@dataclass(frozen=True)
 class MBarredSequence(_Barred):
     """An m-barred Callan sequence with k blue and n red elements."""
 
@@ -183,15 +252,13 @@ class MBarredSequence(_Barred):
         return last
 
 
-@dataclass(frozen=True)
 class PsiIntermediate(_Barred):
     """Output of psi_b / input of psi_r.  Carries the original sizes
     (m, k, n) of the psi domain; the element list already contains the new
     blue bar labelled m+1 and a nonempty extra red block."""
 
 
-@dataclass(frozen=True)
-class BarredCallanSequence:
+class BarredCallanSequence(_Value):
     """Display form with a single unlabelled bar: the bar sits immediately
     before pair number bar_position (0-based), never after the last pair."""
 
@@ -207,8 +274,7 @@ class BarredCallanSequence:
         return "".join(out)
 
 
-@dataclass(frozen=True)
-class DumontPermutation:
+class DumontPermutation(_Value):
     """A permutation of 1..2n in one-line notation."""
 
     values: tuple[int, ...]
@@ -304,11 +370,17 @@ def unpack(packed: Packed, cls=MBarredSequence, memo: _Memo | None = None):
     caller that keeps it builds each once; one seeded with an object's
     elements under their keys reuses them."""
     m, k, n, slots = packed
+    obj = object.__new__(cls)
     if memo is None:
-        obj = object.__new__(cls)
         obj.__dict__.update(m=m, k=k, n=n, _packed=packed)
         return obj
-    return cls(m, k, n, tuple(map(memo.__getitem__, _keys(slots))))
+    # cls(m, k, n, elements) without the generic argument handling of
+    # _Value.__init__, which enumerate_mbarred would pay once per object
+    _set(obj, "m", m)
+    _set(obj, "k", k)
+    _set(obj, "n", n)
+    _set(obj, "elements", tuple(map(memo.__getitem__, _keys(slots))))
+    return obj
 
 
 # Sizes and block members of a packed object stay below this, so that no
@@ -578,11 +650,12 @@ def _skeletons(k: int, n: int, shift: int) -> Iterator[tuple[tuple[int, ...], tu
 def enumerate_callan(k: int, n: int, shift: int = 0) -> Iterator[CallanSequence]:
     """All Callan sequences with k blue / n red elements over shifted base
     sets, in canonical order: ordinary-pair count ascending, then
-    lexicographic on the ordered blue partition, then on the red one."""
+    lexicographic on the ordered blue partition, then on the red one.  Each
+    distinct CallanPair is built once per call."""
+    memo = _Memo(_element)
     for blues, reds in _skeletons(k, n, shift):
-        last = len(blues) - 1
-        pairs = tuple(_pair(b, r, i == last) for i, (b, r) in enumerate(zip(blues, reds)))
-        yield CallanSequence(k, n, shift, pairs)
+        extra = (False,) * (len(blues) - 1) + (True,)
+        yield CallanSequence(k, n, shift, tuple(map(memo.__getitem__, zip(blues, reds, extra))))
 
 
 @lru_cache(maxsize=None)

@@ -1,6 +1,8 @@
 import gc
 import json
+import os
 import pathlib
+import subprocess
 import sys
 from collections import Counter
 from dataclasses import FrozenInstanceError
@@ -9,11 +11,14 @@ from itertools import combinations, permutations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from callan import combinat
 from callan.combinat import (
     BLUE,
     RED,
     Bar,
+    BarredCallanSequence,
     CallanPair,
+    CallanSequence,
     bar_arrangements,
     MBarredSequence,
     PsiIntermediate,
@@ -44,6 +49,8 @@ from callan.combinat import (
     packed_lines,
     packed_marks,
     unpack,
+    intermediate_from_json_dict,
+    intermediate_to_json_dict,
 )
 from callan.errors import DomainError
 from callan.numbers import genocchi
@@ -470,14 +477,116 @@ def test_swap_colors_refuses_an_invalid_input():
         swap_colors(seq)
 
 
-@pytest.mark.parametrize("cls", [MBarredSequence, PsiIntermediate])
-def test_both_object_classes_stay_frozen(cls):
-    # each class is a frozen dataclass of its own, so its __setattr__
-    # refuses any name, not just the fields of the shared base
-    obj = cls(0, 0, 0, (CallanPair(frozenset(), frozenset(), True),))
-    for name in ("m", "anything"):
+_PAIR = CallanPair(frozenset({1}), frozenset({1, 2}), True)
+_PAIR_REPR = "CallanPair(blue=frozenset({1}), red=frozenset({1, 2}), is_extra=True)"
+_ELEMENTS_REPR = f"elements=(Bar(color='red', label=0), {_PAIR_REPR})"
+# One object of each class of the object model: the class, its fields by
+# name, and its repr as the frozen dataclasses of earlier versions printed it.
+_VALUES = [
+    (Bar, {"color": "red", "label": 1}, "Bar(color='red', label=1)"),
+    (CallanPair, {"blue": frozenset({1}), "red": frozenset(), "is_extra": False},
+     "CallanPair(blue=frozenset({1}), red=frozenset(), is_extra=False)"),
+    (CallanSequence, {"k": 1, "n": 2, "shift": 0, "pairs": (_PAIR,)},
+     f"CallanSequence(k=1, n=2, shift=0, pairs=({_PAIR_REPR},))"),
+    *[(cls, {"m": 0, "k": 1, "n": 2, "elements": (Bar(RED, 0), _PAIR)},
+       f"{cls.__name__}(m=0, k=1, n=2, {_ELEMENTS_REPR})")
+      for cls in (combinat._Barred, MBarredSequence, PsiIntermediate)],
+    (BarredCallanSequence, {"sequence": CallanSequence(1, 2, 0, (_PAIR,)), "bar_position": 0},
+     f"BarredCallanSequence(sequence=CallanSequence(k=1, n=2, shift=0, pairs=({_PAIR_REPR},)), "
+     "bar_position=0)"),
+    (DumontPermutation, {"values": (2, 1)}, "DumontPermutation(values=(2, 1))"),
+]
+
+
+@pytest.mark.parametrize("cls, fields, _", _VALUES, ids=[cls.__name__ for cls, _, _ in _VALUES])
+def test_both_object_classes_stay_frozen(cls, fields, _):
+    # the shared base refuses every name, fields and others alike, for
+    # every class, whether it defines attributes of its own or not
+    obj = cls(*fields.values())
+    for name in (*fields, "anything"):
         with pytest.raises(FrozenInstanceError):
             setattr(obj, name, 1)
+        with pytest.raises(FrozenInstanceError):
+            delattr(obj, name)
+    assert obj == cls(*fields.values())
+
+
+def test_object_classes_keep_the_value_semantics_of_frozen_dataclasses():
+    objects = []
+    for cls, fields, text in _VALUES:
+        values = tuple(fields.values())
+        obj = cls(*values)
+        assert repr(obj) == text
+        assert hash(obj) == hash(values)  # so sets of objects keep their order
+        assert obj == cls(**fields) == cls(*values[:1], **dict(list(fields.items())[1:]))
+        assert obj != values and values != obj
+        with pytest.raises(TypeError):
+            cls()
+        with pytest.raises(TypeError):
+            cls(*values, None)
+        with pytest.raises(TypeError):
+            cls(*values, anything=None)
+        with pytest.raises(TypeError):
+            cls(*values, **{next(iter(fields)): values[0]})
+        objects.append(obj)
+    # objects of distinct classes never compare equal, even with equal fields
+    for a, b in combinations(objects, 2):
+        assert a != b and b != a
+    assert CallanPair(blue=frozenset(), red=frozenset()).is_extra is False
+    assert CallanPair(frozenset(), frozenset()) == CallanPair(frozenset(), frozenset(), False)
+    with pytest.raises(TypeError):
+        CallanPair(frozenset())
+
+
+@pytest.mark.parametrize("cls, read, write", [
+    (MBarredSequence, from_json_dict, to_json_dict),
+    (PsiIntermediate, intermediate_from_json_dict, intermediate_to_json_dict),
+], ids=["MBarredSequence", "PsiIntermediate"])
+def test_an_object_kept_packed_equals_and_hashes_like_one_built_from_elements(cls, read, write):
+    built = cls(0, 1, 2, (Bar(RED, 0), _PAIR))
+    kept = read(write(built))
+    assert "elements" not in kept.__dict__  # the reader keeps the packed form
+    assert kept == built and built == kept
+    assert hash(kept) == hash(built) == hash((0, 1, 2, (Bar(RED, 0), _PAIR)))
+    assert repr(kept) == repr(built)
+    other = PsiIntermediate if cls is MBarredSequence else MBarredSequence
+    assert kept != unpack(pack(built, "test"), other)
+
+
+# Run in a fresh interpreter: the modules combinat imports are loaded first,
+# so that only code that the import of combinat itself executes from a
+# string is counted.  A dataclass decorator executes such code for every
+# method it makes.
+_EXEC_COUNTER = """
+import argparse, collections, dataclasses, fractions, functools, itertools, json, sys, typing
+
+generated = 0
+
+def hook(event, args):
+    global generated
+    if event == "exec" and getattr(args[0], "co_filename", None) == "<string>":
+        frame = sys._getframe(1)
+        while frame is not None:
+            if frame.f_code.co_filename.replace("\\\\", "/").endswith("callan/combinat.py"):
+                generated += 1
+                break
+            frame = frame.f_back
+
+sys.addaudithook(hook)
+import callan.cli
+print(generated)
+"""
+
+
+def test_importing_the_object_model_executes_no_generated_code():
+    package = str(pathlib.Path(combinat.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (package, os.environ.get("PYTHONPATH")))
+    ))
+    done = subprocess.run([sys.executable, "-c", _EXEC_COUNTER], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "0\n"
 
 
 def test_dumont_encoding_bijective():

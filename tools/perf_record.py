@@ -7,17 +7,19 @@ Each command runs in its own child process, from the root of a checkout
 with PYTHONPATH=src.  Its wall time is taken around that child, and its
 max RSS is the child's own, from os.wait4.  The commands are those of
 ROADMAP's perf record: ``verify --claim all`` at weights 8, 9 and 10, the
-40x40 and 80x80 C tables, ``genocchi --max 300``, the m = 6 count, and
-the checkout's own ``bench/run.py`` for each of its workloads, whose last
-line (its metrics) is kept as printed.  The max RSS of a bench/run.py
-child is that of bench/run.py alone; the workload's own peak is in its
-metrics line.
+40x40 and 80x80 C tables, ``genocchi --max 300``, the m = 6 count, two
+cold starts (``import callan.cli`` alone, and one ``number --family c``
+lookup), and the checkout's own ``bench/run.py`` for each of its
+workloads, whose last line (its metrics) is kept as printed.  The max
+RSS of a bench/run.py child is that of bench/run.py alone; the
+workload's own peak is in its metrics line.
 
-Every command runs REPEATS times on every checkout.  The checkouts take
-turns, in an order that is reversed on every repeat, so that a slow phase
-of a shared machine falls on all of them alike.  Each checkout's record
-keeps every sample and the least wall time.  The file --out is written
-anew.  The script needs only the standard library.
+Every command runs REPEATS times on every checkout, a cold start
+COLD_REPEATS times.  The checkouts take turns, in an order that is
+reversed on every repeat, so that a slow phase of a shared machine falls
+on all of them alike.  Each checkout's record keeps every sample, the
+least and the median wall time.  The file --out is written anew.  The
+script needs only the standard library.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ import hashlib
 import json
 import os
 import platform
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -35,25 +38,30 @@ import threading
 import time
 
 REPEATS = 3
+COLD_REPEATS = 21  # a cold start takes tens of milliseconds, so its spread needs more samples
 TIMEOUT_S = 900  # weight 10 takes under a minute on a 2-core host
 WORKLOADS = ("certify", "numbers", "stream")
 BENCH_SECONDS, BENCH_SEED = 10.0, 1  # bench/run.py's arguments
 
 
-def _commands() -> list[tuple[str, list[str], str]]:
-    """(name, arguments after the interpreter, what to keep of stdout)."""
+def _commands() -> list[tuple[str, list[str], str, int]]:
+    """(name, arguments after the interpreter, what to keep of stdout,
+    repeats)."""
     cli = ["-m", "callan.cli"]
     return [
         *[(f"verify-all-w{w}", cli + ["verify", "--claim", "all", "--max-weight", str(w)],
-           "last_line") for w in (8, 9, 10)],
+           "last_line", REPEATS) for w in (8, 9, 10)],
         *[(f"ctable-{n}x{n}", cli + ["number", "--family", "ctable", "--n", str(n), "--k", str(n)],
-           "sha256") for n in (40, 80)],
-        ("genocchi-300", cli + ["genocchi", "--max", "300"], "sha256"),
+           "sha256", REPEATS) for n in (40, 80)],
+        ("genocchi-300", cli + ["genocchi", "--max", "300"], "sha256", REPEATS),
         ("count-m6", cli + ["enumerate", "--kind", "mbarred", "--k", "0", "--n", "0", "--m", "6",
-                            "--count-only"], "last_line"),
+                            "--count-only"], "last_line", REPEATS),
+        ("import-callan", ["-c", "import callan.cli"], "last_line", COLD_REPEATS),
+        ("number-c-5-3", cli + ["number", "--family", "c", "--n", "5", "--k", "3"], "sha256",
+         COLD_REPEATS),
         *[(f"bench-{w}", [os.path.join("bench", "run.py"), "--workload", w,
                           "--seed", str(BENCH_SEED), "--seconds", str(BENCH_SECONDS),
-                          "--trace", "0"], "metrics")
+                          "--trace", "0"], "metrics", REPEATS)
           for w in WORKLOADS],
     ]
 
@@ -89,9 +97,9 @@ def record(checkouts: dict[str, str]) -> dict:
     env["PYTHONPATH"] = "src"
     labels = list(checkouts)
     runs = {}
-    for name, args, keep in _commands():
+    for name, args, keep, repeats in _commands():
         samples = {label: [] for label in labels}
-        for repeat in range(REPEATS):
+        for repeat in range(repeats):
             for label in labels if repeat % 2 == 0 else labels[::-1]:
                 wall, rss, status, stdout = timed_child([sys.executable, *args],
                                                         checkouts[label], env)
@@ -106,9 +114,10 @@ def record(checkouts: dict[str, str]) -> dict:
                 samples[label].append(sample)
                 print(f"{name} {label}: {wall:.3f} s, {rss:.1f} MB, exit {status}",
                       file=sys.stderr)
-        runs[name] = {"command": " ".join(["python3", *args])}
+        runs[name] = {"command": " ".join(["python3", *args]), "repeats": repeats}
         for label, taken in samples.items():
             runs[name][label] = {"best_wall_s": min(s["wall_s"] for s in taken),
+                                 "median_wall_s": statistics.median(s["wall_s"] for s in taken),
                                  "samples": taken}
     return {
         "recorded": datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds"),
